@@ -27,7 +27,7 @@ from .series import (
 )
 from .majorant import (
     CertifiedSum,
-    QuadraticCheck,
+    Check,
     geometric_tail,
     harmonic_powered_sum,
     powered_sum,
@@ -56,7 +56,6 @@ from .radii import (
     rp_via_infimum,
 )
 from .harmonic import (
-    DominationCheck,
     HarmonicBound,
     dilatation_domination_check,
     doubled_argmax_p1,

@@ -122,8 +122,7 @@ def _cmd_verify(args) -> int:
     if claim == "theorem1":
         _require(args, "p")
         _require(args, "r")
-        reports = [montecarlo.verify_theorem1(args.p, args.r, args.trials, order=args.order,
-                                              seed=args.seed, depth=args.depth)]
+        reports = [montecarlo.verify_theorem1(args.p, args.r, args.trials, **common)]
     elif claim == "lemma21":
         _require(args, "R")
         reports = [montecarlo.verify_lemma_quadratic(args.trials, args.R, **common)]

@@ -20,6 +20,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import DomainError
+from .majorant import Check
 from .radii import RadiusCertificate, _bisect_predicate, _check_r, maximize_envelope
 from .series import HarmonicPair
 
@@ -29,12 +30,6 @@ DOMINATION_TOL = 1e-10
 class HarmonicBound(NamedTuple):
     value: float
     valid: bool
-
-
-class DominationCheck(NamedTuple):
-    lhs: float
-    rhs: float
-    ok: bool
 
 
 def harmonic_envelope_value(a: float, p: float, r: float) -> float:
@@ -107,7 +102,7 @@ def harmonic_radius_p1() -> RadiusCertificate:
     return RadiusCertificate(radius=radius, method="bisection", residual=residual)
 
 
-def dilatation_domination_check(pair: HarmonicPair, r: float) -> DominationCheck:
+def dilatation_domination_check(pair: HarmonicPair, r: float) -> Check:
     """Check sum |b_k|^2 r^k <= sum |a_k|^2 r^k with the tail folded on the left.
 
     The left side adds an upper tail estimate (conservative direction), the
@@ -124,4 +119,4 @@ def dilatation_domination_check(pair: HarmonicPair, r: float) -> DominationCheck
     crude = r ** (n + 1) / (1.0 - r)
     remainder = max(0.0, 1.0 - float(bmods2.sum())) * r ** (n + 1)
     lhs = lhs_partial + min(crude, remainder)
-    return DominationCheck(lhs=lhs, rhs=rhs, ok=lhs <= rhs + DOMINATION_TOL)
+    return Check(lhs=lhs, rhs=rhs, ok=lhs <= rhs + DOMINATION_TOL)

@@ -28,7 +28,9 @@ class CertifiedSum:
     order_used: int
 
 
-class QuadraticCheck(NamedTuple):
+class Check(NamedTuple):
+    """Outcome of an inequality check lhs <= rhs (up to the check's tolerance)."""
+
     lhs: float
     rhs: float
     ok: bool
@@ -95,7 +97,7 @@ def harmonic_powered_sum(h: HarmonicPair, p: float, r: float) -> CertifiedSum:
     )
 
 
-def quadratic_sum_check(c: CoefficientSeries, big_r: float) -> QuadraticCheck:
+def quadratic_sum_check(c: CoefficientSeries, big_r: float) -> Check:
     """Check sum_{k>=1} |a_k|^2 R^k <= R (1-|a_0|^2)^2 / (1 - |a_0|^2 R).
 
     The left side folds in an upper tail estimate; R = 1 is allowed (the right
@@ -122,4 +124,4 @@ def quadratic_sum_check(c: CoefficientSeries, big_r: float) -> QuadraticCheck:
         rhs = 1.0 - x  # limit of R(1-x)^2/(1-xR) at R = 1
     else:
         rhs = big_r * (1.0 - x) ** 2 / (1.0 - x * big_r)
-    return QuadraticCheck(lhs=lhs, rhs=rhs, ok=lhs <= rhs + QUADRATIC_CHECK_TOL)
+    return Check(lhs=lhs, rhs=rhs, ok=lhs <= rhs + QUADRATIC_CHECK_TOL)

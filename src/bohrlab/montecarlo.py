@@ -3,16 +3,13 @@
 Each claim draws deterministic unit-ball samples (per-trial seeds derived from
 the run seed by a splitmix-style counter hash), measures the slack of the
 claimed bound against a certified upper enclosure of the sample's sum, and
-reports failures, worst margin and replay data.  Trials are independent; the
-reduction (failure count, minimum slack) is order-independent, so reports are
-identical whether trials run serially or across workers (BOHRLAB_THREADS).
+reports failures, worst margin and replay data.  Reports are deterministic
+for a given seed.
 """
 
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -69,14 +66,6 @@ def sample_schur(seed: int, depth: int) -> SchurFunction:
     return SchurFunction(mods * np.exp(1j * angles))
 
 
-def _worker_count() -> int:
-    raw = os.environ.get("BOHRLAB_THREADS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
-
-
 def _effective_order(order: int, r: float) -> int:
     """Raise the truncation order until the generic tail r^(N+1)/(1-r) falls
     below the slack tolerance.
@@ -92,30 +81,15 @@ def _effective_order(order: int, r: float) -> int:
     return max(order, min(int(need) + 1, 4000))
 
 
-def _chunk_slacks(fn: Callable, args: tuple, seed: int, lo: int, hi: int) -> list[float]:
-    return [fn(args, trial_seed(seed, i)) for i in range(lo, hi)]
+def _collect_slacks(slack: Callable[[int], float], trials: int, seed: int) -> np.ndarray:
+    """Slack of every trial, each evaluated on its own derived trial seed."""
+    if int(trials) < 0:
+        raise DomainError(f"trial count must be non-negative, got {trials}")
+    return np.array([slack(trial_seed(seed, i)) for i in range(int(trials))])
 
 
-def _collect_slacks(fn: Callable, args: tuple, trials: int, seed: int) -> np.ndarray:
-    workers = min(_worker_count(), max(1, trials))
-    if workers == 1 or trials < 4 * workers:
-        return np.array(_chunk_slacks(fn, args, seed, 0, trials))
-    bounds = np.linspace(0, trials, workers + 1).astype(int)
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        parts = pool.map(
-            _chunk_slacks,
-            [fn] * workers,
-            [args] * workers,
-            [seed] * workers,
-            bounds[:-1],
-            bounds[1:],
-        )
-        out = [s for part in parts for s in part]
-    return np.array(out)
-
-
-def _reduce(claim_id, slacks, witness_slacks, trials, seed, params, witness_abs_tol=None):
-    """Order-independent reduction into a report.
+def _reduce(claim_id, slacks, witness_slacks, seed, params, witness_abs_tol=None):
+    """Reduction of the trial slacks and witness slacks into a report.
 
     Witness slacks join the failure count: dominance witnesses at SLACK_TOL,
     equality witnesses (witness_abs_tol set) on |slack|.
@@ -139,54 +113,12 @@ def _reduce(claim_id, slacks, witness_slacks, trials, seed, params, witness_abs_
         worst = min(worst, float(warr.min()))
     return VerificationReport(
         claim_id=claim_id,
-        trials=trials,
+        trials=len(slacks),
         failures=failures,
         worst_margin=worst,
         seed=int(seed),
         params=params,
     )
-
-
-# ---------------------------------------------------------------------------
-# per-trial slack functions (top-level so worker processes can import them)
-
-def _theorem1_slack(args: tuple, tseed: int) -> float:
-    p, r, order, depth, bound = args
-    sample = schur_synthesis(sample_schur(tseed, depth), order)
-    return bound - powered_sum(sample, p, r).upper
-
-
-def _lemma_quadratic_slack(args: tuple, tseed: int) -> float:
-    big_r, order, depth = args
-    sample = schur_synthesis(sample_schur(tseed, depth), order)
-    check = quadratic_sum_check(sample, big_r)
-    return check.rhs - check.lhs
-
-
-def _theorem2_slack(args: tuple, tseed: int) -> float:
-    p, r, order, depth, bound = args
-    pair = harmonic_pair(
-        sample_schur(tseed, depth),
-        sample_schur(_splitmix64(tseed), depth),
-        1.0,
-        order,
-    )
-    return bound - harmonic_powered_sum(pair, p, r).upper
-
-
-def _be_analytic_slack(args: tuple, tseed: int) -> float:
-    r, order, depth, bound = args
-    g = sample_schur(tseed, depth)
-    f = schur_synthesis(SchurFunction(np.concatenate(([0.0], g.params))), order)
-    return bound - powered_sum(f, 1.0, r).upper
-
-
-def _be_harmonic_slack(args: tuple, tseed: int) -> float:
-    p, r, order, depth, bound = args
-    g = sample_schur(tseed, depth)
-    h_params = SchurFunction(np.concatenate(([0.0], g.params)))
-    pair = harmonic_pair(h_params, sample_schur(_splitmix64(tseed), depth), 1.0, order)
-    return bound - be_lp_combination_sum(pair, p, r).upper
 
 
 # ---------------------------------------------------------------------------
@@ -209,18 +141,22 @@ def verify_theorem1(
     p, r = float(p), _check_r(r)
     if not 0.0 < p <= 2.0:
         raise DomainError(f"exponent p must lie in (0, 2], got {p}")
+    depth = int(depth)
     order = _effective_order(order, r)
     bound = mp_theorem1(p, r).value
-    args = (p, r, order, int(depth), bound)
-    slacks = _collect_slacks(_theorem1_slack, args, int(trials), int(seed))
 
+    def slack(tseed: int) -> float:
+        sample = schur_synthesis(sample_schur(tseed, depth), order)
+        return bound - powered_sum(sample, p, r).upper
+
+    slacks = _collect_slacks(slack, trials, int(seed))
     witness_a = [0.2, 0.5, 0.8, min(maximize_envelope(p, r).argmax, 1.0 - 1e-8)]
     witness = [
         bound - powered_sum(mobius_automorphism_coeffs(a, order), p, r).upper
         for a in witness_a
     ]
-    params = {"p": p, "r": r, "depth": int(depth), "order": order}
-    return _reduce("theorem1", slacks, witness, int(trials), seed, params)
+    params = {"p": p, "r": r, "depth": depth, "order": order}
+    return _reduce("theorem1", slacks, witness, seed, params)
 
 
 def verify_lemma_quadratic(
@@ -236,18 +172,21 @@ def verify_lemma_quadratic(
     their |slack| must stay below 1e-8; violations count as failures.
     """
     big_r = float(big_r)
+    order, depth = int(order), int(depth)
     if big_r < 1.0:
         order = _effective_order(order, big_r)  # at R = 1 the remainder fold is exact
-    args = (big_r, int(order), int(depth))
-    slacks = _collect_slacks(_lemma_quadratic_slack, args, int(trials), int(seed))
+
+    def slack(tseed: int) -> float:
+        check = quadratic_sum_check(schur_synthesis(sample_schur(tseed, depth), order), big_r)
+        return check.rhs - check.lhs
+
+    slacks = _collect_slacks(slack, trials, int(seed))
     witness = []
     for a in (0.2, 0.5, 0.8):
-        check = quadratic_sum_check(mobius_automorphism_coeffs(a, max(int(order), 400)), big_r)
+        check = quadratic_sum_check(mobius_automorphism_coeffs(a, max(order, 400)), big_r)
         witness.append(check.rhs - check.lhs)
-    params = {"R": big_r, "depth": int(depth), "order": int(order)}
-    return _reduce(
-        "lemma21", slacks, witness, int(trials), seed, params, witness_abs_tol=WITNESS_TOL
-    )
+    params = {"R": big_r, "depth": depth, "order": order}
+    return _reduce("lemma21", slacks, witness, seed, params, witness_abs_tol=WITNESS_TOL)
 
 
 def verify_theorem2(
@@ -266,11 +205,17 @@ def verify_theorem2(
         raise DomainError(
             f"r={r} exceeds the validity threshold {harmonic_threshold(p)} for p={p}"
         )
+    depth = int(depth)
     order = _effective_order(order, r)
     bound = harmonic_bound(p, r).value
-    args = (p, r, order, int(depth), bound)
-    slacks = _collect_slacks(_theorem2_slack, args, int(trials), int(seed))
 
+    def slack(tseed: int) -> float:
+        pair = harmonic_pair(
+            sample_schur(tseed, depth), sample_schur(_splitmix64(tseed), depth), 1.0, order
+        )
+        return bound - harmonic_powered_sum(pair, p, r).upper
+
+    slacks = _collect_slacks(slack, trials, int(seed))
     witness = []
     omega_one = SchurFunction([1.0])
     if p <= 2.0:
@@ -280,8 +225,8 @@ def verify_theorem2(
         witness.append(bound - harmonic_powered_sum(pair, p, r).upper)
     pair_z = harmonic_pair(SchurFunction([0.0, 1.0]), omega_one, 1.0, order)
     witness.append(bound - harmonic_powered_sum(pair_z, p, r).upper)
-    params = {"p": p, "r": r, "depth": int(depth), "order": order}
-    return _reduce("theorem2", slacks, witness, int(trials), seed, params)
+    params = {"p": p, "r": r, "depth": depth, "order": order}
+    return _reduce("theorem2", slacks, witness, seed, params)
 
 
 def verify_be(
@@ -300,31 +245,39 @@ def verify_be(
     """
     r = _check_r(r)
     p = float(p)
+    depth = int(depth)
     order = _effective_order(order, r)
     bound_a = be_bound(r)
-    args_a = (r, order, int(depth), bound_a)
-    slacks_a = _collect_slacks(_be_analytic_slack, args_a, int(trials), int(seed))
+    bound_h = be_harmonic_bound(p, r)
+
+    def shifted_sample(tseed: int) -> SchurFunction:
+        # a leading zero parameter synthesizes z * g
+        return SchurFunction(np.concatenate(([0.0], sample_schur(tseed, depth).params)))
+
+    def slack_a(tseed: int) -> float:
+        return bound_a - powered_sum(schur_synthesis(shifted_sample(tseed), order), 1.0, r).upper
+
+    def slack_h(tseed: int) -> float:
+        pair = harmonic_pair(
+            shifted_sample(tseed), sample_schur(_splitmix64(tseed), depth), 1.0, order
+        )
+        return bound_h - be_lp_combination_sum(pair, p, r).upper
+
+    slacks_a = _collect_slacks(slack_a, trials, int(seed))
     sums_a = bound_a - slacks_a
     # the extremal z(a-z)/(1-az) at a = 1/sqrt(2) attains the bound at the radius
     ext = SchurFunction([0.0, 1.0 / np.sqrt(2.0), -1.0])
     witness_a = [bound_a - powered_sum(schur_synthesis(ext, order), 1.0, r).upper]
-    params_a = {
-        "r": r,
-        "depth": int(depth),
-        "order": order,
-        "max_sum": float(sums_a.max()) if len(sums_a) else 0.0,
-    }
-    report_a = _reduce("be_analytic", slacks_a, witness_a, int(trials), seed, params_a)
+    max_sum = float(sums_a.max()) if len(sums_a) else 0.0
+    params_a = {"r": r, "depth": depth, "order": order, "max_sum": max_sum}
+    report_a = _reduce("be_analytic", slacks_a, witness_a, seed, params_a)
 
-    bound_h = be_harmonic_bound(p, r)
-    args_h = (p, r, order, int(depth), bound_h)
     # distinct deterministic stream for the harmonic half
-    seed_h = trial_seed(seed, 0x5EED)
-    slacks_h = _collect_slacks(_be_harmonic_slack, args_h, int(trials), seed_h)
+    slacks_h = _collect_slacks(slack_h, trials, trial_seed(seed, 0x5EED))
     pair_w = harmonic_pair(ext, SchurFunction([1.0]), 1.0, order)
     witness_h = [bound_h - be_lp_combination_sum(pair_w, p, r).upper]
-    params_h = {"p": p, "r": r, "depth": int(depth), "order": order}
-    report_h = _reduce("be_harmonic", slacks_h, witness_h, int(trials), seed, params_h)
+    params_h = {"p": p, "r": r, "depth": depth, "order": order}
+    report_h = _reduce("be_harmonic", slacks_h, witness_h, seed, params_h)
     return report_a, report_h
 
 

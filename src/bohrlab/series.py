@@ -92,13 +92,17 @@ class HarmonicPair:
             raise DomainError("coanalytic part must vanish at the origin")
 
 
+def _check_order(order: int) -> None:
+    if order < 0:
+        raise DomainError(f"order must be non-negative, got {order}")
+
+
 def truncated_mul(a: CoefficientSeries, b: CoefficientSeries, order: int) -> CoefficientSeries:
     """Cauchy product of two truncated series, cut at the given order.
 
     No membership certificate is claimed for the product (head_bound = 1).
     """
-    if order < 0:
-        raise DomainError("order must be non-negative")
+    _check_order(order)
     full = np.convolve(a.coeffs, b.coeffs)
     out = np.zeros(order + 1, dtype=complex)
     n = min(order + 1, len(full))
@@ -122,8 +126,7 @@ def _divide_trunc(num: np.ndarray, den: np.ndarray, order: int) -> np.ndarray:
 
 def truncated_reciprocal(a: CoefficientSeries, order: int) -> CoefficientSeries:
     """Multiplicative inverse of a truncated series through the given order."""
-    if order < 0:
-        raise DomainError("order must be non-negative")
+    _check_order(order)
     if abs(a.coeffs[0]) == 0.0:
         raise ZeroConstantTerm("cannot invert a series with zero constant term")
     return CoefficientSeries(_divide_trunc(np.ones(1, dtype=complex), a.coeffs, order))
@@ -138,6 +141,7 @@ def mobius_automorphism_coeffs(a: float, order: int) -> CoefficientSeries:
     a = float(a)
     if not 0.0 <= a < 1.0:
         raise DomainError(f"automorphism parameter must lie in [0, 1), got {a}")
+    _check_order(order)
     c = np.empty(order + 1, dtype=complex)
     c[0] = a
     if order >= 1:
@@ -159,6 +163,7 @@ def psymmetric_extremal_coeffs(p: int, m: int, a: float, order: int) -> Coeffici
     a = float(a)
     if not 0.0 <= a < 1.0:
         raise DomainError(f"parameter a must lie in [0, 1), got {a}")
+    _check_order(order)
     c = np.zeros(order + 1, dtype=complex)
     if m <= order:
         c[m] = -a
@@ -175,6 +180,7 @@ def be_extremal_coeffs(a: float, order: int) -> CoefficientSeries:
     a = float(a)
     if not 0.0 <= a < 1.0:
         raise DomainError(f"parameter a must lie in [0, 1), got {a}")
+    _check_order(order)
     c = np.zeros(order + 1, dtype=complex)
     if order >= 1:
         c[1] = a
@@ -203,8 +209,7 @@ def schur_synthesis(s: SchurFunction, order: int) -> CoefficientSeries:
     exactly, followed by one truncated division.  Algebraically identical to the
     step-by-step truncated recursion, with a single rounding-sensitive division.
     """
-    if order < 0:
-        raise DomainError("order must be non-negative")
+    _check_order(order)
     params = _active_params(s)
     P = np.zeros(1, dtype=complex)
     Q = np.ones(1, dtype=complex)
@@ -214,7 +219,8 @@ def schur_synthesis(s: SchurFunction, order: int) -> CoefficientSeries:
         P = g * Qpad + zP
         Q = Qpad + np.conj(g) * zP
     coeffs = _divide_trunc(P[: order + 1], Q[: order + 1], order)
-    return CoefficientSeries(coeffs, head_bound=abs(coeffs[0]), certified=True)
+    # a snapped unimodular parameter can leave |a_0| one ulp above 1
+    return CoefficientSeries(coeffs, head_bound=min(abs(coeffs[0]), 1.0), certified=True)
 
 
 def schur_analysis(c: CoefficientSeries, depth: int) -> SchurFunction:
@@ -278,7 +284,7 @@ def harmonic_pair(
         b[1:] = conv / np.arange(1, order + 1)
     # scaling into the ball preserves the coefficient certificate:
     # scale (1 - |g0|^2) <= 1 - (scale |g0|)^2 for every scale in (0, 1]
-    analytic = CoefficientSeries(a, head_bound=scale * abs(h_unit.coeffs[0]), certified=True)
+    analytic = CoefficientSeries(a, head_bound=scale * h_unit.head_bound, certified=True)
     coanalytic = CoefficientSeries(b, head_bound=0.0, certified=True)
     return HarmonicPair(analytic=analytic, coanalytic=coanalytic)
 

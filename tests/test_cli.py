@@ -117,6 +117,13 @@ class TestVerifyCommand:
         )
         assert code == 2 and err.strip()
 
+    def test_negative_trials_exit_2(self, capsys):
+        code, out, err = run(
+            capsys, "verify", "theorem1", "--p", "1", "--r", "0.5",
+            "--trials", "-5", "--seed", "1",
+        )
+        assert code == 2 and out == "" and "trial" in err
+
     def test_missing_seed_exits_2(self, capsys):
         code, _, _ = run(capsys, "verify", "theorem1", "--p", "1", "--r", "0.5")
         assert code == 2
@@ -183,6 +190,12 @@ class TestExtremalCommand:
         )
         assert code == 2
 
+    def test_negative_order_exits_2(self, capsys):
+        code, out, err = run(
+            capsys, "extremal", "--family", "mobius", "--a", "0.5", "--r", "0.5", "--order", "-5"
+        )
+        assert code == 2 and out == "" and "order" in err
+
 
 class TestTableCommand:
     def test_table_contents(self, capsys):
@@ -212,13 +225,6 @@ class TestByteStability:
         _, first, _ = run(capsys, *argv)
         _, second, _ = run(capsys, *argv)
         assert first == second
-
-    def test_verify_output_stable_across_workers(self, capsys, monkeypatch):
-        argv = ["verify", "theorem1", "--p", "1", "--r", "0.5", "--trials", "64", "--seed", "3"]
-        _, serial, _ = run(capsys, *argv)
-        monkeypatch.setenv("BOHRLAB_THREADS", "4")
-        _, parallel, _ = run(capsys, *argv)
-        assert serial == parallel
 
     def test_seventeen_digit_reals(self, capsys):
         _, out, _ = run(capsys, "radius", "--kind", "be", )

@@ -1,4 +1,4 @@
-"""Seeded sampling, claim verification, determinism and parallel reduction."""
+"""Seeded sampling, claim verification and determinism."""
 
 import math
 
@@ -75,15 +75,27 @@ class TestTheorem1:
         b = verify_theorem1(1.0, 0.5, 100, seed=3)
         assert a == b
 
-    def test_parallel_reduction_matches_serial(self, monkeypatch):
-        serial = verify_theorem1(1.0, 0.5, 96, seed=5)
-        monkeypatch.setenv("BOHRLAB_THREADS", "3")
-        parallel = verify_theorem1(1.0, 0.5, 96, seed=5)
-        assert serial == parallel
-
     def test_p_domain(self):
         with pytest.raises(DomainError):
             verify_theorem1(3.0, 0.5, 10, seed=1)
+
+
+class TestTrialCount:
+    def test_negative_trials_rejected_by_every_claim(self):
+        with pytest.raises(DomainError):
+            verify_theorem1(1.0, 0.5, -5, seed=1)
+        with pytest.raises(DomainError):
+            verify_lemma_quadratic(-1, 1.0, seed=1)
+        with pytest.raises(DomainError):
+            verify_theorem2(1.0, 0.3, -1, seed=1)
+        with pytest.raises(DomainError):
+            verify_be(0.65, 1.0, -1, seed=1)
+
+    def test_zero_trials_reports_witnesses_only(self):
+        report = verify_theorem1(1.0, 0.5, 0, seed=1)
+        assert report.trials == 0 and report.failures == 0
+        assert "worst_trial" not in report.params
+        assert report.worst_margin == report.params["witness_min_slack"]
 
 
 class TestLemmaQuadratic:

@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from bohrlab import (
@@ -123,6 +123,8 @@ class TestCoefficientFamilies:
             mobius_automorphism_coeffs(1.0, 4)
         with pytest.raises(DomainError):
             mobius_automorphism_coeffs(-0.1, 4)
+        with pytest.raises(DomainError):
+            mobius_automorphism_coeffs(0.5, -5)
 
     def test_psymmetric_values(self):
         out = psymmetric_extremal_coeffs(2, 1, 0.5, 5)
@@ -147,6 +149,8 @@ class TestCoefficientFamilies:
             psymmetric_extremal_coeffs(2, 3, 0.4, 5)
         with pytest.raises(DomainError):
             psymmetric_extremal_coeffs(0, 0, 0.4, 5)
+        with pytest.raises(DomainError):
+            psymmetric_extremal_coeffs(2, 1, 0.4, -5)
 
     def test_be_extremal_values(self):
         out = be_extremal_coeffs(0.5, 3)
@@ -154,6 +158,12 @@ class TestCoefficientFamilies:
         np.testing.assert_array_equal(
             be_extremal_coeffs(0.0, 4).coeffs, [0.0, 0.0, -1.0, 0.0, 0.0]
         )
+
+    def test_be_extremal_domain(self):
+        with pytest.raises(DomainError):
+            be_extremal_coeffs(1.0, 4)
+        with pytest.raises(DomainError):
+            be_extremal_coeffs(0.5, -5)
 
     def test_be_extremal_sharpness_sum(self):
         a = 1.0 / math.sqrt(2.0)
@@ -215,6 +225,8 @@ class TestSchurRecursion:
 
     @settings(max_examples=60, deadline=None)
     @given(params_strategy(max_depth=12), st.integers(8, 64))
+    # a unimodular parameter whose snap leaves |a_0| one ulp above 1
+    @example(SchurFunction([np.exp(0.875j)]), 8)
     def test_synthesis_certificate(self, s, order):
         out = schur_synthesis(s, order)
         mods = np.abs(out.coeffs)
@@ -262,6 +274,14 @@ class TestHarmonicPair:
     def test_scale_domain(self):
         with pytest.raises(DomainError):
             harmonic_pair(SchurFunction([0.1]), SchurFunction([0.1]), 0.0, 4)
+
+    def test_unimodular_analytic_parameter(self):
+        # the snapped parameter has |a_0| = 1 + 1 ulp; the head bound is capped
+        g = 0.9946128276123087 + 0.1036596505350456j
+        pair = harmonic_pair(SchurFunction([g]), SchurFunction([0.5j]), 1.0, 8)
+        assert pair.analytic.head_bound == 1.0 and pair.analytic.certified
+        assert abs(abs(pair.analytic.coeffs[0]) - 1.0) < 1e-15
+        np.testing.assert_array_equal(pair.coanalytic.coeffs, np.zeros(9))
 
 
 class TestHelpers:
