@@ -36,6 +36,8 @@ def _json_value(v) -> str:
     if isinstance(v, (int, np.integer)):
         return str(int(v))
     if isinstance(v, (float, np.floating)):
+        if not math.isfinite(v):
+            raise BohrlabError(f"refusing to write the non-finite value {v} as JSON")
         return _fmt(v)
     if isinstance(v, str):
         return json.dumps(v)

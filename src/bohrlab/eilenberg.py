@@ -69,8 +69,8 @@ def be_coefficient_check(c: CoefficientSeries) -> BECoefficientCheck:
 def be_harmonic_bound(p: float, r: float) -> float:
     """l^p-combination bound max(2^(1/p - 1/2), 1) sqrt(2) r / sqrt(1 - r^2)."""
     p, r = float(p), _check_r(r)
-    if p < 1.0:
-        raise DomainError(f"exponent p must be >= 1, got {p}")
+    if not 1.0 <= p < math.inf:
+        raise DomainError(f"exponent p must be finite and >= 1, got {p}")
     factor = max(2.0 ** (1.0 / p - 0.5), 1.0)
     return factor * math.sqrt(2.0) * r / math.sqrt(1.0 - r * r)
 
@@ -82,8 +82,8 @@ def be_harmonic_radius(p: float) -> RadiusCertificate:
     1 / sqrt(1 + 2 max(2^(2/p - 1), 1)); the two must agree to 1e-12.
     """
     p = float(p)
-    if p < 1.0:
-        raise DomainError(f"exponent p must be >= 1, got {p}")
+    if not 1.0 <= p < math.inf:
+        raise DomainError(f"exponent p must be finite and >= 1, got {p}")
     radius = _bisect_predicate(lambda r: be_harmonic_bound(p, r) > 1.0, 0.0, 0.999)
     closed = 1.0 / math.sqrt(1.0 + 2.0 * max(2.0 ** (2.0 / p - 1.0), 1.0))
     if abs(radius - closed) > 1e-12:
@@ -104,8 +104,8 @@ def be_lp_combination_sum(pair: HarmonicPair, p: float, r: float) -> CertifiedSu
     2^(1/p) r^(N+1)/(1-r).
     """
     p, r = float(p), _check_r(r)
-    if p < 1.0:
-        raise DomainError(f"exponent p must be >= 1, got {p}")
+    if not 1.0 <= p < math.inf:
+        raise DomainError(f"exponent p must be finite and >= 1, got {p}")
     if abs(pair.analytic.coeffs[0]) != 0.0:
         raise NonVanishingConstantTerm("the class requires a_0 = 0")
     n = min(pair.analytic.order, pair.coanalytic.order)

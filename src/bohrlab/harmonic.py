@@ -58,8 +58,8 @@ def harmonic_bound(p: float, r: float) -> HarmonicBound:
     p > 2: max(1, 2r), valid for all r.
     """
     p, r = float(p), _check_r(r)
-    if p <= 0.0:
-        raise DomainError(f"exponent p must be positive, got {p}")
+    if not 0.0 < p < math.inf:
+        raise DomainError(f"exponent p must be positive and finite, got {p}")
     if p > 2.0:
         return HarmonicBound(max(1.0, 2.0 * r), True)
     value = maximize_envelope(p, r, doubled=True).value

@@ -6,6 +6,7 @@ checks downstream always compare the conservative side.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -38,8 +39,8 @@ class Check(NamedTuple):
 
 def _check_pr(p: float, r: float) -> tuple[float, float]:
     p, r = float(p), float(r)
-    if p <= 0.0:
-        raise DomainError(f"exponent p must be positive, got {p}")
+    if not 0.0 < p < math.inf:
+        raise DomainError(f"exponent p must be positive and finite, got {p}")
     if not 0.0 <= r < 1.0:
         raise DomainError(f"radius r must lie in [0, 1), got {r}")
     return p, r

@@ -282,10 +282,13 @@ def powered_radius_rp(p: float) -> RadiusCertificate:
 
 
 def lower_bound_mp(p: float) -> float:
-    """Closed-form lower bound p / (2^(1/(2-p)) + p^(1/(2-p)))^(2-p)."""
+    """Closed-form lower bound p / (2^(1/(2-p)) + p^(1/(2-p)))^(2-p).
+
+    Evaluated with the factor 2^(1/(2-p)) taken out, which stays finite as p -> 2.
+    """
     p = _check_p(p, allow_two=False)
     e = 1.0 / (2.0 - p)
-    return p / (2.0**e + p**e) ** (2.0 - p)
+    return p / (2.0 * (1.0 + (p / 2.0) ** e) ** (2.0 - p))
 
 
 _BOMBIERI_LO = 1.0 / 3.0
@@ -328,99 +331,55 @@ def psymmetric_root_equation(r, p: int, m: int):
 
 
 def _check_pm(p, m) -> tuple[int, int]:
-    if int(p) != p or int(m) != m:
-        raise DomainError("p and m must be integers")
+    if not (math.isfinite(p) and math.isfinite(m)) or int(p) != p or int(m) != m:
+        raise DomainError(f"p and m must be integers, got p={p}, m={m}")
     p, m = int(p), int(m)
     if p < 1 or not 0 <= m <= p:
         raise DomainError(f"need p >= 1 and 0 <= m <= p, got p={p}, m={m}")
     return p, m
 
 
-def _bisect_sign_change(f: Callable[[float], float], lo: float, hi: float) -> float:
-    flo = f(lo)
-    for _ in range(100):
-        mid = 0.5 * (lo + hi)
-        fm = f(mid)
-        if fm == 0.0:
-            return mid
-        if (flo < 0.0) == (fm < 0.0):
-            lo, flo = mid, fm
-        else:
-            hi = mid
-        if hi - lo < 1e-15:
-            break
-    return 0.5 * (lo + hi)
-
-
-def _polish_double_root(f: Callable[[float], float], x: float, h: float) -> float:
-    # derivative-free quadratic fit: the vertex of the parabola through three
-    # samples is the stationary point, which is the double root.  h stays at
-    # grid scale: shrinking it would push the curvature term f(x+h)-2f(x)+f(x-h)
-    # below evaluation noise and let the vertex wander.
-    for _ in range(3):
-        fm, f0, fp = f(x - h), f(x), f(x + h)
-        denom = fp - 2.0 * f0 + fm
-        if denom == 0.0:
-            break
-        step = -h * (fp - fm) / (2.0 * denom)
-        x = min(max(x + step, 1e-12), 1.0 - 1e-12)
-        if abs(step) < 1e-11:
-            break
-    # the fit carries an O(h^2) bias from the cubic term; finish by bisecting
-    # the sign of the symmetric difference, which crosses zero simply at the
-    # stationary point and is noise-safe at this step size
-    hs = 1e-5
-    s = lambda y: f(y + hs) - f(y - hs)
-    lo, hi = x - 1e-6, x + 1e-6
-    if s(lo) < 0.0 < s(hi):
-        for _ in range(40):
-            mid = 0.5 * (lo + hi)
-            if s(mid) < 0.0:
-                lo = mid
-            else:
-                hi = mid
-        x = 0.5 * (lo + hi)
-    return x
-
-
 def psymmetric_radius(p: int, m: int) -> RadiusCertificate:
     """Maximal root in (0, 1) of the p-symmetric radius equation.
 
-    Scans a 10^4 grid for sign changes and bisects each bracket; double roots
-    (the equation can be a perfect square, e.g. m = 0) produce no sign change
-    and are recovered by polishing local minima of |equation| with a quadratic
-    fit, accepting a candidate only if the polished residual is tiny.
+    For integer p and m the equation is a polynomial of degree 2p in r, solved
+    for p <= 100 (its companion-matrix eigenproblem costs O(p^3)).  Simple
+    roots are the real eigenvalues after a Newton polish.  Eigenvalues resolve
+    the double root of m = 0, where the equation is (3r^p - 1)^2, only to
+    sqrt(eps), so double roots are the polished roots of the derivative where
+    the equation vanishes to 1e-10; eigenvalues within 1e-6 of one are dropped.
     """
     p, m = _check_pm(p, m)
-    f = lambda r: float(psymmetric_root_equation(r, p, m))
-    grid = np.linspace(0.0, 1.0, 10001)[1:-1]
-    vals = psymmetric_root_equation(grid, p, m)
-
-    roots = []
-    method = "bisection"
-    sign = np.sign(vals)
-    for i in np.flatnonzero(sign[:-1] * sign[1:] < 0):
-        roots.append(_bisect_sign_change(f, float(grid[i]), float(grid[i + 1])))
-    absvals = np.abs(vals)
-    interior_min = (absvals[1:-1] <= absvals[:-2]) & (absvals[1:-1] <= absvals[2:])
-    for i in np.flatnonzero(interior_min) + 1:
-        if absvals[i] < 1e-4:
-            x = _polish_double_root(f, float(grid[i]), float(grid[1] - grid[0]))
-            if abs(f(x)) <= 1e-10 and not any(abs(x - r0) < 1e-9 for r0 in roots):
-                roots.append(x)
-                method = "root_scan"
-    if not roots:
+    if p > 100:
+        raise DomainError(f"the p-symmetric radius is solved for p <= 100, got p={p}")
+    poly = np.zeros(2 * p + 1)  # coefficients of r^(2p), ..., r^0
+    np.add.at(poly, [0, 2 * m, p + m, 2 * p], [8.0, 1.0, -6.0, 1.0])  # m = 0, p share powers
+    polished = []
+    for c in (poly, np.polyder(poly)):
+        z = np.roots(c)
+        x = z.real[(z.imag == 0.0) & (z.real > 0.0) & (z.real < 1.0)]
+        dc = np.polyder(c)
+        for _ in range(2):
+            x = x - np.polyval(c, x) / np.polyval(dc, x)
+        polished.append(x)
+    simple, double = polished
+    double = double[np.abs(psymmetric_root_equation(double, p, m)) <= 1e-10]
+    candidates = [(float(x), "root_scan") for x in double]
+    for x in simple:
+        if 0.0 < x < 1.0 and not np.any(np.abs(double - x) < 1e-6):
+            candidates.append((float(x), "polynomial_roots"))
+    if not candidates:
         raise NoRootFound(f"no root of the radius equation in (0, 1) for p={p}, m={m}")
-    radius = max(roots)
-    return RadiusCertificate(radius=radius, method=method, residual=abs(f(radius)))
+    radius, method = max(candidates)
+    residual = abs(float(psymmetric_root_equation(radius, p, m)))
+    return RadiusCertificate(radius=radius, method=method, residual=residual)
 
 
 def psymmetric_extremal_a(p: int, m: int) -> float:
     """Extremal parameter (1 - sqrt(1 - r^(2p))/sqrt(2)) / r^p at the radius.
 
     Clamped to 1 when it lands within 1e-8 (degenerate boundary extremal,
-    which happens exactly for m = 0; the window covers the double-root radius
-    precision of ~1e-10 amplified by da/dr).
+    which happens exactly for m = 0, where a equals 1 up to rounding).
     """
     p, m = _check_pm(p, m)
     r = psymmetric_radius(p, m).radius

@@ -13,6 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, NonSchurInput, ZeroConstantTerm
+from .radii import _check_pm
 
 # Schur parameters within this distance of the unit circle are treated as
 # unimodular: the synthesis terminates there (finite Blaschke product) and
@@ -155,11 +156,7 @@ def psymmetric_extremal_coeffs(p: int, m: int, a: float, order: int) -> Coeffici
     Only indices m + j*p are populated: -a at index m and (1 - a^2) a^(j-1)
     at m + j*p for j >= 1.
     """
-    if int(p) != p or int(m) != m:
-        raise DomainError(f"p and m must be integers, got p={p}, m={m}")
-    p, m = int(p), int(m)
-    if p < 1 or not 0 <= m <= p:
-        raise DomainError(f"need p >= 1 and 0 <= m <= p, got p={p}, m={m}")
+    p, m = _check_pm(p, m)
     a = float(a)
     if not 0.0 <= a < 1.0:
         raise DomainError(f"parameter a must lie in [0, 1), got {a}")

@@ -43,6 +43,11 @@ class TestRadiusCommand:
         assert code == 2
         assert err.strip()
 
+    def test_mp_lower_near_two(self, capsys):
+        code, out, _ = run(capsys, "radius", "--kind", "mp_lower", "--p", "1.9999")
+        assert code == 0
+        assert 0.999 < json.loads(out)["radius"] < 1.0
+
 
 class TestEnvelopeCommand:
     def test_header_and_p2_values(self, capsys):
@@ -195,6 +200,25 @@ class TestExtremalCommand:
             capsys, "extremal", "--family", "mobius", "--a", "0.5", "--r", "0.5", "--order", "-5"
         )
         assert code == 2 and out == "" and "order" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("radius", "--kind", "psymmetric", "--p", "1", "--m", "nan"),
+        ("extremal", "--family", "psymmetric", "--p", "1", "--m", "nan", "--a", "0.5", "--r", "0.5"),
+        ("radius", "--kind", "be_harmonic", "--p", "nan"),
+        ("radius", "--kind", "be_harmonic", "--p", "inf"),
+        ("verify", "be", "--p", "inf", "--r", "0.5", "--seed", "1", "--trials", "3"),
+        ("verify", "theorem2", "--p", "inf", "--r", "0.5", "--seed", "1", "--trials", "3"),
+        ("verify", "theorem2", "--p", "nan", "--r", "0.5", "--seed", "1", "--trials", "3"),
+        # --p is unused by this family but echoed; nan must not reach the JSON
+        ("extremal", "--family", "be", "--a", "0.5", "--r", "0.5", "--p", "nan"),
+    ],
+)
+def test_non_finite_input_exits_2(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == "" and err.strip()
 
 
 class TestTableCommand:

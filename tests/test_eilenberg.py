@@ -107,8 +107,9 @@ class TestBeHarmonicBound:
         assert abs(values[-1] - values[-2]) < 1e-15  # constant for p >= 2
 
     def test_domain(self):
-        with pytest.raises(DomainError):
-            be_harmonic_bound(0.5, 0.3)
+        for p in (0.5, math.nan, math.inf):
+            with pytest.raises(DomainError):
+                be_harmonic_bound(p, 0.3)
 
 
 class TestBeHarmonicRadius:

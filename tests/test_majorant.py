@@ -47,8 +47,9 @@ class TestPoweredSum:
         c = mobius_automorphism_coeffs(0.3, 8)
         with pytest.raises(DomainError):
             powered_sum(c, 1.0, 1.0)
-        with pytest.raises(DomainError):
-            powered_sum(c, 0.0, 0.5)
+        for p in (0.0, float("nan"), float("inf")):
+            with pytest.raises(DomainError):
+                powered_sum(c, p, 0.5)
 
     def test_tail_formula(self):
         certified = mobius_automorphism_coeffs(0.6, 32)

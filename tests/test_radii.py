@@ -179,6 +179,8 @@ class TestLowerBound:
             lower_bound_mp(2.0)
         with pytest.raises(DomainError):
             lower_bound_mp(0.0)
+        for p in (1.9999, 1.9999999):  # finite up to the open end, tending to 1
+            assert abs(lower_bound_mp(p) - 1.0) < 1e-3
 
 
 class TestBombieriClosedForm:
@@ -223,23 +225,29 @@ class TestPaulsenMajorant:
 
 class TestPsymmetricRadius:
     def test_double_root_case(self):
-        cert = psymmetric_radius(1, 0)
-        assert abs(cert.radius - 1.0 / 3.0) < 1e-10
-        assert cert.method == "root_scan"  # no sign change: (3r-1)^2
+        for p in range(1, 9):
+            cert = psymmetric_radius(p, 0)
+            assert abs(cert.radius - 3.0 ** (-1.0 / p)) <= 1e-12
+            assert cert.method == "root_scan"  # no sign change: (3r^p-1)^2
 
     def test_simple_root_cases(self):
         assert abs(psymmetric_radius(1, 1).radius - 1.0 / math.sqrt(2.0)) < 1e-10
         assert abs(psymmetric_radius(2, 2).radius - 2.0 ** (-0.25)) < 1e-10
+        for p in range(1, 9):
+            assert abs(psymmetric_radius(p, p).radius - 2.0 ** (-1.0 / (2 * p))) <= 1e-12
 
     def test_residuals(self):
-        for (p, m) in [(1, 0), (1, 1), (2, 2), (2, 1), (3, 2)]:
-            assert psymmetric_radius(p, m).residual <= 1e-10
+        for p in range(1, 9):
+            for m in range(0, p + 1):
+                assert psymmetric_radius(p, m).residual <= 1e-12
 
     def test_max_root_selected(self):
-        # (2, 1) has two sign changes; the radius is the larger root
-        cert = psymmetric_radius(2, 1)
-        grid = np.linspace(cert.radius + 1e-3, 0.999, 500)
-        assert np.all(psymmetric_root_equation(grid, 2, 1) > 0.0)
+        # (2, 1) has two sign changes; the radius must be the largest root
+        for p in range(1, 9):
+            for m in range(0, p + 1):
+                cert = psymmetric_radius(p, m)
+                grid = np.linspace(cert.radius + 1e-3, 0.999, 500)
+                assert np.all(psymmetric_root_equation(grid, p, m) > 0.0)
 
     def test_extremal_parameter(self):
         assert psymmetric_extremal_a(1, 0) == 1.0
@@ -258,6 +266,8 @@ class TestPsymmetricRadius:
             psymmetric_radius(0, 0)
         with pytest.raises(DomainError):
             psymmetric_radius(1.5, 1)  # non-integer order must not truncate
+        with pytest.raises(DomainError):
+            psymmetric_radius(101, 1)  # degree-202 eigenproblem: refused, not solved
 
 
 class TestBlaschkeSharpness:

@@ -151,6 +151,8 @@ class TestCoefficientFamilies:
             psymmetric_extremal_coeffs(0, 0, 0.4, 5)
         with pytest.raises(DomainError):
             psymmetric_extremal_coeffs(2, 1, 0.4, -5)
+        with pytest.raises(DomainError):
+            psymmetric_extremal_coeffs(2, float("nan"), 0.4, 5)
 
     def test_be_extremal_values(self):
         out = be_extremal_coeffs(0.5, 3)
