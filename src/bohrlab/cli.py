@@ -105,16 +105,16 @@ def _cmd_envelope(args) -> int:
     if not (0.0 <= args.r_start <= args.r_end < 1.0 and args.steps >= 1):
         print("error: need 0 <= r-start <= r-end < 1 and steps >= 1", file=sys.stderr)
         return 2
-    print("r,value,argmax,exact")
-    grid = np.linspace(args.r_start, args.r_end, args.steps)
-    for r in grid:
+    rows = []  # every row is computed before the header, so a domain error prints nothing
+    for r in np.linspace(args.r_start, args.r_end, args.steps):
         res = radii.maximize_envelope(args.p, float(r), doubled=args.doubled)
         if args.doubled:
             exact = args.p >= 2.0 or float(r) <= harmonic.harmonic_threshold(args.p)
         else:
             exact = float(r) <= radii.exact_branch_threshold(args.p)
         flag = "true" if exact else "false"
-        print(f"{_fmt(r)},{_fmt(res.value)},{_fmt(res.argmax)},{flag}")
+        rows.append(f"{_fmt(r)},{_fmt(res.value)},{_fmt(res.argmax)},{flag}")
+    print("\n".join(["r,value,argmax,exact", *rows]))
     return 0
 
 

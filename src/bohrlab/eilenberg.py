@@ -114,10 +114,4 @@ def be_lp_combination_sum(pair: HarmonicPair, p: float, r: float) -> CertifiedSu
     terms = (amods**p + bmods**p) ** (1.0 / p)
     value = float(np.dot(terms, r ** np.arange(1, n + 1)))
     tail = 2.0 ** (1.0 / p) * r ** (n + 1) / (1.0 - r)
-    return CertifiedSum(
-        lower=value,
-        upper=value + tail,
-        truncated_value=value,
-        tail_bound=tail,
-        order_used=n,
-    )
+    return CertifiedSum(value, tail, n)

@@ -20,13 +20,20 @@ QUADRATIC_CHECK_TOL = 1e-10
 
 @dataclass(frozen=True)
 class CertifiedSum:
-    """Interval enclosure of an infinite powered coefficient sum."""
+    """Interval enclosure [lower, lower + tail_bound] of an infinite powered
+    coefficient sum; lower is the truncated sum through order_used."""
 
     lower: float
-    upper: float
-    truncated_value: float
     tail_bound: float
     order_used: int
+
+    @property
+    def upper(self) -> float:
+        return self.lower + self.tail_bound
+
+    @property
+    def truncated_value(self) -> float:
+        return self.lower
 
 
 class Check(NamedTuple):
@@ -66,13 +73,7 @@ def powered_sum(c: CoefficientSeries, p: float, r: float) -> CertifiedSum:
     mods = np.abs(c.coeffs)
     value = float(np.dot(mods**p, r ** np.arange(c.order + 1)))
     tail = geometric_tail(c, p, r)
-    return CertifiedSum(
-        lower=value,
-        upper=value + tail,
-        truncated_value=value,
-        tail_bound=tail,
-        order_used=c.order,
-    )
+    return CertifiedSum(value, tail, c.order)
 
 
 def harmonic_powered_sum(h: HarmonicPair, p: float, r: float) -> CertifiedSum:
@@ -89,13 +90,7 @@ def harmonic_powered_sum(h: HarmonicPair, p: float, r: float) -> CertifiedSum:
     powers = r ** np.arange(n + 1)
     value = float(amods[0] ** p + np.dot(amods[1:] ** p + bmods[1:] ** p, powers[1:]))
     tail = 2.0 * r ** (n + 1) / (1.0 - r)
-    return CertifiedSum(
-        lower=value,
-        upper=value + tail,
-        truncated_value=value,
-        tail_bound=tail,
-        order_used=n,
-    )
+    return CertifiedSum(value, tail, n)
 
 
 def quadratic_sum_check(c: CoefficientSeries, big_r: float) -> Check:

@@ -66,26 +66,35 @@ def sample_schur(seed: int, depth: int) -> SchurFunction:
     return SchurFunction(mods * np.exp(1j * angles))
 
 
-def _effective_order(order: int, r: float) -> int:
-    """Raise the truncation order until the generic tail r^(N+1)/(1-r) falls
-    below the slack tolerance.
+def _order_and_depth(order: int, depth: int, r: float) -> tuple[int, int]:
+    """Validated truncation order and sampling depth, the order raised until the
+    generic tail r^(N+1)/(1-r) falls below the slack tolerance.
 
     The enclosures compare their conservative side against the bound, so at
     large r a coarse order would flag tail-sized spurious failures on tight
     witnesses; the adaptive floor keeps the tail ignorable at every radius.
     """
-    order = int(order)
-    if r <= 0.0:
-        return order
+    order, depth = int(order), int(depth)
+    if order < 0 or depth < 0:
+        raise DomainError(f"order and depth must be non-negative, got {order} and {depth}")
+    if not 0.0 < r < 1.0:
+        return order, depth
     need = math.log(0.1 * SLACK_TOL * (1.0 - r)) / math.log(r)
-    return max(order, min(int(need) + 1, 4000))
+    return max(order, min(int(need) + 1, 4000)), depth
 
 
-def _collect_slacks(slack: Callable[[int], float], trials: int, seed: int) -> np.ndarray:
-    """Slack of every trial, each evaluated on its own derived trial seed."""
+def _dominance(bound: float, enclose: Callable) -> Callable[[object], float]:
+    """Slack of a dominance claim: bound minus the certified upper enclosure."""
+    return lambda x: bound - enclose(x).upper
+
+
+def _collect_slacks(
+    slack: Callable, sample: Callable[[int], object], trials: int, seed: int
+) -> np.ndarray:
+    """Slack of every trial's sample, each drawn from its own derived trial seed."""
     if int(trials) < 0:
         raise DomainError(f"trial count must be non-negative, got {trials}")
-    return np.array([slack(trial_seed(seed, i)) for i in range(int(trials))])
+    return np.array([slack(sample(trial_seed(seed, i))) for i in range(int(trials))])
 
 
 def _reduce(claim_id, slacks, witness_slacks, seed, params, witness_abs_tol=None):
@@ -141,20 +150,12 @@ def verify_theorem1(
     p, r = float(p), _check_r(r)
     if not 0.0 < p <= 2.0:
         raise DomainError(f"exponent p must lie in (0, 2], got {p}")
-    depth = int(depth)
-    order = _effective_order(order, r)
-    bound = mp_theorem1(p, r).value
-
-    def slack(tseed: int) -> float:
-        sample = schur_synthesis(sample_schur(tseed, depth), order)
-        return bound - powered_sum(sample, p, r).upper
-
-    slacks = _collect_slacks(slack, trials, int(seed))
+    order, depth = _order_and_depth(order, depth, r)
+    slack = _dominance(mp_theorem1(p, r).value, lambda c: powered_sum(c, p, r))
+    sample = lambda tseed: schur_synthesis(sample_schur(tseed, depth), order)
+    slacks = _collect_slacks(slack, sample, trials, int(seed))
     witness_a = [0.2, 0.5, 0.8, min(maximize_envelope(p, r).argmax, 1.0 - 1e-8)]
-    witness = [
-        bound - powered_sum(mobius_automorphism_coeffs(a, order), p, r).upper
-        for a in witness_a
-    ]
+    witness = [slack(mobius_automorphism_coeffs(a, order)) for a in witness_a]
     params = {"p": p, "r": r, "depth": depth, "order": order}
     return _reduce("theorem1", slacks, witness, seed, params)
 
@@ -169,22 +170,19 @@ def verify_lemma_quadratic(
     """Quadratic coefficient inequality over random samples plus equality witnesses.
 
     The automorphism witnesses at a in {0.2, 0.5, 0.8} attain equality, so
-    their |slack| must stay below 1e-8; violations count as failures.
+    their |slack| must stay below 1e-8; violations count as failures.  At
+    R = 1 the order is not raised: the Parseval remainder fold is exact there.
     """
     big_r = float(big_r)
-    order, depth = int(order), int(depth)
-    if big_r < 1.0:
-        order = _effective_order(order, big_r)  # at R = 1 the remainder fold is exact
+    order, depth = _order_and_depth(order, depth, big_r)
 
-    def slack(tseed: int) -> float:
-        check = quadratic_sum_check(schur_synthesis(sample_schur(tseed, depth), order), big_r)
+    def slack(c) -> float:
+        check = quadratic_sum_check(c, big_r)
         return check.rhs - check.lhs
 
-    slacks = _collect_slacks(slack, trials, int(seed))
-    witness = []
-    for a in (0.2, 0.5, 0.8):
-        check = quadratic_sum_check(mobius_automorphism_coeffs(a, max(order, 400)), big_r)
-        witness.append(check.rhs - check.lhs)
+    sample = lambda tseed: schur_synthesis(sample_schur(tseed, depth), order)
+    slacks = _collect_slacks(slack, sample, trials, int(seed))
+    witness = [slack(mobius_automorphism_coeffs(a, max(order, 400))) for a in (0.2, 0.5, 0.8)]
     params = {"R": big_r, "depth": depth, "order": order}
     return _reduce("lemma21", slacks, witness, seed, params, witness_abs_tol=WITNESS_TOL)
 
@@ -205,26 +203,18 @@ def verify_theorem2(
         raise DomainError(
             f"r={r} exceeds the validity threshold {harmonic_threshold(p)} for p={p}"
         )
-    depth = int(depth)
-    order = _effective_order(order, r)
-    bound = harmonic_bound(p, r).value
-
-    def slack(tseed: int) -> float:
-        pair = harmonic_pair(
-            sample_schur(tseed, depth), sample_schur(_splitmix64(tseed), depth), 1.0, order
-        )
-        return bound - harmonic_powered_sum(pair, p, r).upper
-
-    slacks = _collect_slacks(slack, trials, int(seed))
-    witness = []
-    omega_one = SchurFunction([1.0])
+    order, depth = _order_and_depth(order, depth, r)
+    slack = _dominance(harmonic_bound(p, r).value, lambda pair: harmonic_powered_sum(pair, p, r))
+    sample = lambda tseed: harmonic_pair(
+        sample_schur(tseed, depth), sample_schur(_splitmix64(tseed), depth), order
+    )
+    slacks = _collect_slacks(slack, sample, trials, int(seed))
+    h_witnesses = [SchurFunction([0.0, 1.0])]
     if p <= 2.0:
-        a_w = min(maximize_envelope(p, r, doubled=True).argmax, 1.0 - 1e-8)
         # phi_a has Schur parameters [a, -1]; omega = 1 doubles every term
-        pair = harmonic_pair(SchurFunction([a_w, -1.0]), omega_one, 1.0, order)
-        witness.append(bound - harmonic_powered_sum(pair, p, r).upper)
-    pair_z = harmonic_pair(SchurFunction([0.0, 1.0]), omega_one, 1.0, order)
-    witness.append(bound - harmonic_powered_sum(pair_z, p, r).upper)
+        a_w = min(maximize_envelope(p, r, doubled=True).argmax, 1.0 - 1e-8)
+        h_witnesses.append(SchurFunction([a_w, -1.0]))
+    witness = [slack(harmonic_pair(h, SchurFunction([1.0]), order)) for h in h_witnesses]
     params = {"p": p, "r": r, "depth": depth, "order": order}
     return _reduce("theorem2", slacks, witness, seed, params)
 
@@ -245,37 +235,31 @@ def verify_be(
     """
     r = _check_r(r)
     p = float(p)
-    depth = int(depth)
-    order = _effective_order(order, r)
+    order, depth = _order_and_depth(order, depth, r)
     bound_a = be_bound(r)
-    bound_h = be_harmonic_bound(p, r)
+    slack_a = _dominance(bound_a, lambda c: powered_sum(c, 1.0, r))
+    slack_h = _dominance(be_harmonic_bound(p, r), lambda pair: be_lp_combination_sum(pair, p, r))
 
     def shifted_sample(tseed: int) -> SchurFunction:
         # a leading zero parameter synthesizes z * g
         return SchurFunction(np.concatenate(([0.0], sample_schur(tseed, depth).params)))
 
-    def slack_a(tseed: int) -> float:
-        return bound_a - powered_sum(schur_synthesis(shifted_sample(tseed), order), 1.0, r).upper
-
-    def slack_h(tseed: int) -> float:
-        pair = harmonic_pair(
-            shifted_sample(tseed), sample_schur(_splitmix64(tseed), depth), 1.0, order
-        )
-        return bound_h - be_lp_combination_sum(pair, p, r).upper
-
-    slacks_a = _collect_slacks(slack_a, trials, int(seed))
+    sample_a = lambda tseed: schur_synthesis(shifted_sample(tseed), order)
+    sample_h = lambda tseed: harmonic_pair(
+        shifted_sample(tseed), sample_schur(_splitmix64(tseed), depth), order
+    )
+    slacks_a = _collect_slacks(slack_a, sample_a, trials, int(seed))
     sums_a = bound_a - slacks_a
     # the extremal z(a-z)/(1-az) at a = 1/sqrt(2) attains the bound at the radius
     ext = SchurFunction([0.0, 1.0 / np.sqrt(2.0), -1.0])
-    witness_a = [bound_a - powered_sum(schur_synthesis(ext, order), 1.0, r).upper]
+    witness_a = [slack_a(schur_synthesis(ext, order))]
     max_sum = float(sums_a.max()) if len(sums_a) else 0.0
     params_a = {"r": r, "depth": depth, "order": order, "max_sum": max_sum}
     report_a = _reduce("be_analytic", slacks_a, witness_a, seed, params_a)
 
     # distinct deterministic stream for the harmonic half
-    slacks_h = _collect_slacks(slack_h, trials, trial_seed(seed, 0x5EED))
-    pair_w = harmonic_pair(ext, SchurFunction([1.0]), 1.0, order)
-    witness_h = [bound_h - be_lp_combination_sum(pair_w, p, r).upper]
+    slacks_h = _collect_slacks(slack_h, sample_h, trials, trial_seed(seed, 0x5EED))
+    witness_h = [slack_h(harmonic_pair(ext, SchurFunction([1.0]), order))]
     params_h = {"p": p, "r": r, "depth": depth, "order": order}
     report_h = _reduce("be_harmonic", slacks_h, witness_h, seed, params_h)
     return report_a, report_h

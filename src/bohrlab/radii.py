@@ -391,7 +391,7 @@ def psymmetric_extremal_a(p: int, m: int) -> float:
 
 def blaschke_sharpness_radius(d: int, p: float) -> float:
     """Radius (d/(d+1))^(1 - p/2) where a degree-d Blaschke product is critical."""
-    if int(d) != d or d < 1:
+    if not 1 <= d < math.inf or int(d) != d:
         raise DomainError(f"degree d must be a positive integer, got {d}")
     p = _check_p(p, allow_two=False)
     return (d / (d + 1.0)) ** (1.0 - p / 2.0)
@@ -411,8 +411,8 @@ def bb_lower_bound(p: float, r: float, eps: float, big_c: float) -> float:
     if r <= exact_branch_threshold(p):
         raise DomainError(f"r must exceed the exact-branch threshold {exact_branch_threshold(p)}")
     eps, big_c = float(eps), float(big_c)
-    if eps <= 0.0 or big_c < 0.0:
-        raise DomainError("need eps > 0 and C >= 0")
+    if not (0.0 < eps < math.inf and 0.0 <= big_c < math.inf):
+        raise DomainError(f"need finite eps > 0 and C >= 0, got eps={eps}, C={big_c}")
     a = 1.0 - r ** (2.0 / (2.0 - p))
     log_term = math.log(1.0 / (1.0 - r ** (1.0 / (2.0 - p))))
     return a ** (p / 2.0 - 1.0) - big_c * a ** ((p - 1.0) / 2.0) * log_term ** (1.5 + eps)

@@ -33,26 +33,24 @@ def _as_complex_array(values) -> np.ndarray:
 class CoefficientSeries:
     """Truncated Taylor coefficients a_0..a_N of a function on the unit disk.
 
-    ``head_bound`` is a certified bound on |a_0| in [0, 1].  When ``certified``
-    is set the series was produced by a constructor that guarantees unit-ball
-    membership, hence |a_k| <= 1 - |a_0|^2 for k >= 1; tail estimates downstream
-    rely on head_bound being the exact modulus |a_0| in that case, which every
-    certified constructor here ensures.  Uncertified series carry
+    When ``certified`` is set the series was produced by a constructor that
+    guarantees unit-ball membership, hence |a_k| <= 1 - |a_0|^2 for k >= 1, and
+    ``head_bound`` is |a_0| (capped at 1, since a snapped unimodular Schur
+    parameter can leave it one ulp above).  Uncertified series have
     head_bound = 1 and receive only the generic |a_k| <= 1 tail envelope.
     """
 
     coeffs: np.ndarray
-    head_bound: float = 1.0
     certified: bool = False
 
     def __post_init__(self):
         object.__setattr__(self, "coeffs", _as_complex_array(self.coeffs))
-        hb = float(self.head_bound)
-        if not 0.0 <= hb <= 1.0:
-            raise DomainError(f"head_bound must lie in [0, 1], got {hb}")
-        if self.certified and hb < abs(self.coeffs[0]) - 1e-12:
-            raise DomainError("certified series requires head_bound >= |a_0|")
-        object.__setattr__(self, "head_bound", hb)
+        if self.certified and abs(self.coeffs[0]) > 1.0 + 1e-12:
+            raise DomainError(f"certified series requires |a_0| <= 1, got {abs(self.coeffs[0])}")
+
+    @property
+    def head_bound(self) -> float:
+        return float(min(abs(self.coeffs[0]), 1.0)) if self.certified else 1.0
 
     @property
     def order(self) -> int:
@@ -101,7 +99,7 @@ def _check_order(order: int) -> None:
 def truncated_mul(a: CoefficientSeries, b: CoefficientSeries, order: int) -> CoefficientSeries:
     """Cauchy product of two truncated series, cut at the given order.
 
-    No membership certificate is claimed for the product (head_bound = 1).
+    No membership certificate is claimed for the product.
     """
     _check_order(order)
     full = np.convolve(a.coeffs, b.coeffs)
@@ -147,7 +145,7 @@ def mobius_automorphism_coeffs(a: float, order: int) -> CoefficientSeries:
     c[0] = a
     if order >= 1:
         c[1:] = -(1.0 - a * a) * a ** np.arange(order)
-    return CoefficientSeries(c, head_bound=a, certified=True)
+    return CoefficientSeries(c, certified=True)
 
 
 def psymmetric_extremal_coeffs(p: int, m: int, a: float, order: int) -> CoefficientSeries:
@@ -168,22 +166,12 @@ def psymmetric_extremal_coeffs(p: int, m: int, a: float, order: int) -> Coeffici
     while m + j * p <= order:
         c[m + j * p] = (1.0 - a * a) * a ** (j - 1)
         j += 1
-    head = a if m == 0 else 0.0
-    return CoefficientSeries(c, head_bound=head, certified=True)
+    return CoefficientSeries(c, certified=True)
 
 
 def be_extremal_coeffs(a: float, order: int) -> CoefficientSeries:
     """Coefficients of z (a - z)/(1 - a z), the vanishing-at-0 extremal family."""
-    a = float(a)
-    if not 0.0 <= a < 1.0:
-        raise DomainError(f"parameter a must lie in [0, 1), got {a}")
-    _check_order(order)
-    c = np.zeros(order + 1, dtype=complex)
-    if order >= 1:
-        c[1] = a
-    if order >= 2:
-        c[2:] = -(1.0 - a * a) * a ** np.arange(order - 1)
-    return CoefficientSeries(c, head_bound=0.0, certified=True)
+    return shifted_by_z(mobius_automorphism_coeffs(a, order))
 
 
 def _active_params(s: SchurFunction) -> np.ndarray:
@@ -216,8 +204,7 @@ def schur_synthesis(s: SchurFunction, order: int) -> CoefficientSeries:
         P = g * Qpad + zP
         Q = Qpad + np.conj(g) * zP
     coeffs = _divide_trunc(P[: order + 1], Q[: order + 1], order)
-    # a snapped unimodular parameter can leave |a_0| one ulp above 1
-    return CoefficientSeries(coeffs, head_bound=min(abs(coeffs[0]), 1.0), certified=True)
+    return CoefficientSeries(coeffs, certified=True)
 
 
 def schur_analysis(c: CoefficientSeries, depth: int) -> SchurFunction:
@@ -255,45 +242,32 @@ def schur_analysis(c: CoefficientSeries, depth: int) -> SchurFunction:
     return SchurFunction(np.array(params, dtype=complex))
 
 
-def harmonic_pair(
-    h_params: SchurFunction,
-    w_params: SchurFunction,
-    scale: float,
-    order: int,
-) -> HarmonicPair:
-    """Build (h, g) with h = scale * (Schur synthesis) and g' = w * h'.
+def harmonic_pair(h_params: SchurFunction, w_params: SchurFunction, order: int) -> HarmonicPair:
+    """Build (h, g) with h the Schur synthesis of h_params and g' = w h'.
 
-    The co-analytic coefficients follow by term-wise integration:
-    b_k = (1/k) * sum_{j=0}^{k-1} w_j (k-j) a_{k-j}, b_0 = 0.  Since |w| <= 1
-    forces sum |b_k|^2 <= sum |a_k|^2 <= scale^2 <= 1, every |b_k| <= 1 and the
-    co-analytic part carries the unit-ball certificate with head_bound 0.
+    w is the synthesis of w_params, and the co-analytic coefficients follow by
+    term-wise integration: b_k = (1/k) * sum_{j=0}^{k-1} w_j (k-j) a_{k-j},
+    b_0 = 0.  Since |w| <= 1 forces sum |b_k|^2 <= sum |a_k|^2 <= 1, every
+    |b_k| <= 1 and both parts carry the unit-ball certificate.
     """
-    scale = float(scale)
-    if not 0.0 < scale <= 1.0:
-        raise DomainError(f"scale must lie in (0, 1], got {scale}")
-    h_unit = schur_synthesis(h_params, order)
-    a = scale * np.array(h_unit.coeffs)
+    analytic = schur_synthesis(h_params, order)
     w = schur_synthesis(w_params, order).coeffs
     b = np.zeros(order + 1, dtype=complex)
     if order >= 1:
-        hp = np.arange(1, order + 1) * a[1:]          # coefficients of h'
-        conv = np.convolve(w[:order], hp)[:order]      # coefficients of w h'
+        hp = np.arange(1, order + 1) * analytic.coeffs[1:]  # coefficients of h'
+        conv = np.convolve(w[:order], hp)[:order]  # coefficients of w h'
         b[1:] = conv / np.arange(1, order + 1)
-    # scaling into the ball preserves the coefficient certificate:
-    # scale (1 - |g0|^2) <= 1 - (scale |g0|)^2 for every scale in (0, 1]
-    analytic = CoefficientSeries(a, head_bound=scale * h_unit.head_bound, certified=True)
-    coanalytic = CoefficientSeries(b, head_bound=0.0, certified=True)
-    return HarmonicPair(analytic=analytic, coanalytic=coanalytic)
+    return HarmonicPair(analytic=analytic, coanalytic=CoefficientSeries(b, certified=True))
 
 
 def shifted_by_z(c: CoefficientSeries) -> CoefficientSeries:
     """Multiply a certified unit-ball series by z (drops the last coefficient).
 
-    z*f stays in the unit ball with value 0 at the origin, so the result is
-    certified with head_bound 0.
+    z*f stays in the unit ball with value 0 at the origin, so the result keeps
+    the certificate of c.
     """
     out = np.concatenate(([0.0], c.coeffs[:-1]))
-    return CoefficientSeries(out, head_bound=0.0, certified=c.certified)
+    return CoefficientSeries(out, certified=c.certified)
 
 
 def evaluate_polynomial(c: CoefficientSeries, z) -> np.ndarray:

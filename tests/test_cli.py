@@ -87,6 +87,11 @@ class TestEnvelopeCommand:
             capsys, "envelope", "--p", "1", "--r-start", "0.5", "--r-end", "0.2", "--steps", "3"
         )
         assert code == 2 and err.strip()
+        # a bad exponent is caught before the CSV header is written
+        code, out, err = run(
+            capsys, "envelope", "--p", "3", "--r-start", "0.1", "--r-end", "0.2", "--steps", "2"
+        )
+        assert code == 2 and out == "" and err.strip()
 
 
 class TestVerifyCommand:
@@ -214,6 +219,8 @@ class TestExtremalCommand:
         ("verify", "theorem2", "--p", "nan", "--r", "0.5", "--seed", "1", "--trials", "3"),
         # --p is unused by this family but echoed; nan must not reach the JSON
         ("extremal", "--family", "be", "--a", "0.5", "--r", "0.5", "--p", "nan"),
+        # the CSV header must not precede the error
+        ("envelope", "--p", "nan", "--r-start", "0.1", "--r-end", "0.2", "--steps", "2"),
     ],
 )
 def test_non_finite_input_exits_2(capsys, argv):

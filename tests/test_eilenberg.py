@@ -60,7 +60,7 @@ class TestBeCoefficientCheck:
         assert abs(check.sum_sq - 1.0) < 1e-9
 
     def test_identity_function(self):
-        check = be_coefficient_check(CoefficientSeries([0.0, 1.0], head_bound=0.0, certified=True))
+        check = be_coefficient_check(CoefficientSeries([0.0, 1.0], certified=True))
         assert check.ok
         assert abs(check.sum_sq - 1.0) < 1e-12
 
@@ -129,10 +129,10 @@ class TestLpCombinationSum:
     def _pair(self, seed, order=64):
         g = sample_schur(trial_seed(seed, 0), 10)
         h_params = SchurFunction(np.concatenate(([0.0], g.params)))
-        return harmonic_pair(h_params, sample_schur(trial_seed(seed, 1), 10), 1.0, order)
+        return harmonic_pair(h_params, sample_schur(trial_seed(seed, 1), 10), order)
 
     def test_requires_vanishing_constant_term(self):
-        pair = harmonic_pair(SchurFunction([0.5]), SchurFunction([0.2]), 1.0, 8)
+        pair = harmonic_pair(SchurFunction([0.5]), SchurFunction([0.2]), 8)
         with pytest.raises(NonVanishingConstantTerm):
             be_lp_combination_sum(pair, 1.0, 0.3)
 

@@ -134,20 +134,20 @@ class TestHarmonicRadius:
 
 class TestDilatationDomination:
     def test_zero_dilatation(self):
-        pair = harmonic_pair(SchurFunction([0.5, -1.0]), SchurFunction([0.0]), 1.0, 400)
+        pair = harmonic_pair(SchurFunction([0.5, -1.0]), SchurFunction([0.0]), 400)
         check = dilatation_domination_check(pair, 0.6)
         assert check.ok
         assert check.lhs < 1e-12
 
     def test_constant_dilatation_proportionality(self):
         c = 0.7
-        pair = harmonic_pair(SchurFunction([0.5, -1.0]), SchurFunction([c]), 1.0, 400)
+        pair = harmonic_pair(SchurFunction([0.5, -1.0]), SchurFunction([c]), 400)
         check = dilatation_domination_check(pair, 0.5)
         assert check.ok
         assert abs(check.lhs - c * c * check.rhs) < 1e-12
 
     def test_unimodular_constant_equality(self):
-        pair = harmonic_pair(SchurFunction([0.5, -1.0]), SchurFunction([1.0]), 1.0, 400)
+        pair = harmonic_pair(SchurFunction([0.5, -1.0]), SchurFunction([1.0]), 400)
         for r in (0.3, 0.6, 0.9):
             check = dilatation_domination_check(pair, r)
             assert check.ok
@@ -158,7 +158,6 @@ class TestDilatationDomination:
             pair = harmonic_pair(
                 sample_schur(trial_seed(1234, i), 12),
                 sample_schur(trial_seed(4321, i), 12),
-                1.0,
                 400,
             )
             for r in (0.3, 0.6, 0.9):
@@ -175,7 +174,6 @@ class TestDominanceRange:
                 pair = harmonic_pair(
                     sample_schur(trial_seed(8, i), 12),
                     sample_schur(trial_seed(80, i), 12),
-                    1.0,
                     300,
                 )
                 total = harmonic_powered_sum(pair, p, supported)
@@ -190,7 +188,7 @@ class TestDominanceRange:
         r = 0.81
         assert r < harmonic_threshold(1.0)
         ts = trial_seed(2, 19)
-        pair = harmonic_pair(sample_schur(ts, 12), sample_schur(_splitmix64(ts), 12), 1.0, 400)
+        pair = harmonic_pair(sample_schur(ts, 12), sample_schur(_splitmix64(ts), 12), 400)
         total = harmonic_powered_sum(pair, 1.0, r)
         bound = harmonic_bound(1.0, r).value
         assert total.lower > bound + 0.01
@@ -199,7 +197,7 @@ class TestDominanceRange:
 class TestLargePExtremalProbe:
     def test_pair_with_unit_first_coefficients_attains(self):
         # h(z) = z with omega = 1 gives |a_1| = |b_1| = 1 and sum = 2r
-        pair = harmonic_pair(SchurFunction([0.0, 1.0]), SchurFunction([1.0]), 1.0, 64)
+        pair = harmonic_pair(SchurFunction([0.0, 1.0]), SchurFunction([1.0]), 64)
         assert abs(pair.analytic.coeffs[1] - 1.0) < 1e-15
         assert abs(pair.coanalytic.coeffs[1] - 1.0) < 1e-15
         for p in (3.0, 5.0, 10.0):

@@ -80,13 +80,13 @@ class TestPoweredSum:
 
 class TestHarmonicPoweredSum:
     def test_zero_coanalytic_matches_analytic_sum(self):
-        pair = harmonic_pair(SchurFunction([0.5, -1.0]), SchurFunction([0.0]), 1.0, 64)
+        pair = harmonic_pair(SchurFunction([0.5, -1.0]), SchurFunction([0.0]), 64)
         hs = harmonic_powered_sum(pair, 1.0, 0.4)
         ps = powered_sum(pair.analytic, 1.0, 0.4)
         assert abs(hs.truncated_value - ps.truncated_value) < 1e-15
 
     def test_unimodular_dilatation_doubles(self):
-        pair = harmonic_pair(SchurFunction([0.5, -1.0]), SchurFunction([1.0]), 1.0, 64)
+        pair = harmonic_pair(SchurFunction([0.5, -1.0]), SchurFunction([1.0]), 64)
         hs = harmonic_powered_sum(pair, 1.0, 0.4)
         mods = np.abs(pair.analytic.coeffs)
         expected = mods[0] + 2.0 * np.dot(mods[1:], 0.4 ** np.arange(1, 65))
@@ -94,13 +94,13 @@ class TestHarmonicPoweredSum:
 
     def test_equality_case_at_harmonic_radius(self):
         # near the degenerate argmax a -> 1 the doubled sum reaches 1 at r = 1/5
-        pair = harmonic_pair(SchurFunction([1.0 - 1e-8, -1.0]), SchurFunction([1.0]), 1.0, 400)
+        pair = harmonic_pair(SchurFunction([1.0 - 1e-8, -1.0]), SchurFunction([1.0]), 400)
         hs = harmonic_powered_sum(pair, 1.0, 0.2)
         assert abs(hs.lower - 1.0) < 1e-9
         assert abs(hs.upper - 1.0) < 1e-9
 
     def test_tail_is_doubled_envelope(self):
-        pair = harmonic_pair(SchurFunction([0.2]), SchurFunction([0.3]), 1.0, 16)
+        pair = harmonic_pair(SchurFunction([0.2]), SchurFunction([0.3]), 16)
         hs = harmonic_powered_sum(pair, 1.0, 0.5)
         assert hs.tail_bound == 2.0 * 0.5**17 / 0.5
 

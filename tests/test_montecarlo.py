@@ -91,6 +91,19 @@ class TestTrialCount:
         with pytest.raises(DomainError):
             verify_be(0.65, 1.0, -1, seed=1)
 
+    def test_negative_depth_or_order_rejected_by_every_claim(self):
+        # also with no trials, where no sample would have tripped the check
+        for trials in (0, 3):
+            for sizes in (dict(depth=-3), dict(order=-4)):
+                with pytest.raises(DomainError):
+                    verify_theorem1(1.0, 0.5, trials, seed=1, **sizes)
+                with pytest.raises(DomainError):
+                    verify_lemma_quadratic(trials, 1.0, seed=1, **sizes)
+                with pytest.raises(DomainError):
+                    verify_theorem2(1.0, 0.3, trials, seed=1, **sizes)
+                with pytest.raises(DomainError):
+                    verify_be(0.65, 1.0, trials, seed=1, **sizes)
+
     def test_zero_trials_reports_witnesses_only(self):
         report = verify_theorem1(1.0, 0.5, 0, seed=1)
         assert report.trials == 0 and report.failures == 0
@@ -165,3 +178,30 @@ class TestTheoremBRatio:
     def test_domain(self):
         with pytest.raises(DomainError):
             verify_theoremB_ratio(2.0, seed=0)
+
+
+class TestPinnedReports:
+    """Seed-7 reports pinned to recorded values, so any drift in the sampler
+    stream, the synthesis or the enclosures shows up as a failure."""
+
+    # (failures, worst_trial, worst_margin) recorded for 200 trials at seed 7
+    PINNED = {
+        "theorem1": (0, 188, 0.0),
+        "lemma21": (0, 198, -5.585809592645319e-16),
+        "theorem2": (0, 192, -2.220446049250313e-16),
+        "be_analytic": (0, 192, 0.004789618315765964),
+        "be_harmonic": (0, 120, 0.009579236631532373),
+    }
+
+    def test_reports_match_recorded_values(self):
+        reports = [
+            verify_theorem1(1.0, 0.5, 200, seed=7),
+            verify_lemma_quadratic(200, 1.0, seed=7),
+            verify_theorem2(1.0, 0.3, 200, seed=7),
+            *verify_be(0.65, 1.0, 200, seed=7),
+        ]
+        for report in reports:
+            failures, worst_trial, worst_margin = self.PINNED[report.claim_id]
+            assert report.failures == failures, report.claim_id
+            assert report.params["worst_trial"] == worst_trial, report.claim_id
+            assert abs(report.worst_margin - worst_margin) <= 1e-12, report.claim_id

@@ -289,6 +289,9 @@ class TestBlaschkeSharpness:
     def test_domain(self):
         with pytest.raises(DomainError):
             blaschke_sharpness_radius(0, 1.0)
+        for d in (math.inf, math.nan):
+            with pytest.raises(DomainError):
+                blaschke_sharpness_radius(d, 1.0)
 
 
 class TestScalarProperties:
@@ -336,3 +339,6 @@ class TestBombieriBourgainBound:
             bb_lower_bound(1.5, 0.5, 0.1, 0.0)  # below the threshold
         with pytest.raises(DomainError):
             bb_lower_bound(1.0, 0.9, 0.1, 0.0)  # p must be in (1, 2)
+        for eps, big_c in ((math.nan, 0.0), (0.1, math.inf)):
+            with pytest.raises(DomainError):
+                bb_lower_bound(1.5, 0.9, eps, big_c)

@@ -247,40 +247,29 @@ class TestHarmonicPair:
     def test_constant_dilatation_scales_coefficients(self):
         h = SchurFunction([0.5, -1.0])  # the automorphism phi_{0.5}
         c = 0.6 - 0.3j
-        pair = harmonic_pair(h, SchurFunction([c]), 1.0, 10)
+        pair = harmonic_pair(h, SchurFunction([c]), 10)
         np.testing.assert_allclose(
             pair.coanalytic.coeffs[1:], c * pair.analytic.coeffs[1:], atol=1e-14
         )
         assert pair.coanalytic.coeffs[0] == 0.0
 
     def test_zero_dilatation(self):
-        pair = harmonic_pair(SchurFunction([0.5, -1.0]), SchurFunction([0.0]), 1.0, 8)
+        pair = harmonic_pair(SchurFunction([0.5, -1.0]), SchurFunction([0.0]), 8)
         np.testing.assert_array_equal(pair.coanalytic.coeffs, np.zeros(9))
 
     def test_quadratic_domination_on_grid(self):
         # h = phi_{0.5}, omega(z) = z
-        pair = harmonic_pair(SchurFunction([0.5, -1.0]), SchurFunction([0.0, 1.0]), 1.0, 8)
+        pair = harmonic_pair(SchurFunction([0.5, -1.0]), SchurFunction([0.0, 1.0]), 8)
         for r in (0.3, 0.6, 0.9):
             powers = r ** np.arange(9)
             lhs = np.dot(np.abs(pair.coanalytic.coeffs) ** 2, powers)
             rhs = np.dot(np.abs(pair.analytic.coeffs) ** 2, powers)
             assert lhs <= rhs + 1e-14
 
-    def test_scale_bounds_coefficients(self):
-        pair = harmonic_pair(SchurFunction([0.5, -1.0]), SchurFunction([0.2, 0.4]), 0.35, 12)
-        mods = np.abs(pair.analytic.coeffs)
-        assert abs(mods[0] - 0.35 * 0.5) < 1e-15
-        assert mods[1:].max() <= 0.35 * (1 - 0.25) + 1e-14
-        assert pair.analytic.certified
-
-    def test_scale_domain(self):
-        with pytest.raises(DomainError):
-            harmonic_pair(SchurFunction([0.1]), SchurFunction([0.1]), 0.0, 4)
-
     def test_unimodular_analytic_parameter(self):
-        # the snapped parameter has |a_0| = 1 + 1 ulp; the head bound is capped
+        # the snapped parameter leaves |a_0| = 1 + 1 ulp; head_bound is capped at 1
         g = 0.9946128276123087 + 0.1036596505350456j
-        pair = harmonic_pair(SchurFunction([g]), SchurFunction([0.5j]), 1.0, 8)
+        pair = harmonic_pair(SchurFunction([g]), SchurFunction([0.5j]), 8)
         assert pair.analytic.head_bound == 1.0 and pair.analytic.certified
         assert abs(abs(pair.analytic.coeffs[0]) - 1.0) < 1e-15
         np.testing.assert_array_equal(pair.coanalytic.coeffs, np.zeros(9))
@@ -302,8 +291,6 @@ class TestHelpers:
         with pytest.raises(DomainError):
             CoefficientSeries([])
         with pytest.raises(DomainError):
-            CoefficientSeries([0.5], head_bound=1.5)
-        with pytest.raises(DomainError):
-            CoefficientSeries([0.9], head_bound=0.1, certified=True)
+            CoefficientSeries([1.5], certified=True)
         with pytest.raises(DomainError):
             SchurFunction([1.2])
