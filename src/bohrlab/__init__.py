@@ -8,7 +8,6 @@ from .errors import (
     NoRootFound,
     NonSchurInput,
     NonVanishingConstantTerm,
-    ZeroConstantTerm,
 )
 from .series import (
     CoefficientSeries,
@@ -21,9 +20,8 @@ from .series import (
     psymmetric_extremal_coeffs,
     schur_analysis,
     schur_synthesis,
+    schur_synthesis_rows,
     shifted_by_z,
-    truncated_mul,
-    truncated_reciprocal,
 )
 from .majorant import (
     CertifiedSum,

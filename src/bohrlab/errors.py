@@ -9,10 +9,6 @@ class DomainError(BohrlabError, ValueError):
     """A parameter lies outside the documented domain of an operation."""
 
 
-class ZeroConstantTerm(DomainError):
-    """Truncated reciprocal requested for a series with vanishing constant term."""
-
-
 class NonVanishingConstantTerm(DomainError):
     """A series that must vanish at the origin has a nonzero constant term."""
 

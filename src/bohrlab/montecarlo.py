@@ -9,9 +9,10 @@ for a given seed.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import Callable, Iterator
 
 import numpy as np
 
@@ -20,7 +21,15 @@ from .eilenberg import be_bound, be_harmonic_bound, be_lp_combination_sum
 from .harmonic import harmonic_bound, harmonic_threshold
 from .majorant import harmonic_powered_sum, powered_sum, quadratic_sum_check
 from .radii import _check_r, maximize_envelope, mp_theorem1
-from .series import SchurFunction, harmonic_pair, mobius_automorphism_coeffs, schur_synthesis
+from .series import (
+    CoefficientSeries,
+    SchurFunction,
+    _harmonic_pair_rows,
+    harmonic_pair,
+    mobius_automorphism_coeffs,
+    schur_synthesis,
+    schur_synthesis_rows,
+)
 
 SLACK_TOL = 1e-9
 WITNESS_TOL = 1e-8
@@ -88,13 +97,42 @@ def _dominance(bound: float, enclose: Callable) -> Callable[[object], float]:
     return lambda x: bound - enclose(x).upper
 
 
+# Most coefficients, rows x (order + 1), synthesized in one block of trials:
+# larger blocks spread the division's per-step overhead over more rows (the
+# gain at orders in the thousands) but hold more memory at once.
+_BLOCK_COEFFS = 1 << 14
+
+
+def _samples(draw: Callable, trials: int, seed: int, order: int) -> Iterator[object]:
+    """Every trial's sample in trial order, drawn from its own derived trial seed.
+
+    draw(tseed) gives the trial's Schur functions: (f,) for a unit-ball series,
+    (h, omega) for a harmonic pair.  The rows of a block of trials are
+    synthesized in one call; samples are yielded one at a time.
+    """
+    start = 0
+    while start < trials:
+        first = draw(trial_seed(seed, start))
+        width = len(first)
+        stop = min(trials, start + max(1, _BLOCK_COEFFS // (width * (order + 1))))
+        rest = (s for i in range(start + 1, stop) for s in draw(trial_seed(seed, i)))
+        rows = schur_synthesis_rows(itertools.chain(first, rest), order)
+        for trial_rows in rows.reshape(stop - start, width, order + 1):
+            if width == 1:
+                yield CoefficientSeries(trial_rows[0], certified=True)
+            else:
+                yield _harmonic_pair_rows(*trial_rows)
+        start = stop
+
+
 def _collect_slacks(
-    slack: Callable, sample: Callable[[int], object], trials: int, seed: int
+    slack: Callable, draw: Callable, trials: int, seed: int, order: int
 ) -> np.ndarray:
-    """Slack of every trial's sample, each drawn from its own derived trial seed."""
-    if int(trials) < 0:
+    """Slack of every trial's sample (see _samples)."""
+    trials = int(trials)
+    if trials < 0:
         raise DomainError(f"trial count must be non-negative, got {trials}")
-    return np.array([slack(sample(trial_seed(seed, i))) for i in range(int(trials))])
+    return np.fromiter(map(slack, _samples(draw, trials, seed, order)), float, count=trials)
 
 
 def _reduce(claim_id, slacks, witness_slacks, seed, params, witness_abs_tol=None):
@@ -152,8 +190,8 @@ def verify_theorem1(
         raise DomainError(f"exponent p must lie in (0, 2], got {p}")
     order, depth = _order_and_depth(order, depth, r)
     slack = _dominance(mp_theorem1(p, r).value, lambda c: powered_sum(c, p, r))
-    sample = lambda tseed: schur_synthesis(sample_schur(tseed, depth), order)
-    slacks = _collect_slacks(slack, sample, trials, int(seed))
+    draw = lambda tseed: (sample_schur(tseed, depth),)
+    slacks = _collect_slacks(slack, draw, trials, int(seed), order)
     witness_a = [0.2, 0.5, 0.8, min(maximize_envelope(p, r).argmax, 1.0 - 1e-8)]
     witness = [slack(mobius_automorphism_coeffs(a, order)) for a in witness_a]
     params = {"p": p, "r": r, "depth": depth, "order": order}
@@ -180,8 +218,8 @@ def verify_lemma_quadratic(
         check = quadratic_sum_check(c, big_r)
         return check.rhs - check.lhs
 
-    sample = lambda tseed: schur_synthesis(sample_schur(tseed, depth), order)
-    slacks = _collect_slacks(slack, sample, trials, int(seed))
+    draw = lambda tseed: (sample_schur(tseed, depth),)
+    slacks = _collect_slacks(slack, draw, trials, int(seed), order)
     witness = [slack(mobius_automorphism_coeffs(a, max(order, 400))) for a in (0.2, 0.5, 0.8)]
     params = {"R": big_r, "depth": depth, "order": order}
     return _reduce("lemma21", slacks, witness, seed, params, witness_abs_tol=WITNESS_TOL)
@@ -205,10 +243,8 @@ def verify_theorem2(
         )
     order, depth = _order_and_depth(order, depth, r)
     slack = _dominance(harmonic_bound(p, r).value, lambda pair: harmonic_powered_sum(pair, p, r))
-    sample = lambda tseed: harmonic_pair(
-        sample_schur(tseed, depth), sample_schur(_splitmix64(tseed), depth), order
-    )
-    slacks = _collect_slacks(slack, sample, trials, int(seed))
+    draw = lambda tseed: (sample_schur(tseed, depth), sample_schur(_splitmix64(tseed), depth))
+    slacks = _collect_slacks(slack, draw, trials, int(seed), order)
     h_witnesses = [SchurFunction([0.0, 1.0])]
     if p <= 2.0:
         # phi_a has Schur parameters [a, -1]; omega = 1 doubles every term
@@ -244,11 +280,9 @@ def verify_be(
         # a leading zero parameter synthesizes z * g
         return SchurFunction(np.concatenate(([0.0], sample_schur(tseed, depth).params)))
 
-    sample_a = lambda tseed: schur_synthesis(shifted_sample(tseed), order)
-    sample_h = lambda tseed: harmonic_pair(
-        shifted_sample(tseed), sample_schur(_splitmix64(tseed), depth), order
-    )
-    slacks_a = _collect_slacks(slack_a, sample_a, trials, int(seed))
+    draw_a = lambda tseed: (shifted_sample(tseed),)
+    draw_h = lambda tseed: (shifted_sample(tseed), sample_schur(_splitmix64(tseed), depth))
+    slacks_a = _collect_slacks(slack_a, draw_a, trials, int(seed), order)
     sums_a = bound_a - slacks_a
     # the extremal z(a-z)/(1-az) at a = 1/sqrt(2) attains the bound at the radius
     ext = SchurFunction([0.0, 1.0 / np.sqrt(2.0), -1.0])
@@ -258,7 +292,7 @@ def verify_be(
     report_a = _reduce("be_analytic", slacks_a, witness_a, seed, params_a)
 
     # distinct deterministic stream for the harmonic half
-    slacks_h = _collect_slacks(slack_h, sample_h, trials, trial_seed(seed, 0x5EED))
+    slacks_h = _collect_slacks(slack_h, draw_h, trials, trial_seed(seed, 0x5EED), order)
     witness_h = [slack_h(harmonic_pair(ext, SchurFunction([1.0]), order))]
     params_h = {"p": p, "r": r, "depth": depth, "order": order}
     report_h = _reduce("be_harmonic", slacks_h, witness_h, seed, params_h)

@@ -415,7 +415,14 @@ def bb_lower_bound(p: float, r: float, eps: float, big_c: float) -> float:
         raise DomainError(f"need finite eps > 0 and C >= 0, got eps={eps}, C={big_c}")
     a = 1.0 - r ** (2.0 / (2.0 - p))
     log_term = math.log(1.0 / (1.0 - r ** (1.0 / (2.0 - p))))
-    return a ** (p / 2.0 - 1.0) - big_c * a ** ((p - 1.0) / 2.0) * log_term ** (1.5 + eps)
+    try:
+        growth = log_term ** (1.5 + eps)
+    except OverflowError:  # float pow raises where a product would give inf
+        growth = math.inf
+    value = a ** (p / 2.0 - 1.0) - big_c * a ** ((p - 1.0) / 2.0) * growth
+    if not math.isfinite(value):
+        raise DomainError(f"the correction overflows a float at eps={eps}, C={big_c}")
+    return value
 
 
 def branch_consistency_gap(p: float) -> float:

@@ -16,6 +16,8 @@ from bohrlab import (
     verify_theorem2,
     verify_theoremB_ratio,
 )
+from bohrlab import montecarlo
+from bohrlab.montecarlo import DEFAULT_ORDER
 
 
 class TestSampler:
@@ -205,3 +207,28 @@ class TestPinnedReports:
             assert report.failures == failures, report.claim_id
             assert report.params["worst_trial"] == worst_trial, report.claim_id
             assert abs(report.worst_margin - worst_margin) <= 1e-12, report.claim_id
+
+
+class TestBlocking:
+    """Reports do not depend on how the trials are cut into synthesis blocks."""
+
+    @staticmethod
+    def reports(trials):
+        return [
+            verify_theorem1(1.0, 0.5, trials, seed=5),
+            verify_lemma_quadratic(trials, 1.0, seed=5),
+            verify_theorem2(1.0, 0.3, trials, seed=5),
+            *verify_be(0.65, 1.0, trials, seed=5),
+        ]
+
+    def test_one_row_blocks_give_identical_reports(self, monkeypatch):
+        # every claim here runs at the default order 64; a block then holds
+        # 252 one-row trials or 126 two-row (harmonic) trials, so 253 trials
+        # end one past a block boundary for both kinds
+        per_block = montecarlo._BLOCK_COEFFS // (DEFAULT_ORDER + 1)
+        counts = (0, 1, per_block + 1)
+        assert (per_block + 1) % (per_block // 2) == 1
+        blocked = [self.reports(n) for n in counts]
+        monkeypatch.setattr(montecarlo, "_BLOCK_COEFFS", 1)
+        for n, expected in zip(counts, blocked):
+            assert self.reports(n) == expected, n

@@ -339,6 +339,7 @@ class TestBombieriBourgainBound:
             bb_lower_bound(1.5, 0.5, 0.1, 0.0)  # below the threshold
         with pytest.raises(DomainError):
             bb_lower_bound(1.0, 0.9, 0.1, 0.0)  # p must be in (1, 2)
-        for eps, big_c in ((math.nan, 0.0), (0.1, math.inf)):
+        # non-finite inputs, and finite ones whose correction overflows
+        for eps, big_c in ((math.nan, 0.0), (0.1, math.inf), (1e308, 1.0), (700.0, 1e200)):
             with pytest.raises(DomainError):
                 bb_lower_bound(1.5, 0.9, eps, big_c)

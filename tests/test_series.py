@@ -1,4 +1,4 @@
-"""Series engine: truncated arithmetic, coefficient families, Schur recursion."""
+"""Series engine: coefficient families, Schur recursion."""
 
 import math
 
@@ -12,7 +12,6 @@ from bohrlab import (
     DomainError,
     NonSchurInput,
     SchurFunction,
-    ZeroConstantTerm,
     be_extremal_coeffs,
     evaluate_polynomial,
     harmonic_pair,
@@ -21,10 +20,10 @@ from bohrlab import (
     psymmetric_extremal_coeffs,
     schur_analysis,
     schur_synthesis,
+    schur_synthesis_rows,
     shifted_by_z,
-    truncated_mul,
-    truncated_reciprocal,
 )
+from bohrlab.series import _divide_trunc
 
 
 def params_strategy(max_depth=12, max_modulus=1.0):
@@ -37,60 +36,90 @@ def params_strategy(max_depth=12, max_modulus=1.0):
     )
 
 
+def cut_short(s, index, angle, snapped):
+    """s with the parameter at index made unimodular (or within the snap
+    tolerance of the circle), so the synthesis stops there."""
+    params = np.array(s.params)
+    index = min(index, len(params) - 1)
+    params[index] = (1.0 - 5e-15 if snapped else 1.0) * np.exp(1j * angle)
+    return SchurFunction(params)
+
+
+# mixed depths 0..12, some rows cut short by a unimodular parameter
+block_row = st.one_of(
+    params_strategy(max_depth=12),
+    st.builds(
+        cut_short,
+        params_strategy(max_depth=12),
+        st.integers(0, 12),
+        st.floats(0.0, 2.0 * math.pi),
+        st.booleans(),
+    ),
+)
+
+
+def reciprocal(coeffs, order):
+    """1/f through the given order, by the division kernel on a one-row block."""
+    one = np.ones((1, 1), dtype=complex)
+    return _divide_trunc(one, np.array([coeffs], dtype=complex), order)[0]
+
+
+def divide_loop(num, den, order):
+    """Reference: the one-row forward recurrence, one dot product per step."""
+    out = np.zeros(order + 1, dtype=complex)
+    for n in range(order + 1):
+        acc = num[n] if n < len(num) else 0.0
+        t = min(n, len(den) - 1)
+        if t:
+            acc -= np.dot(den[1 : t + 1], out[n - 1 :: -1][:t])
+        out[n] = acc / den[0]
+    return out
+
+
 class TestTruncatedArithmetic:
-    def test_mul_identity(self):
-        one = CoefficientSeries([1.0])
-        b = CoefficientSeries([0.3, -0.2, 0.7j, 1.1])
-        out = truncated_mul(one, b, 3)
-        np.testing.assert_allclose(out.coeffs, b.coeffs)
+    """The truncated division kernel behind synthesis and analysis."""
 
-    def test_mul_z_times_z(self):
-        z = CoefficientSeries([0.0, 1.0])
-        out = truncated_mul(z, z, 2)
-        np.testing.assert_array_equal(out.coeffs, [0.0, 0.0, 1.0])
-
-    def test_mul_hand_convolution(self):
-        a = CoefficientSeries([1.0, 1.0])
-        b = CoefficientSeries([1.0, -1.0])
-        out = truncated_mul(a, b, 2)
-        np.testing.assert_allclose(out.coeffs, [1.0, 0.0, -1.0], atol=1e-15)
-
-    def test_mul_commutative_associative(self):
-        rng = np.random.default_rng(5)
-        a = CoefficientSeries(rng.normal(size=6) + 1j * rng.normal(size=6))
-        b = CoefficientSeries(rng.normal(size=6) + 1j * rng.normal(size=6))
-        c = CoefficientSeries(rng.normal(size=6) + 1j * rng.normal(size=6))
-        ab = truncated_mul(a, b, 5)
-        ba = truncated_mul(b, a, 5)
-        np.testing.assert_allclose(ab.coeffs, ba.coeffs, atol=1e-13)
-        left = truncated_mul(ab, c, 5)
-        right = truncated_mul(a, truncated_mul(b, c, 5), 5)
-        np.testing.assert_allclose(left.coeffs, right.coeffs, atol=1e-12)
+    def test_matches_one_row_loop(self):
+        # the block kernel sums each step in another order than a dot product,
+        # so rows agree with the loop to rounding, not bit for bit
+        rng = np.random.default_rng(8)
+        num = rng.normal(size=(25, 6)) + 1j * rng.normal(size=(25, 6))
+        # sum_j |den_j| < 1 for j >= 1 keeps den free of zeros in the disk
+        den = (rng.normal(size=(25, 14)) + 1j * rng.normal(size=(25, 14))) * 0.04
+        den[:, 0] = 1.0
+        block = _divide_trunc(num, den, 60)
+        for row, n, d in zip(block, num, den):
+            np.testing.assert_allclose(row, divide_loop(n, d, 60), rtol=0, atol=1e-14)
 
     def test_reciprocal_geometric(self):
         a = 0.4
-        out = truncated_reciprocal(CoefficientSeries([1.0, -a]), 3)
-        np.testing.assert_allclose(out.coeffs, [1.0, a, a**2, a**3], rtol=1e-15)
+        out = reciprocal([1.0, -a], 3)
+        np.testing.assert_allclose(out, [1.0, a, a**2, a**3], rtol=1e-15)
 
     def test_reciprocal_constant(self):
-        out = truncated_reciprocal(CoefficientSeries([2.0]), 1)
-        np.testing.assert_array_equal(out.coeffs, [0.5, 0.0])
+        np.testing.assert_array_equal(reciprocal([2.0], 1), [0.5, 0.0])
 
     def test_reciprocal_hand_recurrence(self):
-        out = truncated_reciprocal(CoefficientSeries([1.0, 1.0, 1.0]), 2)
-        np.testing.assert_allclose(out.coeffs, [1.0, -1.0, 0.0], atol=1e-15)
-
-    def test_reciprocal_zero_constant_term(self):
-        with pytest.raises(ZeroConstantTerm):
-            truncated_reciprocal(CoefficientSeries([0.0, 1.0]), 3)
+        np.testing.assert_allclose(reciprocal([1.0, 1.0, 1.0], 2), [1.0, -1.0, 0.0], atol=1e-15)
 
     def test_reciprocal_inverts(self):
         rng = np.random.default_rng(11)
-        a = CoefficientSeries(np.concatenate(([1.5], rng.normal(size=7) * 0.3)))
-        prod = truncated_mul(a, truncated_reciprocal(a, 7), 7)
+        a = np.concatenate(([1.5], rng.normal(size=7) * 0.3))
+        prod = np.convolve(a, reciprocal(a, 7))[:8]
         expected = np.zeros(8)
         expected[0] = 1.0
-        np.testing.assert_allclose(prod.coeffs, expected, atol=1e-14)
+        np.testing.assert_allclose(prod, expected, atol=1e-14)
+
+    def test_block_rows_match_single_rows(self):
+        rng = np.random.default_rng(3)
+        num = rng.normal(size=(40, 5)) + 1j * rng.normal(size=(40, 5))
+        den = rng.normal(size=(40, 9)) + 1j * rng.normal(size=(40, 9))
+        den[:, 0] += 4.0
+        block = _divide_trunc(num, den, 30)
+        assert block.shape == (40, 31)
+        for i in range(40):
+            alone = _divide_trunc(num[i:i + 1], den[i:i + 1], 30)[0]
+            np.testing.assert_array_equal(block[i], alone)
 
 
 class TestCoefficientFamilies:
@@ -236,6 +265,21 @@ class TestSchurRecursion:
         assert mods[1:].max(initial=0.0) <= 1.0 - mods[0] ** 2 + 1e-12
         assert out.certified and abs(out.head_bound - mods[0]) < 1e-15
 
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(block_row, min_size=1, max_size=30), st.integers(0, 64))
+    @example([SchurFunction([0.3, 0.5j])], 16)
+    @example([SchurFunction([0.3, 0.5j, -0.2])] * 20 + [SchurFunction([0.4, 1.0, 0.9])], 16)
+    def test_block_rows_bitwise_equal_single_rows(self, schurs, order):
+        # a row's coefficients do not depend on the block it is synthesized in
+        block = schur_synthesis_rows(schurs, order)
+        assert block.shape == (len(schurs), order + 1)
+        for row, s in zip(block, schurs):
+            alone = schur_synthesis(s, order).coeffs
+            np.testing.assert_array_equal(row.view(np.uint64), alone.view(np.uint64))
+
+    def test_empty_block(self):
+        assert schur_synthesis_rows([], 8).shape == (0, 9)
+
     def test_unimodular_parameter_truncates(self):
         # everything after a unimodular parameter is ignored
         a = schur_synthesis(SchurFunction([0.4, 1.0, 0.9, -0.5]), 16)
@@ -265,6 +309,18 @@ class TestHarmonicPair:
             lhs = np.dot(np.abs(pair.coanalytic.coeffs) ** 2, powers)
             rhs = np.dot(np.abs(pair.analytic.coeffs) ** 2, powers)
             assert lhs <= rhs + 1e-14
+
+    def test_parts_match_separate_syntheses(self):
+        # h and omega share one block; h's row is synthesized as it is alone
+        h = SchurFunction([0.0, 0.3 + 0.4j, -0.5, 0.2j])
+        w = SchurFunction([0.6, -0.1j])
+        pair = harmonic_pair(h, w, 24)
+        np.testing.assert_array_equal(pair.analytic.coeffs, schur_synthesis(h, 24).coeffs)
+        wc = schur_synthesis(w, 24).coeffs
+        k = np.arange(1, 25)
+        expected = np.array([np.dot(wc[:n][::-1], k[:n] * pair.analytic.coeffs[1 : n + 1]) / n
+                             for n in k])
+        np.testing.assert_allclose(pair.coanalytic.coeffs[1:], expected, atol=1e-15)
 
     def test_unimodular_analytic_parameter(self):
         # the snapped parameter leaves |a_0| = 1 + 1 ulp; head_bound is capped at 1
