@@ -64,7 +64,6 @@ from .harmonic import (
     harmonic_threshold,
 )
 from .eilenberg import (
-    BECoefficientCheck,
     be_bound,
     be_coefficient_check,
     be_harmonic_bound,

@@ -8,23 +8,17 @@ l^p-combination bound with explicit radii at every p >= 1.
 from __future__ import annotations
 
 import math
-from typing import NamedTuple
 
 import numpy as np
 
 from .errors import ConvergenceFailure, DomainError, NonVanishingConstantTerm
 from .radii import RadiusCertificate, _bisect_predicate, _check_r
-from .majorant import CertifiedSum
+from .majorant import CertifiedSum, Check
 from .series import CoefficientSeries, HarmonicPair, evaluate_polynomial
 
 COEFF_CHECK_TOL = 1e-10
 _MODULUS_GRID_ANGLES = 64
 _MODULUS_GRID_RADII = (0.5, 0.8)
-
-
-class BECoefficientCheck(NamedTuple):
-    sum_sq: float
-    ok: bool
 
 
 def be_bound(r: float) -> float:
@@ -39,14 +33,15 @@ def be_radius() -> RadiusCertificate:
     return RadiusCertificate(radius=radius, method="bisection", residual=abs(be_bound(radius) - 1.0))
 
 
-def be_coefficient_check(c: CoefficientSeries) -> BECoefficientCheck:
+def be_coefficient_check(c: CoefficientSeries) -> Check:
     """Check sum_{k>=1} |a_k|^2 <= 1 and the pointwise modulus bound.
 
     The square sum folds in the Parseval remainder 1 - sum_{k<=N} |a_k|^2 when
     the series carries the unit-ball certificate (for uncertified input only
     the truncated sum is checked).  The modulus bound |f(z)| <= |z|/sqrt(1-|z|^2)
     is sampled on circle grids at |z| in {0.5, 0.8} with truncation slack
-    |z|^(N+1)/(1-|z|), and the returned flag requires both checks.
+    |z|^(N+1)/(1-|z|).  The returned Check has the square sum as lhs, 1 as rhs,
+    and an ok flag that requires both checks.
     """
     if abs(c.coeffs[0]) != 0.0:
         raise NonVanishingConstantTerm("the class requires a_0 = 0")
@@ -63,7 +58,7 @@ def be_coefficient_check(c: CoefficientSeries) -> BECoefficientCheck:
         bound = rho / math.sqrt(1.0 - rho * rho)
         if np.abs(evaluate_polynomial(c, points)).max() > bound + slack + COEFF_CHECK_TOL:
             ok = False
-    return BECoefficientCheck(sum_sq=sum_sq, ok=ok)
+    return Check(lhs=sum_sq, rhs=1.0, ok=ok)
 
 
 def be_harmonic_bound(p: float, r: float) -> float:

@@ -21,7 +21,14 @@ import numpy as np
 
 from .errors import DomainError
 from .majorant import Check
-from .radii import RadiusCertificate, _bisect_predicate, _check_r, maximize_envelope
+from .radii import (
+    RadiusCertificate,
+    _bisect_predicate,
+    _check_p,
+    _check_r,
+    _envelope,
+    maximize_envelope,
+)
 from .series import HarmonicPair
 
 DOMINATION_TOL = 1e-10
@@ -34,12 +41,10 @@ class HarmonicBound(NamedTuple):
 
 def harmonic_envelope_value(a: float, p: float, r: float) -> float:
     """Doubled envelope a^p + 2 r (1-a^2)^p / (1 - r a^p)."""
-    a, p, r = float(a), float(p), _check_r(r)
+    r, a = _check_r(r), float(a)
     if not 0.0 <= a <= 1.0:
         raise DomainError(f"argument a must lie in [0, 1], got {a}")
-    if not 0.0 < p <= 2.0:
-        raise DomainError(f"exponent p must lie in (0, 2], got {p}")
-    return a**p + 2.0 * r * (1.0 - a * a) ** p / (1.0 - r * a**p)
+    return float(_envelope(a, _check_p(p), r, 2.0))
 
 
 def harmonic_threshold(p: float) -> float:

@@ -37,7 +37,11 @@ class CertifiedSum:
 
 
 class Check(NamedTuple):
-    """Outcome of an inequality check lhs <= rhs (up to the check's tolerance)."""
+    """Outcome of an inequality check lhs <= rhs (up to the check's tolerance).
+
+    ok may also require conditions that lhs and rhs do not show; the checker
+    names them (be_coefficient_check adds a pointwise modulus bound).
+    """
 
     lhs: float
     rhs: float

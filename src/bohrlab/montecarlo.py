@@ -97,9 +97,11 @@ def _dominance(bound: float, enclose: Callable) -> Callable[[object], float]:
     return lambda x: bound - enclose(x).upper
 
 
-# Most coefficients, rows x (order + 1), synthesized in one block of trials:
-# larger blocks spread the division's per-step overhead over more rows (the
-# gain at orders in the thousands) but hold more memory at once.
+# Most coefficients, rows x (order + 1), synthesized in one block of trials.
+# Larger blocks spread the division's per-step numpy overhead over more rows
+# but hold more memory at once (peak RSS bounds the budget).  High orders get
+# their speed from the division's k outputs a step (series._BLOCK_OUTPUTS),
+# not from the block size.
 _BLOCK_COEFFS = 1 << 14
 
 
@@ -144,7 +146,7 @@ def _reduce(claim_id, slacks, witness_slacks, seed, params, witness_abs_tol=None
     failures = int(np.sum(slacks < -SLACK_TOL))
     worst = float(slacks.min()) if len(slacks) else np.inf
     if len(slacks):
-        worst_idx = int(np.lexsort((np.arange(len(slacks)), slacks))[0])
+        worst_idx = int(np.argmin(slacks))
         params = dict(params, worst_trial=worst_idx)
         if failures:
             # regenerates the offending sample through sample_schur for replay

@@ -96,25 +96,121 @@ def _check_order(order: int) -> None:
         raise DomainError(f"order must be non-negative, got {order}")
 
 
+# Outputs per step of the block division, and the order from which a short
+# denominator (fewer than _BLOCK_OUTPUTS coefficients after den_0) is divided
+# in blocks; BENCH_montecarlo.json "block_division" has the measurements.
+_BLOCK_OUTPUTS = 32
+_BLOCK_FROM_ORDER = 511
+# Largest modulus among the first _BLOCK_OUTPUTS coefficients of 1/den for
+# which a row is divided in blocks.  A steeper 1/den means zeros of den
+# clustered near the unit circle, which the block map's rounding moves: in
+# "block_division" "steep_rows", the block result's worst error stays within
+# 3x of the recurrence's below 1,024 and is 72x to 2.6e6x above it.  Of 50,000
+# disk-uniform samples, 0.004% at depth 12 and 0.012% at depth 13 exceed 256.
+_BLOCK_MAX_GAIN = 256.0
+
+
 def _divide_trunc(num: np.ndarray, den: np.ndarray, order: int) -> np.ndarray:
     """Coefficients of num/den through the given order, for each row of a block.
 
-    num and den are (rows, .) arrays; the forward recurrence runs over n once
-    for the whole block and returns (rows, order + 1).  Each step sums its
-    products along the contiguous inner axis, so a row's result does not
-    depend on how many rows share its block.
+    num and den are (rows, .) arrays with den_0 != 0; returns (rows, order + 1).
+    Short orders, denominators too long for a block and rows with a steep
+    1/den run the forward recurrence d_0 y_n = b_n - sum_j d_j y_(n-j), one
+    numpy step per n.  From _BLOCK_FROM_ORDER on, a short denominator makes
+    the recurrence a fixed linear map from the previous dmax outputs and the
+    next k right-hand sides to the next k outputs (the look-ahead form of a
+    recursive filter), so each step yields k = _BLOCK_OUTPUTS outputs.  The
+    map's entries grow with 1/den's coefficients and cancel against each
+    other, so the block result is refined once: the residual num - den * y is
+    divided by the same map and added.  Rows whose 1/den exceeds
+    _BLOCK_MAX_GAIN in its first k coefficients keep the recurrence.  Every
+    reduction runs within a row, and the path depends only on the order and
+    the row's own den, so a row's result does not depend on its block.
     """
     rows, dmax = den.shape[0], den.shape[1] - 1
-    out = np.zeros((rows, order + 1), dtype=complex)
+    if order < _BLOCK_FROM_ORDER or dmax >= _BLOCK_OUTPUTS:
+        return _divide_loop(num, den, order)
+    h = np.zeros((rows, _BLOCK_OUTPUTS), dtype=complex)  # first k coefficients of 1/den
+    h[:, 0] = 1.0
+    _recur(h, den, _BLOCK_OUTPUTS)
+    steep = np.abs(h).max(axis=1) > _BLOCK_MAX_GAIN
+    if not steep.any():
+        return _divide_blocks(num, den, h, order)
+    out = np.empty((rows, order + 1), dtype=complex)
+    out[steep] = _divide_loop(num[steep], den[steep], order)
+    if not steep.all():
+        flat = ~steep
+        out[flat] = _divide_blocks(num[flat], den[flat], h[flat], order)
+    return out
+
+
+def _divide_loop(num: np.ndarray, den: np.ndarray, order: int) -> np.ndarray:
+    """The division by the forward recurrence, one output a step."""
+    y = np.zeros((den.shape[0], order + 1), dtype=complex)
     width = min(num.shape[1], order + 1)
-    out[:, :width] = num[:, :width]
+    y[:, :width] = num[:, :width]
+    return _recur(y, den, order + 1)
+
+
+def _divide_blocks(num: np.ndarray, den: np.ndarray, h: np.ndarray, order: int) -> np.ndarray:
+    """The division k outputs a step, refined once by the residual; h holds
+    the first k coefficients of 1/den."""
+    dmax = den.shape[1] - 1
+    width = min(num.shape[1], order + 1)
+    # dmax leading zeros stand for y_n = 0 at n < 0, so every block has a window
+    y = np.zeros((den.shape[0], dmax + order + 1), dtype=complex)
+    fix = np.zeros_like(y)
+    y[:, dmax : dmax + width] = num[:, :width]
+    block_map = _block_map(den, h)
+    _solve_blocks(y, block_map)
+    # the residual num - den * y: each output's window y[n-dmax : n+1] times den reversed
+    windows = np.lib.stride_tricks.sliding_window_view(y, dmax + 1, axis=1)
+    np.matmul(windows, den[:, ::-1, None], out=fix[:, dmax:, None])
+    np.negative(fix, out=fix)
+    fix[:, dmax : dmax + width] += num[:, :width]
+    y += _solve_blocks(fix, block_map)
+    return y[:, dmax:]
+
+
+def _solve_blocks(y: np.ndarray, block_map: np.ndarray) -> np.ndarray:
+    """Division in place, k outputs a step: y holds dmax zeros and then the
+    right-hand side on entry, the zeros and the quotient on return."""
+    k, dmax = block_map.shape[1], block_map.shape[2] - block_map.shape[1]
+    for n in range(dmax, y.shape[1], k):
+        w = min(k, y.shape[1] - n)
+        window = y[:, n - dmax : n + w, None]
+        y[:, n:n + w] = np.matmul(block_map[:, :w, : dmax + w], window)[..., 0]
+    return y
+
+
+def _recur(y: np.ndarray, den: np.ndarray, stop: int) -> np.ndarray:
+    """Forward recurrence in place: y[:, :stop] holds the right-hand side on
+    entry and the quotient's coefficients on return.  Each step sums along
+    the contiguous inner axis."""
+    dmax = den.shape[1] - 1
     rev_den = np.ascontiguousarray(den[:, :0:-1])  # den_dmax .. den_1
     d0 = den[:, 0]
-    for n in range(order + 1):
+    for n in range(stop):
         t = min(n, dmax)
         if t:
-            out[:, n] -= (rev_den[:, dmax - t:] * out[:, n - t:n]).sum(axis=1)
-        out[:, n] /= d0
+            y[:, n] -= (rev_den[:, dmax - t:] * y[:, n - t:n]).sum(axis=1)
+        y[:, n] /= d0
+    return y
+
+
+def _block_map(den: np.ndarray, h: np.ndarray) -> np.ndarray:
+    """Per-row (k, dmax + k) matrix [W | T] with y[n:n+k] = [W | T] [y[n-dmax:n], b[n:n+k]].
+
+    T is the lower-triangular Toeplitz matrix of h, the first k coefficients
+    of 1/den.  W = -T C, where C[m, t] = den_(m+dmax-t) for m <= t carries the
+    window's terms into the block's first dmax equations.
+    """
+    rows, dmax, k = den.shape[0], den.shape[1] - 1, h.shape[1]
+    out = np.zeros((rows, k, dmax + k), dtype=complex)
+    for i in range(k):
+        out[:, i, dmax : dmax + i + 1] = h[:, i::-1]
+    for t in range(dmax):
+        out[:, :, t] = -np.matmul(out[:, :, dmax : dmax + t + 1], den[:, dmax - t:, None])[..., 0]
     return out
 
 
@@ -187,9 +283,14 @@ def schur_synthesis_rows(schurs, order: int) -> np.ndarray:
     The coefficients are float results, and their rounding is not bounded by
     any enclosure downstream: the verifiers' SLACK_TOL = 1e-9 margin is what
     absorbs it.  It grows with the size of Q's coefficients, that is with
-    parameters near the circle.  Summing the recurrence's products in another
-    order moves a depth-12 sample's coefficients by 1.5e-15 in the median,
-    8.6e-14 at the 99th percentile and 6.7e-12 at most (2,000 samples).
+    parameters near the circle.  Against a 200-bit reference, 200 depth-12
+    samples at order 4,000 are off by 1.7e-15 in the median and 7.2e-14 at
+    most, and by 1.4e-15 and 1.0e-13 with the one-step recurrence alone.
+    Over 2,000 depth-12 samples, summing the recurrence's products in
+    another order moves the coefficients by 1.5e-15 in the median, 8.6e-14
+    at the 99th percentile and 6.7e-12 at most, and the block division and
+    the one-step recurrence differ by 1.7e-15, 6.6e-14 and 3.7e-13 (order
+    1,000).
     """
     _check_order(order)
     actives = [_active_params(s) for s in schurs]

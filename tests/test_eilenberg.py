@@ -57,12 +57,12 @@ class TestBeCoefficientCheck:
     def test_extremal_family_attains(self):
         check = be_coefficient_check(be_extremal_coeffs(INV_SQRT2, 400))
         assert check.ok
-        assert abs(check.sum_sq - 1.0) < 1e-9
+        assert abs(check.lhs - 1.0) < 1e-9
 
     def test_identity_function(self):
         check = be_coefficient_check(CoefficientSeries([0.0, 1.0], certified=True))
         assert check.ok
-        assert abs(check.sum_sq - 1.0) < 1e-12
+        assert abs(check.lhs - 1.0) < 1e-12
 
     def test_shifted_samples(self):
         for i in range(100):
@@ -89,7 +89,7 @@ class TestBeCoefficientCheck:
         bad = CoefficientSeries([0.0, 2.0])
         check = be_coefficient_check(bad)
         assert not check.ok
-        assert check.sum_sq > 1.0 + 1e-10
+        assert check.lhs > 1.0 + 1e-10
 
 
 class TestBeHarmonicBound:

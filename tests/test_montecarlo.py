@@ -232,3 +232,19 @@ class TestBlocking:
         monkeypatch.setattr(montecarlo, "_BLOCK_COEFFS", 1)
         for n, expected in zip(counts, blocked):
             assert self.reports(n) == expected, n
+
+    def test_one_row_blocks_give_identical_reports_at_high_order(self, monkeypatch):
+        # r near 1 lifts the order to 872 and 2,750, where the division runs
+        # k outputs a step; at the default budget the 7 trials share one block
+        # at order 872 and fill blocks of 5 and 2 at order 2,750
+        def reports():
+            return [
+                verify_theorem1(1.5, 0.99, 7, seed=5),
+                verify_theorem2(3.0, 0.97, 7, seed=5),
+                *verify_be(0.97, 1.0, 7, seed=5),
+            ]
+
+        blocked = reports()
+        assert {r.params["order"] for r in blocked} == {872, 2750}
+        monkeypatch.setattr(montecarlo, "_BLOCK_COEFFS", 1)
+        assert reports() == blocked

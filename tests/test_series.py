@@ -23,7 +23,9 @@ from bohrlab import (
     schur_synthesis_rows,
     shifted_by_z,
 )
-from bohrlab.series import _divide_trunc
+from bohrlab import series
+from bohrlab.montecarlo import sample_schur, trial_seed
+from bohrlab.series import _BLOCK_FROM_ORDER, _divide_trunc
 
 
 def params_strategy(max_depth=12, max_modulus=1.0):
@@ -76,20 +78,53 @@ def divide_loop(num, den, order):
     return out
 
 
+def reciprocal_rows(den, order):
+    """1/den through the given order for each row, by the recurrence."""
+    return series._divide_loop(np.ones((len(den), 1), dtype=complex), den, order)
+
+
+def schur_pq(params):
+    """P and Q with P/Q the Schur function of params, built in floats as
+    the synthesis builds them."""
+    p, q = np.zeros(1, dtype=complex), np.ones(1, dtype=complex)
+    for g in params[::-1]:
+        zp, q = np.concatenate(([0.0], p)), np.concatenate((q, [0.0]))
+        p, q = g * q + zp, q + np.conj(g) * zp
+    return p, q
+
+
+def divide_mpmath(mpmath, num, den, order):
+    """num/den through the given order in mpmath at the working precision,
+    rounded to complex; num and den are taken as exact."""
+    p, q = [mpmath.mpc(x) for x in num], [mpmath.mpc(x) for x in den]
+    out = []
+    for n in range(order + 1):
+        acc = p[n] if n < len(p) else mpmath.mpc(0)
+        acc -= mpmath.fsum(q[j] * out[n - j] for j in range(1, min(n, len(q) - 1) + 1))
+        out.append(acc / q[0])
+    return np.array(out, dtype=complex)
+
+
 class TestTruncatedArithmetic:
     """The truncated division kernel behind synthesis and analysis."""
 
     def test_matches_one_row_loop(self):
-        # the block kernel sums each step in another order than a dot product,
-        # so rows agree with the loop to rounding, not bit for bit
+        # the kernel sums each step in another order than a dot product, and
+        # from _BLOCK_FROM_ORDER on it divides a short denominator k outputs a
+        # step with one residual correction, so rows agree with the loop to
+        # rounding, not bit for bit; den lengths 1 and 2 give the smallest
+        # block maps
         rng = np.random.default_rng(8)
-        num = rng.normal(size=(25, 6)) + 1j * rng.normal(size=(25, 6))
-        # sum_j |den_j| < 1 for j >= 1 keeps den free of zeros in the disk
-        den = (rng.normal(size=(25, 14)) + 1j * rng.normal(size=(25, 14))) * 0.04
-        den[:, 0] = 1.0
-        block = _divide_trunc(num, den, 60)
-        for row, n, d in zip(block, num, den):
-            np.testing.assert_allclose(row, divide_loop(n, d, 60), rtol=0, atol=1e-14)
+        high = _BLOCK_FROM_ORDER + 300
+        for rows, dlen, order in ((25, 14, 60), (6, 1, high), (6, 2, high), (6, 14, high)):
+            num = rng.normal(size=(rows, 6)) + 1j * rng.normal(size=(rows, 6))
+            # sum_j |den_j| < 1 for j >= 1 keeps den free of zeros in the disk
+            den = (rng.normal(size=(rows, dlen)) + 1j * rng.normal(size=(rows, dlen))) * 0.04
+            den[:, 0] = 1.0
+            block = _divide_trunc(num, den, order)
+            assert block.shape == (rows, order + 1)
+            for row, n, d in zip(block, num, den):
+                np.testing.assert_allclose(row, divide_loop(n, d, order), rtol=0, atol=1e-14)
 
     def test_reciprocal_geometric(self):
         a = 0.4
@@ -109,6 +144,54 @@ class TestTruncatedArithmetic:
         expected = np.zeros(8)
         expected[0] = 1.0
         np.testing.assert_allclose(prod, expected, atol=1e-14)
+
+    def test_block_division_matches_mpmath(self):
+        # depth-12 samples at order 1,000 against the same division in 200-bit
+        # arithmetic: the refined block result stays at the loop's rounding level
+        mpmath = pytest.importorskip("mpmath")
+        order = 1000
+        schurs = [sample_schur(trial_seed(2027, i), 12) for i in range(4)]
+        with mpmath.workprec(200):
+            for s, row in zip(schurs, schur_synthesis_rows(schurs, order)):
+                p, q = [mpmath.mpc(0)], [mpmath.mpc(1)]
+                for g in map(mpmath.mpc, s.params[::-1]):
+                    zp = [mpmath.mpc(0)] + p
+                    q = q + [mpmath.mpc(0)]
+                    p = [g * b + a for a, b in zip(zp, q)]
+                    q = [b + mpmath.conj(g) * a for a, b in zip(zp, q)]
+                assert np.abs(row - divide_mpmath(mpmath, p, q, order)).max() < 1e-13
+
+    def test_near_circle_rows_match_mpmath(self):
+        # parameters near the unit circle make den's zeros approach it and
+        # 1/den's coefficients large: with random phases the rows stay on the
+        # block division and keep the recurrence's accuracy; with aligned
+        # phases 1/den is steep and the rows take the recurrence itself
+        mpmath = pytest.importorskip("mpmath")
+        order = 2 * _BLOCK_FROM_ORDER
+        rng = np.random.default_rng(41)
+        rows = [rng.uniform(0.99, 1.0 - 1e-6, 13) for _ in range(4)]
+        for _ in range(3):
+            mods = np.full(13, 0.99)
+            mods[rng.choice(13, 4, replace=False)] = 1.0 - 1e-6
+            rows.append(mods)
+        params = [m * np.exp(2j * np.pi * rng.random(13)) for m in rows]
+        params += [np.full(13, 0.97 + 0j), np.full(8, 0.999j), np.full(5, 1.0 - 1e-6 + 0j)]
+        num, den = np.zeros((len(params), 14), dtype=complex), np.zeros((len(params), 14), dtype=complex)
+        for i, g in enumerate(params):
+            p, q = schur_pq(g)
+            num[i, : len(p)], den[i, : len(q)] = p, q
+        steep = np.array([False] * 7 + [True] * 3)
+        assert list(np.abs(reciprocal_rows(den, series._BLOCK_OUTPUTS - 1)).max(axis=1)
+                    > series._BLOCK_MAX_GAIN) == list(steep)
+        block = _divide_trunc(num, den, order)
+        loop = series._divide_loop(num, den, order)
+        np.testing.assert_array_equal(block[steep], loop[steep])
+        with mpmath.workprec(200):
+            refs = [divide_mpmath(mpmath, n, d, order) for n, d in zip(num, den)]
+        block_err = np.abs(block - refs).max(axis=1)
+        loop_err = np.abs(loop - refs).max(axis=1)
+        assert block_err.max() <= 2.0 * loop_err.max()
+        assert np.all(block_err <= 8.0 * loop_err + 1e-14)
 
     def test_block_rows_match_single_rows(self):
         rng = np.random.default_rng(3)
@@ -266,16 +349,37 @@ class TestSchurRecursion:
         assert out.certified and abs(out.head_bound - mods[0]) < 1e-15
 
     @settings(max_examples=60, deadline=None)
-    @given(st.lists(block_row, min_size=1, max_size=30), st.integers(0, 64))
+    @given(st.lists(block_row, min_size=1, max_size=30),
+           st.one_of(st.integers(0, 64), st.integers(_BLOCK_FROM_ORDER, _BLOCK_FROM_ORDER + 600)))
     @example([SchurFunction([0.3, 0.5j])], 16)
     @example([SchurFunction([0.3, 0.5j, -0.2])] * 20 + [SchurFunction([0.4, 1.0, 0.9])], 16)
+    @example([SchurFunction([0.3, 0.5j, -0.2])] * 5 + [SchurFunction([0.4, 1.0, 0.9])], 4000)
+    # rows with a steep 1/den take the recurrence inside a block-path block
+    @example([SchurFunction([0.97] * 13), SchurFunction([0.3, 0.5j] * 6 + [0.1]),
+              SchurFunction([0.999j] * 8), SchurFunction([0.2] * 13)], 1000)
     def test_block_rows_bitwise_equal_single_rows(self, schurs, order):
-        # a row's coefficients do not depend on the block it is synthesized in
+        # a row's coefficients do not depend on the block it is synthesized
+        # in, on the one-step recurrence, on the k-outputs-a-step division and
+        # where rows of one block take different paths
         block = schur_synthesis_rows(schurs, order)
         assert block.shape == (len(schurs), order + 1)
         for row, s in zip(block, schurs):
             alone = schur_synthesis(s, order).coeffs
             np.testing.assert_array_equal(row.view(np.uint64), alone.view(np.uint64))
+
+    def test_analysis_of_block_synthesis_takes_the_loop(self, monkeypatch):
+        # schur_analysis divides by a full-length denominator, which stays on
+        # the one-step recurrence, and inverts a block-path synthesis
+        rng = np.random.default_rng(5)
+        params = 0.7 * np.sqrt(rng.random(9)) * np.exp(2j * np.pi * rng.random(9))
+        c = schur_synthesis(SchurFunction(params), _BLOCK_FROM_ORDER + 100)
+
+        def no_blocks(den, h):
+            raise AssertionError("schur_analysis reached the block division")
+
+        monkeypatch.setattr(series, "_block_map", no_blocks)
+        back = schur_analysis(c, 8)
+        assert np.abs(back.params - params).max() < 1e-12
 
     def test_empty_block(self):
         assert schur_synthesis_rows([], 8).shape == (0, 9)
