@@ -13,7 +13,7 @@ import numpy as np
 
 from .errors import ConvergenceFailure, DomainError, NonVanishingConstantTerm
 from .radii import RadiusCertificate, _bisect_predicate, _check_r
-from .majorant import CertifiedSum, Check
+from .majorant import CertifiedSum, Check, _row_dots
 from .series import CoefficientSeries, HarmonicPair, evaluate_polynomial
 
 COEFF_CHECK_TOL = 1e-10
@@ -104,9 +104,15 @@ def be_lp_combination_sum(pair: HarmonicPair, p: float, r: float) -> CertifiedSu
     if abs(pair.analytic.coeffs[0]) != 0.0:
         raise NonVanishingConstantTerm("the class requires a_0 = 0")
     n = min(pair.analytic.order, pair.coanalytic.order)
-    amods = np.abs(pair.analytic.coeffs[1 : n + 1])
-    bmods = np.abs(pair.coanalytic.coeffs[1 : n + 1])
-    terms = (amods**p + bmods**p) ** (1.0 / p)
-    value = float(np.dot(terms, r ** np.arange(1, n + 1)))
-    tail = 2.0 ** (1.0 / p) * r ** (n + 1) / (1.0 - r)
-    return CertifiedSum(value, tail, n)
+    a, b = pair.analytic.coeffs[None, : n + 1], pair.coanalytic.coeffs[None, : n + 1]
+    lower, tail = _lp_combination_rows(a, b, p, r)
+    return CertifiedSum(float(lower[0]), float(tail[0]), n)
+
+
+def _lp_combination_rows(a: np.ndarray, b: np.ndarray, p: float, r: float):
+    """(lower, tail_bound) of be_lp_combination_sum for analytic rows a and
+    co-analytic rows b of one length (see majorant's row-wise enclosures)."""
+    n = a.shape[1] - 1
+    terms = (np.abs(a[:, 1:]) ** p + np.abs(b[:, 1:]) ** p) ** (1.0 / p)
+    lower = _row_dots(terms, r ** np.arange(1, n + 1))
+    return lower, np.full(len(a), 2.0 ** (1.0 / p) * r ** (n + 1) / (1.0 - r))

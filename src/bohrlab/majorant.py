@@ -57,6 +57,13 @@ def _check_pr(p: float, r: float) -> tuple[float, float]:
     return p, r
 
 
+def _check_big_r(big_r: float) -> float:
+    big_r = float(big_r)
+    if not 0.0 < big_r <= 1.0:
+        raise DomainError(f"R must lie in (0, 1], got {big_r}")
+    return big_r
+
+
 def geometric_tail(c: CoefficientSeries, p: float, r: float) -> float:
     """Tail bound for sum_{k > N} |a_k|^p r^k.
 
@@ -65,19 +72,14 @@ def geometric_tail(c: CoefficientSeries, p: float, r: float) -> float:
     envelope r^(N+1)/(1-r) is used.
     """
     p, r = _check_pr(p, r)
-    geo = r ** (c.order + 1) / (1.0 - r)
-    if c.certified:
-        return (1.0 - c.head_bound**2) ** p * geo
-    return geo
+    return float(_geometric_tails(c.coeffs[None], p, r, c.certified)[0])
 
 
 def powered_sum(c: CoefficientSeries, p: float, r: float) -> CertifiedSum:
     """Certified enclosure of sum_{k>=0} |a_k|^p r^k."""
     p, r = _check_pr(p, r)
-    mods = np.abs(c.coeffs)
-    value = float(np.dot(mods**p, r ** np.arange(c.order + 1)))
-    tail = geometric_tail(c, p, r)
-    return CertifiedSum(value, tail, c.order)
+    lower, tail = _powered_rows(c.coeffs[None], p, r, c.certified)
+    return CertifiedSum(float(lower[0]), float(tail[0]), c.order)
 
 
 def harmonic_powered_sum(h: HarmonicPair, p: float, r: float) -> CertifiedSum:
@@ -89,12 +91,9 @@ def harmonic_powered_sum(h: HarmonicPair, p: float, r: float) -> CertifiedSum:
     """
     p, r = _check_pr(p, r)
     n = min(h.analytic.order, h.coanalytic.order)
-    amods = np.abs(h.analytic.coeffs[: n + 1])
-    bmods = np.abs(h.coanalytic.coeffs[: n + 1])
-    powers = r ** np.arange(n + 1)
-    value = float(amods[0] ** p + np.dot(amods[1:] ** p + bmods[1:] ** p, powers[1:]))
-    tail = 2.0 * r ** (n + 1) / (1.0 - r)
-    return CertifiedSum(value, tail, n)
+    a, b = h.analytic.coeffs[None, : n + 1], h.coanalytic.coeffs[None, : n + 1]
+    lower, tail = _harmonic_rows(a, b, p, r)
+    return CertifiedSum(float(lower[0]), float(tail[0]), n)
 
 
 def quadratic_sum_check(c: CoefficientSeries, big_r: float) -> Check:
@@ -104,24 +103,67 @@ def quadratic_sum_check(c: CoefficientSeries, big_r: float) -> Check:
     side stays finite for |a_0| < 1) and there the tail falls back on the
     Parseval remainder 1 - sum_{k<=N} |a_k|^2, valid for unit-ball series.
     """
-    big_r = float(big_r)
-    if not 0.0 < big_r <= 1.0:
-        raise DomainError(f"R must lie in (0, 1], got {big_r}")
+    big_r = _check_big_r(big_r)
     if not c.certified:
         raise DomainError("quadratic sum check requires a certified unit-ball series")
-    mods2 = np.abs(c.coeffs) ** 2
-    powers = big_r ** np.arange(c.order + 1)
-    partial = float(np.dot(mods2[1:], powers[1:]))
-    remainder = max(0.0, 1.0 - float(mods2.sum())) * big_r ** (c.order + 1)
-    if big_r < 1.0:
-        geo = (1.0 - c.head_bound**2) ** 2 * big_r ** (c.order + 1) / (1.0 - big_r)
-        tail = min(geo, remainder)
-    else:
-        tail = remainder
-    lhs = partial + tail
-    x = abs(c.coeffs[0]) ** 2
-    if big_r == 1.0:
-        rhs = 1.0 - x  # limit of R(1-x)^2/(1-xR) at R = 1
-    else:
-        rhs = big_r * (1.0 - x) ** 2 / (1.0 - x * big_r)
+    lhs, rhs = (float(side[0]) for side in _quadratic_rows(c.coeffs[None], big_r))
     return Check(lhs=lhs, rhs=rhs, ok=lhs <= rhs + QUADRATIC_CHECK_TOL)
+
+
+# Row-wise forms of the enclosures above, for a (rows, N + 1) block of
+# coefficient rows: each returns one array entry per row, and row i is bit for
+# bit what the public function gives for that row alone.  Terms that the
+# public functions form from a scalar (a_0) go through Python floats, since
+# numpy's array power and complex modulus differ from libm's in the last bit.
+
+def _row_dots(x: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """x @ w one row at a time, each through np.dot as for a single row
+    (matmul sums in another order)."""
+    return np.fromiter(map(w.dot, x), float, count=len(x))
+
+
+def _heads(c: np.ndarray) -> list:
+    """|a_0| of each row, as a float."""
+    return [abs(a0) for a0 in c[:, 0].tolist()]
+
+
+def _geometric_tails(c: np.ndarray, p: float, r: float, certified: bool = True) -> np.ndarray:
+    """geometric_tail of each row."""
+    geo = r ** c.shape[1] / (1.0 - r)
+    if not certified:
+        return np.full(len(c), geo)
+    return np.array([(1.0 - min(head, 1.0) ** 2) ** p * geo for head in _heads(c)])
+
+
+def _powered_rows(c: np.ndarray, p: float, r: float, certified: bool = True):
+    """(lower, tail_bound) of powered_sum for each row."""
+    lower = _row_dots(np.abs(c) ** p, r ** np.arange(c.shape[1]))
+    return lower, _geometric_tails(c, p, r, certified)
+
+
+def _harmonic_rows(a: np.ndarray, b: np.ndarray, p: float, r: float):
+    """(lower, tail_bound) of harmonic_powered_sum for analytic rows a and
+    co-analytic rows b of one length."""
+    n = a.shape[1] - 1
+    amods, bmods = np.abs(a), np.abs(b)
+    powers = r ** np.arange(n + 1)
+    head = np.array([m**p for m in amods[:, 0].tolist()])
+    lower = head + _row_dots(amods[:, 1:] ** p + bmods[:, 1:] ** p, powers[1:])
+    return lower, np.full(len(a), 2.0 * r ** (n + 1) / (1.0 - r))
+
+
+def _quadratic_rows(c: np.ndarray, big_r: float):
+    """(lhs, rhs) of quadratic_sum_check for each row."""
+    mods2 = np.abs(c) ** 2
+    powers = big_r ** np.arange(c.shape[1])
+    partial = _row_dots(mods2[:, 1:], powers[1:])
+    tail = np.maximum(0.0, 1.0 - mods2.sum(axis=1)) * big_r ** c.shape[1]
+    heads = _heads(c)
+    if big_r < 1.0:
+        geo = [(1.0 - min(h, 1.0) ** 2) ** 2 * big_r ** c.shape[1] / (1.0 - big_r) for h in heads]
+        tail = np.minimum(geo, tail)
+    if big_r == 1.0:
+        rhs = [1.0 - h**2 for h in heads]  # limit of R(1-x)^2/(1-xR) at R = 1, x = |a_0|^2
+    else:
+        rhs = [big_r * (1.0 - h**2) ** 2 / (1.0 - h**2 * big_r) for h in heads]
+    return partial + tail, np.array(rhs)

@@ -9,25 +9,23 @@ for a given seed.
 
 from __future__ import annotations
 
-import itertools
+import functools
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Iterator
+from typing import Callable
 
 import numpy as np
 
 from .errors import DomainError
-from .eilenberg import be_bound, be_harmonic_bound, be_lp_combination_sum
+from .eilenberg import _lp_combination_rows, be_bound, be_harmonic_bound
 from .harmonic import harmonic_bound, harmonic_threshold
-from .majorant import harmonic_powered_sum, powered_sum, quadratic_sum_check
+from .majorant import _check_big_r, _harmonic_rows, _powered_rows, _quadratic_rows
 from .radii import _check_r, maximize_envelope, mp_theorem1
 from .series import (
-    CoefficientSeries,
     SchurFunction,
-    _harmonic_pair_rows,
-    harmonic_pair,
+    _coanalytic_rows,
+    _synthesize_params,
     mobius_automorphism_coeffs,
-    schur_synthesis,
     schur_synthesis_rows,
 )
 
@@ -51,7 +49,8 @@ class VerificationReport:
     params: dict = field(default_factory=dict)
 
 
-def _splitmix64(x: int) -> int:
+def _splitmix64(x):
+    """splitmix64 hash of an int, or of each entry of a uint64 array."""
     x = (x + 0x9E3779B97F4A7C15) & _MASK64
     z = x
     z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
@@ -64,15 +63,136 @@ def trial_seed(seed: int, index: int) -> int:
     return (int(seed) ^ _splitmix64(int(index))) & _MASK64
 
 
+def _trial_seeds(seed: int, start: int, stop: int) -> np.ndarray:
+    """trial_seed(seed, i) for i in range(start, stop), as uint64."""
+    return np.uint64(int(seed) & _MASK64) ^ _splitmix64(np.arange(start, stop, dtype=np.uint64))
+
+
 def sample_schur(seed: int, depth: int) -> SchurFunction:
-    """Deterministic disk-uniform Schur parameters: modulus sqrt(U), uniform angle."""
+    """Deterministic disk-uniform Schur parameters: modulus sqrt(U), uniform angle.
+
+    The parameters come from the first 2(depth + 1) doubles of
+    numpy.random.default_rng(seed): depth + 1 moduli, then depth + 1 angles.
+    The verifiers draw trial i from trial_seed(seed, i) and reproduce these
+    streams a block of trials at a time, bit for bit.
+    """
     depth = int(depth)
     if depth < 0:
         raise DomainError("depth must be non-negative")
     rng = np.random.default_rng(int(seed) & _MASK64)
-    mods = np.sqrt(rng.random(depth + 1))
-    angles = 2.0 * np.pi * rng.random(depth + 1)
-    return SchurFunction(mods * np.exp(1j * angles))
+    return SchurFunction(_disk_params(rng.random(2 * (depth + 1))))
+
+
+def _disk_params(u: np.ndarray) -> np.ndarray:
+    """Parameters sqrt(U) exp(2 pi i V) from uniforms [U | V] along the last axis."""
+    half = u.shape[-1] // 2
+    return np.sqrt(u[..., :half]) * np.exp(1j * (2.0 * np.pi * u[..., half:]))
+
+
+def _sample_rows(seeds: np.ndarray, depth: int) -> np.ndarray:
+    """sample_schur(seed, depth).params for each uint64 seed: (rows, depth + 1)."""
+    return _disk_params(_uniform_rows(seeds, 2 * (depth + 1)))
+
+
+# numpy.random.default_rng(seed) hashes the seed with SeedSequence (pool of
+# four 32-bit words) into the 128-bit state and increment of a PCG64
+# generator.  The constants are SeedSequence's hash multipliers, its mixing
+# multipliers and the PCG64 LCG multiplier.
+_MASK32 = 0xFFFFFFFF
+_HASH_A = (0x43B0D7E5, 0x931E8875)
+_HASH_B = (0x8B51F9DD, 0x58F38DED)
+_MIX = (0xCA01F9DD, 0x4973F715)
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+
+
+def _hash_consts(init: int, mult: int, count: int) -> np.ndarray:
+    """The running hash constant init * mult^i mod 2^32, for i < count."""
+    return np.array([init * pow(mult, i, 1 << 32) & _MASK32 for i in range(count)], np.uint32)
+
+
+_HASH_A_RUN = _hash_consts(*_HASH_A, 17)  # pool: 4 + 12 hashmix calls
+_HASH_B_RUN = _hash_consts(*_HASH_B, 9)  # generate_state: 8 words
+
+
+def _seed_words(seeds: np.ndarray) -> np.ndarray:
+    """SeedSequence(seed).generate_state(8) for each uint64 seed, as (8, rows) uint32.
+
+    A seed below 2^32 is one word of entropy and a larger one two, but
+    SeedSequence pads the pool with zero words, so both hash alike.
+    """
+    calls = iter(range(16))
+    mix_l, mix_r = (np.uint32(m) for m in _MIX)
+    shift = np.uint32(16)
+
+    def hashmix(value):
+        i = next(calls)
+        value = (value ^ _HASH_A_RUN[i]) * _HASH_A_RUN[i + 1]
+        return value ^ (value >> shift)
+
+    low = (seeds & np.uint64(_MASK32)).astype(np.uint32)
+    high = (seeds >> np.uint64(32)).astype(np.uint32)
+    zero = np.zeros_like(low)
+    pool = [hashmix(word) for word in (low, high, zero, zero)]
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                mixed = mix_l * pool[dst] - mix_r * hashmix(pool[src])
+                pool[dst] = mixed ^ (mixed >> shift)
+    out = np.empty((8, len(seeds)), dtype=np.uint32)
+    for i in range(8):
+        value = (pool[i % 4] ^ _HASH_B_RUN[i]) * _HASH_B_RUN[i + 1]
+        out[i] = value ^ (value >> shift)
+    return out
+
+
+@functools.lru_cache(maxsize=None)
+def _jump_table(n: int) -> np.ndarray:
+    """(8, 8 n) float matrix taking the 32-bit limbs of a row's [initstate | inc]
+    to the 16-bit digit columns of its n PCG64 states.
+
+    Seeding steps the LCG s -> M s + inc once from 0, adds initstate and steps
+    once more, and every draw steps first, so draw k (from 0) outputs
+    M^(k+2) initstate + (1 + M + ... + M^(k+2)) inc mod 2^128 (Brown's
+    arbitrary-stride form).  Column (q, k) collects the products of limbs and
+    16-bit digits of these two constants that land on digit q of state k:
+    each is below 2^48 and a column below 2^51, so the float product is exact.
+    """
+    mask = (1 << 128) - 1
+    table = np.zeros((8, 8, n))
+    a, c = _PCG_MULT, 1 + _PCG_MULT
+    for k in range(n):
+        a, c = a * _PCG_MULT & mask, (c * _PCG_MULT + 1) & mask
+        for first, const in ((0, a), (4, c)):
+            for limb in range(4):
+                for digit in range(8 - 2 * limb):
+                    table[first + limb, 2 * limb + digit, k] = (const >> 16 * digit) & 0xFFFF
+    return table.reshape(8, 8 * n)
+
+
+def _uniform_rows(seeds: np.ndarray, n: int) -> np.ndarray:
+    """np.random.default_rng(seed).random(n) for each uint64 seed: (rows, n).
+
+    Each state's 128 bits are formed from exact 16-bit digit columns with one
+    carry pass, and then PCG64's XSL-RR output and (x >> 11) 2^-53 applied.
+    """
+    w = _seed_words(seeds).astype(np.int64)
+    # initstate = state[0:2] and inc = (state[2:4] << 1) | 1, high word first
+    inc = ((w[[6, 7, 4, 5]] << 1) & _MASK32) | np.concatenate((np.ones_like(w[:1]), w[[6, 7, 4]] >> 31))
+    limbs = np.concatenate((w[[2, 3, 0, 1]], inc)).T.astype(float)
+    columns = (limbs @ _jump_table(n)).astype(np.int64).reshape(len(seeds), 8, n)
+    carry, words = 0, []
+    for first in (0, 4):
+        word = 0
+        for q in range(first, first + 4):
+            column = columns[:, q] + carry
+            word = word | ((column & 0xFFFF) << 16 * (q - first))
+            carry = column >> 16
+        words.append(word.view(np.uint64))
+    low, high = words
+    x = high ^ low
+    rot = high >> np.uint64(58)
+    x = (x >> rot) | (x << ((np.uint64(64) - rot) & np.uint64(63)))
+    return (x >> np.uint64(11)).astype(float) * 2.0**-53
 
 
 def _order_and_depth(order: int, depth: int, r: float) -> tuple[int, int]:
@@ -92,9 +212,20 @@ def _order_and_depth(order: int, depth: int, r: float) -> tuple[int, int]:
     return max(order, min(int(need) + 1, 4000)), depth
 
 
-def _dominance(bound: float, enclose: Callable) -> Callable[[object], float]:
-    """Slack of a dominance claim: bound minus the certified upper enclosure."""
-    return lambda x: bound - enclose(x).upper
+def _dominance(bound: float, enclose: Callable) -> Callable[..., np.ndarray]:
+    """Slack of a dominance claim for each row of a block: bound minus the
+    certified upper enclosure."""
+
+    def slack(*rows: np.ndarray) -> np.ndarray:
+        lower, tail = enclose(*rows)
+        return bound - (lower + tail)
+
+    return slack
+
+
+def _harmonic(enclose: Callable) -> Callable:
+    """An enclosure of (h, g) rows as a function of the rows of h and omega."""
+    return lambda a, w: enclose(a, _coanalytic_rows(a, w))
 
 
 # Most coefficients, rows x (order + 1), synthesized in one block of trials.
@@ -105,36 +236,26 @@ def _dominance(bound: float, enclose: Callable) -> Callable[[object], float]:
 _BLOCK_COEFFS = 1 << 14
 
 
-def _samples(draw: Callable, trials: int, seed: int, order: int) -> Iterator[object]:
-    """Every trial's sample in trial order, drawn from its own derived trial seed.
-
-    draw(tseed) gives the trial's Schur functions: (f,) for a unit-ball series,
-    (h, omega) for a harmonic pair.  The rows of a block of trials are
-    synthesized in one call; samples are yielded one at a time.
-    """
-    start = 0
-    while start < trials:
-        first = draw(trial_seed(seed, start))
-        width = len(first)
-        stop = min(trials, start + max(1, _BLOCK_COEFFS // (width * (order + 1))))
-        rest = (s for i in range(start + 1, stop) for s in draw(trial_seed(seed, i)))
-        rows = schur_synthesis_rows(itertools.chain(first, rest), order)
-        for trial_rows in rows.reshape(stop - start, width, order + 1):
-            if width == 1:
-                yield CoefficientSeries(trial_rows[0], certified=True)
-            else:
-                yield _harmonic_pair_rows(*trial_rows)
-        start = stop
-
-
 def _collect_slacks(
-    slack: Callable, draw: Callable, trials: int, seed: int, order: int
+    slack: Callable, streams: tuple, trials: int, seed: int, order: int
 ) -> np.ndarray:
-    """Slack of every trial's sample (see _samples)."""
+    """Slack of every trial's sample, in trial order, a block of trials at a time.
+
+    Each stream maps a block's trial seeds to one (rows, length) array of
+    Schur parameters: one stream for a unit-ball series, two (h, omega) for a
+    harmonic pair.  Each array is synthesized in one call, and slack maps the
+    coefficient blocks to the block's slacks.
+    """
     trials = int(trials)
     if trials < 0:
         raise DomainError(f"trial count must be non-negative, got {trials}")
-    return np.fromiter(map(slack, _samples(draw, trials, seed, order)), float, count=trials)
+    per_block = max(1, _BLOCK_COEFFS // (len(streams) * (order + 1)))
+    slacks = np.empty(trials)
+    for start in range(0, trials, per_block):
+        stop = min(trials, start + per_block)
+        seeds = _trial_seeds(seed, start, stop)
+        slacks[start:stop] = slack(*(_synthesize_params(draw(seeds), order) for draw in streams))
+    return slacks
 
 
 def _reduce(claim_id, slacks, witness_slacks, seed, params, witness_abs_tol=None):
@@ -151,8 +272,8 @@ def _reduce(claim_id, slacks, witness_slacks, seed, params, witness_abs_tol=None
         if failures:
             # regenerates the offending sample through sample_schur for replay
             params["worst_trial_seed"] = trial_seed(seed, worst_idx)
-    if witness_slacks:
-        warr = np.array(witness_slacks)
+    if len(witness_slacks):
+        warr = np.asarray(witness_slacks)
         if witness_abs_tol is not None:
             failures += int(np.sum(np.abs(warr) > witness_abs_tol))
             params["witness_max_abs_slack"] = float(np.abs(warr).max())
@@ -191,11 +312,11 @@ def verify_theorem1(
     if not 0.0 < p <= 2.0:
         raise DomainError(f"exponent p must lie in (0, 2], got {p}")
     order, depth = _order_and_depth(order, depth, r)
-    slack = _dominance(mp_theorem1(p, r).value, lambda c: powered_sum(c, p, r))
-    draw = lambda tseed: (sample_schur(tseed, depth),)
-    slacks = _collect_slacks(slack, draw, trials, int(seed), order)
+    slack = _dominance(mp_theorem1(p, r).value, lambda c: _powered_rows(c, p, r))
+    sample = lambda seeds: _sample_rows(seeds, depth)
+    slacks = _collect_slacks(slack, (sample,), trials, int(seed), order)
     witness_a = [0.2, 0.5, 0.8, min(maximize_envelope(p, r).argmax, 1.0 - 1e-8)]
-    witness = [slack(mobius_automorphism_coeffs(a, order)) for a in witness_a]
+    witness = slack(np.array([mobius_automorphism_coeffs(a, order).coeffs for a in witness_a]))
     params = {"p": p, "r": r, "depth": depth, "order": order}
     return _reduce("theorem1", slacks, witness, seed, params)
 
@@ -213,16 +334,17 @@ def verify_lemma_quadratic(
     their |slack| must stay below 1e-8; violations count as failures.  At
     R = 1 the order is not raised: the Parseval remainder fold is exact there.
     """
-    big_r = float(big_r)
+    big_r = _check_big_r(big_r)
     order, depth = _order_and_depth(order, depth, big_r)
 
-    def slack(c) -> float:
-        check = quadratic_sum_check(c, big_r)
-        return check.rhs - check.lhs
+    def slack(c: np.ndarray) -> np.ndarray:
+        lhs, rhs = _quadratic_rows(c, big_r)
+        return rhs - lhs
 
-    draw = lambda tseed: (sample_schur(tseed, depth),)
-    slacks = _collect_slacks(slack, draw, trials, int(seed), order)
-    witness = [slack(mobius_automorphism_coeffs(a, max(order, 400))) for a in (0.2, 0.5, 0.8)]
+    sample = lambda seeds: _sample_rows(seeds, depth)
+    slacks = _collect_slacks(slack, (sample,), trials, int(seed), order)
+    witness_order = max(order, 400)
+    witness = slack(np.array([mobius_automorphism_coeffs(a, witness_order).coeffs for a in (0.2, 0.5, 0.8)]))
     params = {"R": big_r, "depth": depth, "order": order}
     return _reduce("lemma21", slacks, witness, seed, params, witness_abs_tol=WITNESS_TOL)
 
@@ -244,15 +366,17 @@ def verify_theorem2(
             f"r={r} exceeds the validity threshold {harmonic_threshold(p)} for p={p}"
         )
     order, depth = _order_and_depth(order, depth, r)
-    slack = _dominance(harmonic_bound(p, r).value, lambda pair: harmonic_powered_sum(pair, p, r))
-    draw = lambda tseed: (sample_schur(tseed, depth), sample_schur(_splitmix64(tseed), depth))
-    slacks = _collect_slacks(slack, draw, trials, int(seed), order)
+    slack = _dominance(harmonic_bound(p, r).value, _harmonic(lambda a, b: _harmonic_rows(a, b, p, r)))
+    sample = lambda seeds: _sample_rows(seeds, depth)
+    omega = lambda seeds: _sample_rows(_splitmix64(seeds), depth)
+    slacks = _collect_slacks(slack, (sample, omega), trials, int(seed), order)
     h_witnesses = [SchurFunction([0.0, 1.0])]
     if p <= 2.0:
         # phi_a has Schur parameters [a, -1]; omega = 1 doubles every term
         a_w = min(maximize_envelope(p, r, doubled=True).argmax, 1.0 - 1e-8)
         h_witnesses.append(SchurFunction([a_w, -1.0]))
-    witness = [slack(harmonic_pair(h, SchurFunction([1.0]), order)) for h in h_witnesses]
+    omegas = [SchurFunction([1.0])] * len(h_witnesses)
+    witness = slack(schur_synthesis_rows(h_witnesses, order), schur_synthesis_rows(omegas, order))
     params = {"p": p, "r": r, "depth": depth, "order": order}
     return _reduce("theorem2", slacks, witness, seed, params)
 
@@ -275,27 +399,30 @@ def verify_be(
     p = float(p)
     order, depth = _order_and_depth(order, depth, r)
     bound_a = be_bound(r)
-    slack_a = _dominance(bound_a, lambda c: powered_sum(c, 1.0, r))
-    slack_h = _dominance(be_harmonic_bound(p, r), lambda pair: be_lp_combination_sum(pair, p, r))
+    slack_a = _dominance(bound_a, lambda c: _powered_rows(c, 1.0, r))
+    slack_h = _dominance(
+        be_harmonic_bound(p, r), _harmonic(lambda a, b: _lp_combination_rows(a, b, p, r))
+    )
 
-    def shifted_sample(tseed: int) -> SchurFunction:
+    def shifted(seeds: np.ndarray) -> np.ndarray:
         # a leading zero parameter synthesizes z * g
-        return SchurFunction(np.concatenate(([0.0], sample_schur(tseed, depth).params)))
+        params = _sample_rows(seeds, depth)
+        return np.concatenate((np.zeros((len(params), 1)), params), axis=1)
 
-    draw_a = lambda tseed: (shifted_sample(tseed),)
-    draw_h = lambda tseed: (shifted_sample(tseed), sample_schur(_splitmix64(tseed), depth))
-    slacks_a = _collect_slacks(slack_a, draw_a, trials, int(seed), order)
+    omega = lambda seeds: _sample_rows(_splitmix64(seeds), depth)
+    slacks_a = _collect_slacks(slack_a, (shifted,), trials, int(seed), order)
     sums_a = bound_a - slacks_a
     # the extremal z(a-z)/(1-az) at a = 1/sqrt(2) attains the bound at the radius
     ext = SchurFunction([0.0, 1.0 / np.sqrt(2.0), -1.0])
-    witness_a = [slack_a(schur_synthesis(ext, order))]
+    ext_rows, one_rows = schur_synthesis_rows([ext, SchurFunction([1.0])], order)[:, None]
+    witness_a = slack_a(ext_rows)
     max_sum = float(sums_a.max()) if len(sums_a) else 0.0
     params_a = {"r": r, "depth": depth, "order": order, "max_sum": max_sum}
     report_a = _reduce("be_analytic", slacks_a, witness_a, seed, params_a)
 
     # distinct deterministic stream for the harmonic half
-    slacks_h = _collect_slacks(slack_h, draw_h, trials, trial_seed(seed, 0x5EED), order)
-    witness_h = [slack_h(harmonic_pair(ext, SchurFunction([1.0]), order))]
+    slacks_h = _collect_slacks(slack_h, (shifted, omega), trials, trial_seed(seed, 0x5EED), order)
+    witness_h = slack_h(ext_rows, one_rows)
     params_h = {"p": p, "r": r, "depth": depth, "order": order}
     report_h = _reduce("be_harmonic", slacks_h, witness_h, seed, params_h)
     return report_a, report_h

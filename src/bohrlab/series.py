@@ -257,16 +257,16 @@ def be_extremal_coeffs(a: float, order: int) -> CoefficientSeries:
     return shifted_by_z(mobius_automorphism_coeffs(a, order))
 
 
-def _active_params(s: SchurFunction) -> np.ndarray:
+def _active_params(params: np.ndarray) -> np.ndarray:
     """Parameters up to and including the first (effectively) unimodular one."""
-    mods = np.abs(s.params)
+    mods = np.abs(params)
     hit = np.flatnonzero(mods >= 1.0 - UNIMODULAR_TOL)
     if hit.size:
         j = hit[0]
-        active = s.params[: j + 1].copy()
+        active = params[: j + 1].copy()
         active[j] = active[j] / mods[j]  # snap to the unit circle
         return active
-    return np.array(s.params)
+    return np.array(params)
 
 
 def schur_synthesis_rows(schurs, order: int) -> np.ndarray:
@@ -293,7 +293,20 @@ def schur_synthesis_rows(schurs, order: int) -> np.ndarray:
     1,000).
     """
     _check_order(order)
-    actives = [_active_params(s) for s in schurs]
+    return _synthesize_groups([_active_params(s.params) for s in schurs], order)
+
+
+def _synthesize_params(g: np.ndarray, order: int) -> np.ndarray:
+    """Coefficient rows for a (rows, length) array of Schur parameters, as
+    `schur_synthesis_rows` gives them; only a block with a parameter within
+    UNIMODULAR_TOL of the circle goes through `_active_params`."""
+    if (np.abs(g) >= 1.0 - UNIMODULAR_TOL).any():
+        return _synthesize_groups([_active_params(row) for row in g], order)
+    return _synthesize(g, order)
+
+
+def _synthesize_groups(actives: list, order: int) -> np.ndarray:
+    """Coefficient rows for a list of active parameter arrays, grouped by length."""
     lengths = np.array([len(a) for a in actives], dtype=int)
     groups = np.unique(lengths)
     if len(groups) == 1:
@@ -358,28 +371,32 @@ def schur_analysis(c: CoefficientSeries, depth: int) -> SchurFunction:
     return SchurFunction(np.array(params, dtype=complex))
 
 
-def _harmonic_pair_rows(a: np.ndarray, w: np.ndarray) -> HarmonicPair:
-    """(h, g) from the coefficient rows a of h and w of omega, with g' = omega h'.
+def _coanalytic_rows(a: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """Co-analytic coefficient rows b of g' = omega h', for coefficient rows a
+    of h and w of omega: b_k = (1/k) sum_{j<k} w_j (k-j) a_(k-j), b_0 = 0.
 
-    The co-analytic coefficients follow by term-wise integration:
-    b_k = (1/k) * sum_{j=0}^{k-1} w_j (k-j) a_{k-j}, b_0 = 0.  Since |omega| <= 1
-    forces sum |b_k|^2 <= sum |a_k|^2 <= 1, every |b_k| <= 1 and both parts
-    carry the unit-ball certificate.
-    """
-    order = len(a) - 1
-    b = np.zeros(order + 1, dtype=complex)
+    One convolution per row."""
+    order = a.shape[1] - 1
+    b = np.zeros_like(a)
     if order >= 1:
-        hp = np.arange(1, order + 1) * a[1:]  # coefficients of h'
-        conv = np.convolve(w[:order], hp)[:order]  # coefficients of omega h'
-        b[1:] = conv / np.arange(1, order + 1)
-    analytic = CoefficientSeries(a, certified=True)
-    return HarmonicPair(analytic=analytic, coanalytic=CoefficientSeries(b, certified=True))
+        k = np.arange(1, order + 1)
+        hp = k * a[:, 1:]  # coefficients of h'
+        for b_row, w_row, hp_row in zip(b, w, hp):
+            b_row[1:] = np.convolve(w_row[:order], hp_row)[:order]  # omega h'
+        b[:, 1:] /= k
+    return b
 
 
 def harmonic_pair(h_params: SchurFunction, w_params: SchurFunction, order: int) -> HarmonicPair:
     """Build (h, g) with h the Schur synthesis of h_params and g' = w h', where
-    w is the synthesis of w_params; both are synthesized in one block."""
-    return _harmonic_pair_rows(*schur_synthesis_rows([h_params, w_params], order))
+    w is the synthesis of w_params; both are synthesized in one block.
+
+    Since |omega| <= 1 forces sum |b_k|^2 <= sum |a_k|^2 <= 1, every |b_k| <= 1
+    and both parts carry the unit-ball certificate.
+    """
+    a, w = schur_synthesis_rows([h_params, w_params], order)
+    b = _coanalytic_rows(a[None], w[None])[0]
+    return HarmonicPair(CoefficientSeries(a, certified=True), CoefficientSeries(b, certified=True))
 
 
 def shifted_by_z(c: CoefficientSeries) -> CoefficientSeries:

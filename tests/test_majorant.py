@@ -18,7 +18,12 @@ from bohrlab import (
     quadratic_sum_check,
     sample_schur,
     schur_synthesis,
+    schur_synthesis_rows,
 )
+from bohrlab.eilenberg import _lp_combination_rows, be_lp_combination_sum
+from bohrlab.majorant import _harmonic_rows, _powered_rows, _quadratic_rows
+from bohrlab.montecarlo import _sample_rows, _trial_seeds
+from bohrlab.series import HarmonicPair, _coanalytic_rows
 
 
 class TestPoweredSum:
@@ -135,3 +140,89 @@ class TestQuadraticSumCheck:
             quadratic_sum_check(c, 0.0)
         with pytest.raises(DomainError):
             quadratic_sum_check(c, 1.1)
+
+
+def same(x, y) -> bool:
+    """Bit-for-bit equality of two floats."""
+    return np.float64(x).tobytes() == np.float64(y).tobytes()
+
+
+class TestRowEnclosures:
+    """Row i of each block enclosure is bit for bit the one-row public call.
+
+    The traps: numpy's array power and complex modulus round differently in
+    the last bit from libm's scalar pow and hypot (the a_0 terms), and matmul
+    sums in another order than one np.dot per row.
+    """
+
+    ORDER = 80
+
+    @pytest.fixture(scope="class")
+    def schurs(self):
+        # samples, automorphisms with a_0 near 1, and a snapped unimodular
+        # parameter that leaves |a_0| = 1 + 1 ulp
+        seeds = _trial_seeds(5, 0, 40)
+        extra = [
+            SchurFunction([0.97, -1.0]),
+            SchurFunction([0.2, -1.0]),
+            SchurFunction([0.9946128276123087 + 0.1036596505350456j]),
+        ]
+        h = [SchurFunction(row) for row in _sample_rows(seeds, 12)] + extra
+        omega = [SchurFunction(row) for row in _sample_rows(seeds ^ np.uint64(1), 12)] + extra
+        return h, omega
+
+    @pytest.fixture(scope="class")
+    def block(self, schurs):
+        c, w = (schur_synthesis_rows(s, self.ORDER) for s in schurs)
+        shifted = np.concatenate((np.zeros((len(c), 1)), c[:, :-1]), axis=1)
+        return c, w, shifted
+
+    @pytest.mark.parametrize("p", [0.5, 1.0, 1.5, 3.0])
+    @pytest.mark.parametrize("r", [0.0, 0.5, 0.995])
+    def test_powered_rows(self, block, p, r):
+        c = block[0]
+        for certified in (True, False):
+            lower, tail = _powered_rows(c, p, r, certified)
+            for i, row in enumerate(c):
+                one = powered_sum(CoefficientSeries(row, certified=certified), p, r)
+                assert same(lower[i], one.lower) and same(tail[i], one.tail_bound), (i, certified)
+
+    @pytest.mark.parametrize("p", [0.5, 1.0, 1.5, 3.0])
+    @pytest.mark.parametrize("r", [0.0, 0.5, 0.995])
+    def test_harmonic_rows(self, block, p, r):
+        c, w, _ = block
+        b = _coanalytic_rows(c, w)
+        lower, tail = _harmonic_rows(c, b, p, r)
+        for i in range(len(c)):
+            pair = HarmonicPair(CoefficientSeries(c[i], certified=True),
+                                CoefficientSeries(b[i], certified=True))
+            one = harmonic_powered_sum(pair, p, r)
+            assert same(lower[i], one.lower) and same(tail[i], one.tail_bound), i
+
+    @pytest.mark.parametrize("p", [1.0, 1.5, 3.0])
+    @pytest.mark.parametrize("r", [0.0, 0.5, 0.995])
+    def test_lp_combination_rows(self, block, p, r):
+        _, w, a = block
+        b = _coanalytic_rows(a, w)
+        lower, tail = _lp_combination_rows(a, b, p, r)
+        for i in range(len(a)):
+            pair = HarmonicPair(CoefficientSeries(a[i], certified=True),
+                                CoefficientSeries(b[i], certified=True))
+            one = be_lp_combination_sum(pair, p, r)
+            assert same(lower[i], one.lower) and same(tail[i], one.tail_bound), i
+
+    @pytest.mark.parametrize("big_r", [0.5, 0.995, 1.0])
+    def test_quadratic_rows(self, block, big_r):
+        c = block[0]
+        lhs, rhs = _quadratic_rows(c, big_r)
+        for i, row in enumerate(c):
+            one = quadratic_sum_check(CoefficientSeries(row, certified=True), big_r)
+            assert same(lhs[i], one.lhs) and same(rhs[i], one.rhs), i
+
+    def test_coanalytic_rows_match_harmonic_pair(self, schurs, block):
+        c, w, _ = block
+        b = _coanalytic_rows(c, w)
+        for i, (h, omega) in enumerate(zip(*schurs)):
+            pair = harmonic_pair(h, omega, self.ORDER)
+            assert np.array_equal(pair.analytic.coeffs, c[i])
+            assert pair.coanalytic.coeffs.tobytes() == b[i].tobytes(), i

@@ -17,7 +17,18 @@ from bohrlab import (
     verify_theoremB_ratio,
 )
 from bohrlab import montecarlo
-from bohrlab.montecarlo import DEFAULT_ORDER
+from bohrlab.montecarlo import (
+    DEFAULT_ORDER,
+    _sample_rows,
+    _splitmix64,
+    _trial_seeds,
+    _uniform_rows,
+)
+
+
+def bits(x):
+    """The bytes of an array, so that equality means bit for bit."""
+    return np.ascontiguousarray(x).view(np.uint8)
 
 
 class TestSampler:
@@ -39,6 +50,45 @@ class TestSampler:
     def test_trial_seeds_distinct(self):
         seeds = {trial_seed(7, i) for i in range(1000)}
         assert len(seeds) == 1000
+
+
+class TestBlockSampler:
+    """The array sampler reproduces default_rng and sample_schur bit for bit."""
+
+    EDGE_SEEDS = (0, 1, 2**32 - 1, 2**32, 2**63, 2**64 - 1)
+
+    @pytest.fixture(scope="class")
+    def seeds(self):
+        # one-word and two-word SeedSequence entropy, and the trial seeds of
+        # three runs, a negative run seed among them
+        trial = [_trial_seeds(run, 0, 2000) for run in (0, 7, -1)]
+        return np.concatenate([np.array(self.EDGE_SEEDS, dtype=np.uint64), *trial])
+
+    @pytest.mark.parametrize("depth", [0, 1, 12, 13])
+    def test_uniforms_match_default_rng(self, seeds, depth):
+        n = 2 * (depth + 1)
+        expected = np.array([np.random.default_rng(s).random(n) for s in seeds.tolist()])
+        assert np.array_equal(bits(_uniform_rows(seeds, n)), bits(expected))
+
+    @pytest.mark.parametrize("depth", [0, 1, 12, 13])
+    def test_rows_match_sample_schur(self, seeds, depth):
+        expected = np.array([sample_schur(s, depth).params for s in seeds.tolist()])
+        got = _sample_rows(seeds, depth)
+        assert got.shape == (len(seeds), depth + 1)
+        assert np.array_equal(bits(got), bits(expected))
+
+    @pytest.mark.parametrize("run", [0, 7, -1, -(2**63), 2**64 - 1])
+    def test_trial_seeds_match_trial_seed(self, run):
+        got = _trial_seeds(run, 0, 2000)
+        assert got.dtype == np.uint64
+        assert got.tolist() == [trial_seed(run, i) for i in range(2000)]
+        assert _trial_seeds(run, 1990, 1993).tolist() == got[1990:1993].tolist()
+
+    def test_array_splitmix_matches_int_splitmix(self):
+        xs = [0, 1, 2**32, 2**63, 2**64 - 1] + [trial_seed(3, i) for i in range(500)]
+        got = _splitmix64(np.array(xs, dtype=np.uint64))
+        assert got.dtype == np.uint64
+        assert got.tolist() == [_splitmix64(x) for x in xs]
 
 
 class TestTheorem1:

@@ -384,6 +384,18 @@ class TestSchurRecursion:
     def test_empty_block(self):
         assert schur_synthesis_rows([], 8).shape == (0, 9)
 
+    @pytest.mark.parametrize("order", [16, _BLOCK_FROM_ORDER + 10])
+    def test_parameter_block_matches_schur_functions(self, order):
+        # the verifiers hand a (rows, length) parameter array to the synthesis;
+        # a row cut short by a unimodular parameter sends the block through
+        # the grouping by active length
+        rng = np.random.default_rng(3)
+        g = np.sqrt(rng.random((12, 5))) * np.exp(2j * np.pi * rng.random((12, 5)))
+        for block in (g, np.concatenate((g, [[0.4, 1.0, 0.9, -0.5, 0.1]]))):
+            expected = schur_synthesis_rows([SchurFunction(row) for row in block], order)
+            got = series._synthesize_params(block, order)
+            np.testing.assert_array_equal(got.view(np.uint64), expected.view(np.uint64))
+
     def test_unimodular_parameter_truncates(self):
         # everything after a unimodular parameter is ignored
         a = schur_synthesis(SchurFunction([0.4, 1.0, 0.9, -0.5]), 16)
