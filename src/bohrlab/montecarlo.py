@@ -195,20 +195,26 @@ def _uniform_rows(seeds: np.ndarray, n: int) -> np.ndarray:
     return (x >> np.uint64(11)).astype(float) * 2.0**-53
 
 
-def _order_and_depth(order: int, depth: int, r: float) -> tuple[int, int]:
+def _order_and_depth(
+    order: int, depth: int, r: float, tail_factor: float = 1.0
+) -> tuple[int, int]:
     """Validated truncation order and sampling depth, the order raised until the
-    generic tail r^(N+1)/(1-r) falls below the slack tolerance.
+    claim's tail tail_factor * r^(N+1)/(1-r) falls below a tenth of the slack
+    tolerance.
 
     The enclosures compare their conservative side against the bound, so at
     large r a coarse order would flag tail-sized spurious failures on tight
     witnesses; the adaptive floor keeps the tail ignorable at every radius.
+    tail_factor is the multiple of the generic tail that the claim's
+    enclosure adds: 2 for the harmonic sum (both parts), 2^(1/p) for the
+    l^p combination.
     """
     order, depth = int(order), int(depth)
     if order < 0 or depth < 0:
         raise DomainError(f"order and depth must be non-negative, got {order} and {depth}")
     if not 0.0 < r < 1.0:
         return order, depth
-    need = math.log(0.1 * SLACK_TOL * (1.0 - r)) / math.log(r)
+    need = math.log(0.1 * SLACK_TOL * (1.0 - r) / tail_factor) / math.log(r)
     return max(order, min(int(need) + 1, 4000)), depth
 
 
@@ -365,7 +371,7 @@ def verify_theorem2(
         raise DomainError(
             f"r={r} exceeds the validity threshold {harmonic_threshold(p)} for p={p}"
         )
-    order, depth = _order_and_depth(order, depth, r)
+    order, depth = _order_and_depth(order, depth, r, tail_factor=2.0)
     slack = _dominance(harmonic_bound(p, r).value, _harmonic(lambda a, b: _harmonic_rows(a, b, p, r)))
     sample = lambda seeds: _sample_rows(seeds, depth)
     omega = lambda seeds: _sample_rows(_splitmix64(seeds), depth)
@@ -397,12 +403,11 @@ def verify_be(
     """
     r = _check_r(r)
     p = float(p)
-    order, depth = _order_and_depth(order, depth, r)
-    bound_a = be_bound(r)
+    bound_a, bound_h = be_bound(r), be_harmonic_bound(p, r)
+    # the halves share one order, sized for the larger tail
+    order, depth = _order_and_depth(order, depth, r, tail_factor=max(1.0, 2.0 ** (1.0 / p)))
     slack_a = _dominance(bound_a, lambda c: _powered_rows(c, 1.0, r))
-    slack_h = _dominance(
-        be_harmonic_bound(p, r), _harmonic(lambda a, b: _lp_combination_rows(a, b, p, r))
-    )
+    slack_h = _dominance(bound_h, _harmonic(lambda a, b: _lp_combination_rows(a, b, p, r)))
 
     def shifted(seeds: np.ndarray) -> np.ndarray:
         # a leading zero parameter synthesizes z * g

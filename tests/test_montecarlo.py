@@ -19,6 +19,7 @@ from bohrlab import (
 from bohrlab import montecarlo
 from bohrlab.montecarlo import (
     DEFAULT_ORDER,
+    SLACK_TOL,
     _sample_rows,
     _splitmix64,
     _trial_seeds,
@@ -190,6 +191,14 @@ class TestTheorem2:
         assert report.params["witness_min_slack"] >= -1e-9
         assert report.params["witness_min_slack"] < 1e-6
 
+    def test_tight_witness_clears_the_doubled_tail(self):
+        # the order is sized for the harmonic sum's tail, twice the generic
+        # one, so the witness that attains max(1, 2r) reads the tail alone:
+        # at most a tenth of SLACK_TOL below zero (-0.19 SLACK_TOL at order 872)
+        report = verify_theorem2(3.0, 0.97, 20, seed=5)
+        assert report.params["order"] == 894
+        assert report.params["witness_min_slack"] >= -0.1 * SLACK_TOL
+
     def test_threshold_precondition(self):
         with pytest.raises(DomainError):
             verify_theorem2(1.0, 0.9, 10, seed=1)  # above sqrt(2/3)
@@ -284,9 +293,9 @@ class TestBlocking:
             assert self.reports(n) == expected, n
 
     def test_one_row_blocks_give_identical_reports_at_high_order(self, monkeypatch):
-        # r near 1 lifts the order to 872 and 2,750, where the division runs
+        # r near 1 lifts the order to 894 and 2,750, where the division runs
         # k outputs a step; at the default budget the 7 trials share one block
-        # at order 872 and fill blocks of 5 and 2 at order 2,750
+        # at order 894 and fill blocks of 5 and 2 at order 2,750
         def reports():
             return [
                 verify_theorem1(1.5, 0.99, 7, seed=5),
@@ -295,6 +304,6 @@ class TestBlocking:
             ]
 
         blocked = reports()
-        assert {r.params["order"] for r in blocked} == {872, 2750}
+        assert {r.params["order"] for r in blocked} == {894, 2750}
         monkeypatch.setattr(montecarlo, "_BLOCK_COEFFS", 1)
         assert reports() == blocked
