@@ -158,12 +158,11 @@ def _quadratic_rows(c: np.ndarray, big_r: float):
     powers = big_r ** np.arange(c.shape[1])
     partial = _row_dots(mods2[:, 1:], powers[1:])
     tail = np.maximum(0.0, 1.0 - mods2.sum(axis=1)) * big_r ** c.shape[1]
-    heads = _heads(c)
     if big_r < 1.0:
-        geo = [(1.0 - min(h, 1.0) ** 2) ** 2 * big_r ** c.shape[1] / (1.0 - big_r) for h in heads]
-        tail = np.minimum(geo, tail)
+        tail = np.minimum(_geometric_tails(c, 2.0, big_r), tail)
+    x = [head**2 for head in _heads(c)]
     if big_r == 1.0:
-        rhs = [1.0 - h**2 for h in heads]  # limit of R(1-x)^2/(1-xR) at R = 1, x = |a_0|^2
+        rhs = [1.0 - xi for xi in x]  # limit of R(1-x)^2/(1-xR) at R = 1
     else:
-        rhs = [big_r * (1.0 - h**2) ** 2 / (1.0 - h**2 * big_r) for h in heads]
+        rhs = [big_r * (1.0 - xi) ** 2 / (1.0 - xi * big_r) for xi in x]
     return partial + tail, np.array(rhs)

@@ -176,7 +176,9 @@ def _uniform_rows(seeds: np.ndarray, n: int) -> np.ndarray:
     carry pass, and then PCG64's XSL-RR output and (x >> 11) 2^-53 applied.
     """
     w = _seed_words(seeds).astype(np.int64)
-    # initstate = state[0:2] and inc = (state[2:4] << 1) | 1, high word first
+    # the eight words are four 64-bit ones, low half first: initstate is
+    # W0 2^64 + W1 and inc is ((W2 2^64 + W3) << 1) | 1, in 32-bit limbs
+    # from the least significant
     inc = ((w[[6, 7, 4, 5]] << 1) & _MASK32) | np.concatenate((np.ones_like(w[:1]), w[[6, 7, 4]] >> 31))
     limbs = np.concatenate((w[[2, 3, 0, 1]], inc)).T.astype(float)
     columns = (limbs @ _jump_table(n)).astype(np.int64).reshape(len(seeds), 8, n)

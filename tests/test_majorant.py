@@ -147,13 +147,52 @@ def same(x, y) -> bool:
     return np.float64(x).tobytes() == np.float64(y).tobytes()
 
 
-class TestRowEnclosures:
-    """Row i of each block enclosure is bit for bit the one-row public call.
+# One-row references: the enclosures as they were computed one series at a
+# time, before the row-wise forms.  The block forms must reproduce them bit for
+# bit: numpy's array power and complex modulus round differently in the last
+# bit from libm's scalar pow and hypot (the a_0 terms), and matmul sums in
+# another order than np.dot.
 
-    The traps: numpy's array power and complex modulus round differently in
-    the last bit from libm's scalar pow and hypot (the a_0 terms), and matmul
-    sums in another order than one np.dot per row.
-    """
+def reference_powered(c, p, r, certified):
+    value = float(np.dot(np.abs(c) ** p, r ** np.arange(len(c))))
+    geo = r ** len(c) / (1.0 - r)
+    return value, (1.0 - float(min(abs(c[0]), 1.0)) ** 2) ** p * geo if certified else geo
+
+
+def reference_harmonic(a, b, p, r):
+    amods, bmods, powers = np.abs(a), np.abs(b), r ** np.arange(len(a))
+    value = float(amods[0] ** p + np.dot(amods[1:] ** p + bmods[1:] ** p, powers[1:]))
+    return value, 2.0 * r ** len(a) / (1.0 - r)
+
+
+def reference_lp_combination(a, b, p, r):
+    terms = (np.abs(a[1:]) ** p + np.abs(b[1:]) ** p) ** (1.0 / p)
+    value = float(np.dot(terms, r ** np.arange(1, len(a))))
+    return value, 2.0 ** (1.0 / p) * r ** len(a) / (1.0 - r)
+
+
+def reference_quadratic(c, big_r):
+    mods2 = np.abs(c) ** 2
+    partial = float(np.dot(mods2[1:], (big_r ** np.arange(len(c)))[1:]))
+    tail = max(0.0, 1.0 - float(mods2.sum())) * big_r ** len(c)
+    if big_r < 1.0:
+        geo = big_r ** len(c) / (1.0 - big_r)
+        tail = min((1.0 - float(min(abs(c[0]), 1.0)) ** 2) ** 2 * geo, tail)
+    x = abs(c[0]) ** 2
+    rhs = 1.0 - x if big_r == 1.0 else big_r * (1.0 - x) ** 2 / (1.0 - x * big_r)
+    return partial + tail, rhs
+
+
+def reference_coanalytic(a, w):
+    b = np.zeros(len(a), dtype=complex)
+    k = np.arange(1, len(a))
+    b[1:] = np.convolve(w[:-1], k * a[1:])[: len(a) - 1] / k
+    return b
+
+
+class TestRowEnclosures:
+    """Row i of each block enclosure is bit for bit the one-row public call
+    and the one-row reference above."""
 
     ORDER = 80
 
@@ -177,52 +216,58 @@ class TestRowEnclosures:
         shifted = np.concatenate((np.zeros((len(c), 1)), c[:, :-1]), axis=1)
         return c, w, shifted
 
+    @staticmethod
+    def check(rows, one, reference):
+        for i, (got, alone, ref) in enumerate(zip(zip(*rows), one, reference)):
+            assert all(map(same, got, ref)), (i, got, ref)
+            assert all(map(same, alone, ref)), (i, alone, ref)
+
     @pytest.mark.parametrize("p", [0.5, 1.0, 1.5, 3.0])
     @pytest.mark.parametrize("r", [0.0, 0.5, 0.995])
     def test_powered_rows(self, block, p, r):
         c = block[0]
         for certified in (True, False):
-            lower, tail = _powered_rows(c, p, r, certified)
-            for i, row in enumerate(c):
-                one = powered_sum(CoefficientSeries(row, certified=certified), p, r)
-                assert same(lower[i], one.lower) and same(tail[i], one.tail_bound), (i, certified)
+            series = [CoefficientSeries(row, certified=certified) for row in c]
+            one = [(s.lower, s.tail_bound) for s in (powered_sum(x, p, r) for x in series)]
+            reference = [reference_powered(row, p, r, certified) for row in c]
+            self.check(_powered_rows(c, p, r, certified), one, reference)
+            tails = [geometric_tail(x, p, r) for x in series]
+            assert all(map(same, tails, (ref[1] for ref in reference)))
 
     @pytest.mark.parametrize("p", [0.5, 1.0, 1.5, 3.0])
     @pytest.mark.parametrize("r", [0.0, 0.5, 0.995])
     def test_harmonic_rows(self, block, p, r):
         c, w, _ = block
         b = _coanalytic_rows(c, w)
-        lower, tail = _harmonic_rows(c, b, p, r)
-        for i in range(len(c)):
-            pair = HarmonicPair(CoefficientSeries(c[i], certified=True),
-                                CoefficientSeries(b[i], certified=True))
-            one = harmonic_powered_sum(pair, p, r)
-            assert same(lower[i], one.lower) and same(tail[i], one.tail_bound), i
+        pairs = [HarmonicPair(CoefficientSeries(x, certified=True), CoefficientSeries(y, certified=True))
+                 for x, y in zip(c, b)]
+        one = [(s.lower, s.tail_bound) for s in (harmonic_powered_sum(x, p, r) for x in pairs)]
+        reference = [reference_harmonic(x, y, p, r) for x, y in zip(c, b)]
+        self.check(_harmonic_rows(c, b, p, r), one, reference)
 
     @pytest.mark.parametrize("p", [1.0, 1.5, 3.0])
     @pytest.mark.parametrize("r", [0.0, 0.5, 0.995])
     def test_lp_combination_rows(self, block, p, r):
         _, w, a = block
         b = _coanalytic_rows(a, w)
-        lower, tail = _lp_combination_rows(a, b, p, r)
-        for i in range(len(a)):
-            pair = HarmonicPair(CoefficientSeries(a[i], certified=True),
-                                CoefficientSeries(b[i], certified=True))
-            one = be_lp_combination_sum(pair, p, r)
-            assert same(lower[i], one.lower) and same(tail[i], one.tail_bound), i
+        pairs = [HarmonicPair(CoefficientSeries(x, certified=True), CoefficientSeries(y, certified=True))
+                 for x, y in zip(a, b)]
+        one = [(s.lower, s.tail_bound) for s in (be_lp_combination_sum(x, p, r) for x in pairs)]
+        reference = [reference_lp_combination(x, y, p, r) for x, y in zip(a, b)]
+        self.check(_lp_combination_rows(a, b, p, r), one, reference)
 
     @pytest.mark.parametrize("big_r", [0.5, 0.995, 1.0])
     def test_quadratic_rows(self, block, big_r):
         c = block[0]
-        lhs, rhs = _quadratic_rows(c, big_r)
-        for i, row in enumerate(c):
-            one = quadratic_sum_check(CoefficientSeries(row, certified=True), big_r)
-            assert same(lhs[i], one.lhs) and same(rhs[i], one.rhs), i
+        checks = [quadratic_sum_check(CoefficientSeries(row, certified=True), big_r) for row in c]
+        one = [(check.lhs, check.rhs) for check in checks]
+        self.check(_quadratic_rows(c, big_r), one, [reference_quadratic(row, big_r) for row in c])
 
-    def test_coanalytic_rows_match_harmonic_pair(self, schurs, block):
+    def test_coanalytic_rows(self, schurs, block):
         c, w, _ = block
         b = _coanalytic_rows(c, w)
         for i, (h, omega) in enumerate(zip(*schurs)):
             pair = harmonic_pair(h, omega, self.ORDER)
             assert np.array_equal(pair.analytic.coeffs, c[i])
             assert pair.coanalytic.coeffs.tobytes() == b[i].tobytes(), i
+            assert reference_coanalytic(c[i], w[i]).tobytes() == b[i].tobytes(), i
