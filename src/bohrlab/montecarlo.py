@@ -242,6 +242,9 @@ def _harmonic(enclose: Callable) -> Callable:
 # their speed from the division's k outputs a step (series._BLOCK_OUTPUTS),
 # not from the block size.
 _BLOCK_COEFFS = 1 << 14
+# Fewest trials sampled in one call: the array sampler costs ~0.3 ms a call
+# on top of a few microseconds a row, and blocks at high orders hold 4-18 rows.
+_SAMPLE_TRIALS = 256
 
 
 def _collect_slacks(
@@ -249,20 +252,25 @@ def _collect_slacks(
 ) -> np.ndarray:
     """Slack of every trial's sample, in trial order, a block of trials at a time.
 
-    Each stream maps a block's trial seeds to one (rows, length) array of
-    Schur parameters: one stream for a unit-ball series, two (h, omega) for a
-    harmonic pair.  Each array is synthesized in one call, and slack maps the
-    coefficient blocks to the block's slacks.
+    Each stream maps trial seeds to one (rows, length) array of Schur
+    parameters: one stream for a unit-ball series, two (h, omega) for a
+    harmonic pair.  Parameters are drawn for whole blocks, at least
+    _SAMPLE_TRIALS trials at once; each block's arrays are synthesized in one
+    call each, and slack maps the coefficient blocks to the block's slacks.
     """
     trials = int(trials)
     if trials < 0:
         raise DomainError(f"trial count must be non-negative, got {trials}")
     per_block = max(1, _BLOCK_COEFFS // (len(streams) * (order + 1)))
+    per_draw = per_block * -(-_SAMPLE_TRIALS // per_block)  # whole blocks
     slacks = np.empty(trials)
-    for start in range(0, trials, per_block):
-        stop = min(trials, start + per_block)
-        seeds = _trial_seeds(seed, start, stop)
-        slacks[start:stop] = slack(*(_synthesize_params(draw(seeds), order) for draw in streams))
+    for first in range(0, trials, per_draw):
+        seeds = _trial_seeds(seed, first, min(trials, first + per_draw))
+        params = [draw(seeds) for draw in streams]
+        out = slacks[first : first + len(seeds)]
+        for start in range(0, len(seeds), per_block):
+            rows = slice(start, start + per_block)
+            out[rows] = slack(*(_synthesize_params(g[rows], order) for g in params))
     return slacks
 
 

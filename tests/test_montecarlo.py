@@ -289,8 +289,11 @@ class TestBlocking:
         assert (per_block + 1) % (per_block // 2) == 1
         blocked = [self.reports(n) for n in counts]
         monkeypatch.setattr(montecarlo, "_BLOCK_COEFFS", 1)
-        for n, expected in zip(counts, blocked):
-            assert self.reports(n) == expected, n
+        # parameters drawn 256 trials at once, then each trial drawn alone
+        for sample_trials in (montecarlo._SAMPLE_TRIALS, 1):
+            monkeypatch.setattr(montecarlo, "_SAMPLE_TRIALS", sample_trials)
+            for n, expected in zip(counts, blocked):
+                assert self.reports(n) == expected, (n, sample_trials)
 
     def test_one_row_blocks_give_identical_reports_at_high_order(self, monkeypatch):
         # r near 1 lifts the order to 894 and 2,750, where the division runs
