@@ -147,15 +147,15 @@ def _seed_words(seeds: np.ndarray) -> np.ndarray:
 
 @functools.lru_cache(maxsize=None)
 def _jump_table(n: int) -> np.ndarray:
-    """(8, 8 n) float matrix taking the 32-bit limbs of a row's [initstate | inc]
-    to the 16-bit digit columns of its n PCG64 states.
+    """(8, 8, n) float array whose slice q takes the 32-bit limbs of a row's
+    [initstate | inc] to the 16-bit digit q of its n PCG64 states.
 
     Seeding steps the LCG s -> M s + inc once from 0, adds initstate and steps
     once more, and every draw steps first, so draw k (from 0) outputs
     M^(k+2) initstate + (1 + M + ... + M^(k+2)) inc mod 2^128 (Brown's
-    arbitrary-stride form).  Column (q, k) collects the products of limbs and
-    16-bit digits of these two constants that land on digit q of state k:
-    each is below 2^48 and a column below 2^51, so the float product is exact.
+    arbitrary-stride form).  Column k of slice q collects the products of limbs
+    and 16-bit digits of these two constants that land on digit q of state k:
+    each is below 2^48 and their sum below 2^51, so the float product is exact.
     """
     mask = (1 << 128) - 1
     table = np.zeros((8, 8, n))
@@ -165,28 +165,30 @@ def _jump_table(n: int) -> np.ndarray:
         for first, const in ((0, a), (4, c)):
             for limb in range(4):
                 for digit in range(8 - 2 * limb):
-                    table[first + limb, 2 * limb + digit, k] = (const >> 16 * digit) & 0xFFFF
-    return table.reshape(8, 8 * n)
+                    table[2 * limb + digit, first + limb, k] = (const >> 16 * digit) & 0xFFFF
+    return table
 
 
 def _uniform_rows(seeds: np.ndarray, n: int) -> np.ndarray:
     """np.random.default_rng(seed).random(n) for each uint64 seed: (rows, n).
 
-    Each state's 128 bits are formed from exact 16-bit digit columns with one
-    carry pass, and then PCG64's XSL-RR output and (x >> 11) 2^-53 applied.
+    Each state's 128 bits are formed digit by digit from exact 16-bit digit
+    columns, carrying as they go, and then PCG64's XSL-RR output and
+    (x >> 11) 2^-53 applied.
     """
     w = _seed_words(seeds).astype(np.int64)
     # the eight words are four 64-bit ones, low half first: initstate is
     # W0 2^64 + W1 and inc is ((W2 2^64 + W3) << 1) | 1, in 32-bit limbs
     # from the least significant
-    inc = ((w[[6, 7, 4, 5]] << 1) & _MASK32) | np.concatenate((np.ones_like(w[:1]), w[[6, 7, 4]] >> 31))
+    carried = np.concatenate((np.ones_like(w[:1]), w[[6, 7, 4]] >> 31))
+    inc = ((w[[6, 7, 4, 5]] << 1) & _MASK32) | carried
     limbs = np.concatenate((w[[2, 3, 0, 1]], inc)).T.astype(float)
-    columns = (limbs @ _jump_table(n)).astype(np.int64).reshape(len(seeds), 8, n)
+    table = _jump_table(n)
     carry, words = 0, []
     for first in (0, 4):
         word = 0
         for q in range(first, first + 4):
-            column = columns[:, q] + carry
+            column = (limbs @ table[q]).astype(np.int64) + carry
             word = word | ((column & 0xFFFF) << 16 * (q - first))
             carry = column >> 16
         words.append(word.view(np.uint64))
@@ -359,8 +361,8 @@ def verify_lemma_quadratic(
 
     sample = lambda seeds: _sample_rows(seeds, depth)
     slacks = _collect_slacks(slack, (sample,), trials, int(seed), order)
-    witness_order = max(order, 400)
-    witness = slack(np.array([mobius_automorphism_coeffs(a, witness_order).coeffs for a in (0.2, 0.5, 0.8)]))
+    automorphisms = [mobius_automorphism_coeffs(a, max(order, 400)).coeffs for a in (0.2, 0.5, 0.8)]
+    witness = slack(np.array(automorphisms))
     params = {"R": big_r, "depth": depth, "order": order}
     return _reduce("lemma21", slacks, witness, seed, params, witness_abs_tol=WITNESS_TOL)
 
@@ -382,7 +384,8 @@ def verify_theorem2(
             f"r={r} exceeds the validity threshold {harmonic_threshold(p)} for p={p}"
         )
     order, depth = _order_and_depth(order, depth, r, tail_factor=2.0)
-    slack = _dominance(harmonic_bound(p, r).value, _harmonic(lambda a, b: _harmonic_rows(a, b, p, r)))
+    enclose = _harmonic(lambda a, b: _harmonic_rows(a, b, p, r))
+    slack = _dominance(harmonic_bound(p, r).value, enclose)
     sample = lambda seeds: _sample_rows(seeds, depth)
     omega = lambda seeds: _sample_rows(_splitmix64(seeds), depth)
     slacks = _collect_slacks(slack, (sample, omega), trials, int(seed), order)

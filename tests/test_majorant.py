@@ -190,6 +190,10 @@ def reference_coanalytic(a, w):
     return b
 
 
+def pair_of(a, b) -> HarmonicPair:
+    return HarmonicPair(CoefficientSeries(a, certified=True), CoefficientSeries(b, certified=True))
+
+
 class TestRowEnclosures:
     """Row i of each block enclosure is bit for bit the one-row public call
     and the one-row reference above."""
@@ -239,8 +243,7 @@ class TestRowEnclosures:
     def test_harmonic_rows(self, block, p, r):
         c, w, _ = block
         b = _coanalytic_rows(c, w)
-        pairs = [HarmonicPair(CoefficientSeries(x, certified=True), CoefficientSeries(y, certified=True))
-                 for x, y in zip(c, b)]
+        pairs = [pair_of(x, y) for x, y in zip(c, b)]
         one = [(s.lower, s.tail_bound) for s in (harmonic_powered_sum(x, p, r) for x in pairs)]
         reference = [reference_harmonic(x, y, p, r) for x, y in zip(c, b)]
         self.check(_harmonic_rows(c, b, p, r), one, reference)
@@ -250,8 +253,7 @@ class TestRowEnclosures:
     def test_lp_combination_rows(self, block, p, r):
         _, w, a = block
         b = _coanalytic_rows(a, w)
-        pairs = [HarmonicPair(CoefficientSeries(x, certified=True), CoefficientSeries(y, certified=True))
-                 for x, y in zip(a, b)]
+        pairs = [pair_of(x, y) for x, y in zip(a, b)]
         one = [(s.lower, s.tail_bound) for s in (be_lp_combination_sum(x, p, r) for x in pairs)]
         reference = [reference_lp_combination(x, y, p, r) for x, y in zip(a, b)]
         self.check(_lp_combination_rows(a, b, p, r), one, reference)
