@@ -96,11 +96,9 @@ def _sample_rows(seeds: np.ndarray, depth: int) -> np.ndarray:
 
 # numpy.random.default_rng(seed) hashes the seed with SeedSequence (pool of
 # four 32-bit words) into the 128-bit state and increment of a PCG64
-# generator.  The constants are SeedSequence's hash multipliers, its mixing
-# multipliers and the PCG64 LCG multiplier.
+# generator.  The constants are SeedSequence's mixing multipliers and the
+# PCG64 LCG multiplier; its two hash multipliers are below.
 _MASK32 = 0xFFFFFFFF
-_HASH_A = (0x43B0D7E5, 0x931E8875)
-_HASH_B = (0x8B51F9DD, 0x58F38DED)
 _MIX = (0xCA01F9DD, 0x4973F715)
 _PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
 
@@ -110,8 +108,8 @@ def _hash_consts(init: int, mult: int, count: int) -> np.ndarray:
     return np.array([init * pow(mult, i, 1 << 32) & _MASK32 for i in range(count)], np.uint32)
 
 
-_HASH_A_RUN = _hash_consts(*_HASH_A, 17)  # pool: 4 + 12 hashmix calls
-_HASH_B_RUN = _hash_consts(*_HASH_B, 9)  # generate_state: 8 words
+_HASH_A_RUN = _hash_consts(0x43B0D7E5, 0x931E8875, 17)  # pool: 4 + 12 hashmix calls
+_HASH_B_RUN = _hash_consts(0x8B51F9DD, 0x58F38DED, 9)  # generate_state: 8 words
 
 
 def _seed_words(seeds: np.ndarray) -> np.ndarray:
@@ -145,7 +143,7 @@ def _seed_words(seeds: np.ndarray) -> np.ndarray:
     return out
 
 
-@functools.lru_cache(maxsize=None)
+@functools.lru_cache(maxsize=8)
 def _jump_table(n: int) -> np.ndarray:
     """(8, 8, n) float array whose slice q takes the 32-bit limbs of a row's
     [initstate | inc] to the 16-bit digit q of its n PCG64 states.
@@ -166,6 +164,7 @@ def _jump_table(n: int) -> np.ndarray:
             for limb in range(4):
                 for digit in range(8 - 2 * limb):
                     table[2 * limb + digit, first + limb, k] = (const >> 16 * digit) & 0xFFFF
+    table.setflags(write=False)  # shared by every caller through the cache
     return table
 
 
