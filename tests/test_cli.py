@@ -1,5 +1,6 @@
 """Command-line interface: output formats, byte stability and exit codes."""
 
+import hashlib
 import json
 import math
 
@@ -260,3 +261,102 @@ class TestByteStability:
     def test_seventeen_digit_reals(self, capsys):
         _, out, _ = run(capsys, "radius", "--kind", "be", )
         assert "0.70710678118654746" in out or "0.70710678118654757" in out
+
+    # stdout pinned at the commit before the scalar layer stopped its bisection
+    # early and cached its candidate grids: every byte must stay the same
+    @pytest.mark.parametrize(
+        "argv, want",
+        [
+            (
+                ("radius", "--kind", "rp", "--p", "1.05"),
+                '{"kind":"rp","params":{"p":1.05},"radius":0.38409002451868846,'
+                '"method":"minimization","residual":5.5511151231257827e-16}\n',
+            ),
+            (
+                ("radius", "--kind", "rp", "--p", "1.37"),
+                '{"kind":"rp","params":{"p":1.3700000000000001},"radius":0.59762959530092163,'
+                '"method":"minimization","residual":2.2204460492503131e-16}\n',
+            ),
+            (
+                ("radius", "--kind", "rp", "--p", "1.5"),
+                '{"kind":"rp","params":{"p":1.5},"radius":0.67723039766008786,'
+                '"method":"minimization","residual":1.1102230246251565e-16}\n',
+            ),
+            (
+                ("radius", "--kind", "rp", "--p", "1.95"),
+                '{"kind":"rp","params":{"p":1.95},"radius":0.96563752886556364,'
+                '"method":"minimization","residual":2.2204460492503131e-16}\n',
+            ),
+            (  # p < 1: the grid carries the boundary-layer seeds
+                ("envelope", "--p", "0.5", "--r-start", "0.01", "--r-end", "0.3", "--steps", "3"),
+                "r,value,argmax,exact\n"
+                "0.01,1.0001020145854491,0.99979604405854094,true\n"
+                "0.155,1.0318057742884412,0.94366445801765819,true\n"
+                "0.29999999999999999,1.1413361931262935,0.82548138875846067,true\n",
+            ),
+            (
+                ("envelope", "--p", "1", "--r-start", "0.1", "--r-end", "0.3", "--steps", "3", "--doubled"),
+                "r,value,argmax,exact\n"
+                "0.10000000000000001,1,1,true\n"
+                "0.20000000000000001,1,1,true\n"
+                "0.29999999999999999,1.0889047392694364,0.7370396787526351,true\n",
+            ),
+            (
+                ("envelope", "--p", "1.5", "--r-start", "0.2", "--r-end", "0.9", "--steps", "3"),
+                "r,value,argmax,exact\n"
+                "0.20000000000000001,1,1,true\n"
+                "0.55000000000000004,1,1,true\n"
+                "0.90000000000000002,1.2792153274519757,0.71428186116175352,false\n",
+            ),
+            (
+                ("extremal", "--family", "be", "--a", "0.5", "--r", "0.6", "--order", "6"),
+                '{"family":"be","a":0.5,"p":1,"m":0,"r":0.59999999999999998,"order":6,'
+                '"coeffs":[[0,0],[0.5,0],[-0.75,0],[-0.375,0],[-0.1875,0],[-0.09375,0],'
+                '[-0.046875,0]],"powered_sum_lower":0.68477699999999997,'
+                '"powered_sum_upper":0.7547609999999999,"envelope_value":0.74999999999999989,'
+                '"gap":-0.0047610000000000152}\n',
+            ),
+        ],
+    )
+    def test_pinned_stdout(self, capsys, argv, want):
+        code, out, _ = run(capsys, *argv)
+        assert code == 0 and out == want
+
+    @pytest.mark.parametrize(
+        "argv, length, digest",
+        [
+            (
+                ("extremal", "--family", "mobius", "--a", "0.3", "--p", "1.5", "--r", "0.4"),
+                11621,
+                "b5a8d99f60650c6fc34e882f35fe8dde711364b5ecf23b031a7d9bbbf79b6fbe",
+            ),
+            (
+                ("extremal", "--family", "be", "--a", "0.7", "--r", "0.7"),
+                11358,
+                "aed61280e64d1bcf4ecd59b71b105e2b88f296e9ac615bc77336c6f7cd4feb73",
+            ),
+        ],
+    )
+    def test_pinned_extremal_digest(self, capsys, argv, length, digest):
+        # 401 coefficient pairs at the default order
+        code, out, _ = run(capsys, *argv)
+        assert code == 0 and len(out) == length
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+    @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+    def test_non_finite_float_list_refused(self, bad):
+        import numpy as np
+
+        for items in ([0.5, bad], [np.float64(0.5), np.float64(bad)], [[1.0, 2.0], [bad, 0.0]]):
+            with pytest.raises(cli.BohrlabError):
+                cli._json_value(items)
+
+    def test_float_list_bytes(self):
+        import numpy as np
+
+        items = [0.1, np.float64(1) / 3, -0.0, 5e-324, 1e300, 2.0]
+        assert cli._json_value(items) == (
+            "[0.10000000000000001,0.33333333333333331,-0,4.9406564584124654e-324,1.0000000000000001e+300,2]"
+        )
+        assert cli._json_value([1, 0.5, True, "x"]) == '[1,0.5,true,"x"]'
+        assert cli._json_value([]) == "[]"
