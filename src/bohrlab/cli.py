@@ -45,6 +45,10 @@ def _json_value(v) -> str:
         items = sorted(v.items())
         return "{" + ",".join(f"{json.dumps(k)}:{_json_value(x)}" for k, x in items) + "}"
     if isinstance(v, (list, tuple)):
+        # finite floats (np.float64 included) in one pass; anything else,
+        # a non-finite float too, goes item by item
+        if all(isinstance(x, float) and math.isfinite(x) for x in v):
+            return "[" + ",".join(map(_fmt, v)) + "]"
         return "[" + ",".join(_json_value(x) for x in v) + "]"
     raise TypeError(f"cannot serialize {type(v)!r}")
 

@@ -9,6 +9,7 @@ powered Bohr radius.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable, NamedTuple
@@ -21,6 +22,7 @@ ENVELOPE_GRID = 2048
 BRACKET_TOL = 1e-12
 CROSSCHECK_TOL = 1e-9
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
+_BISECT_STEPS = 80
 
 
 @dataclass(frozen=True)
@@ -64,8 +66,11 @@ def exact_branch_threshold(p: float) -> float:
 
 
 def _envelope(a, p: float, r: float, weight: float):
-    a = np.asarray(a, dtype=float)
-    return a**p + weight * r * (1.0 - a * a) ** p / (1.0 - r * a**p)
+    # a^p by numpy's power ufunc and (1-a^2)^p by the operator: libm's pow
+    # at a float, the ufunc on an array.  The two pows can differ in the last
+    # bit, and this is the pairing every envelope value was computed with.
+    ap = np.power(a, p)
+    return ap + weight * r * (1.0 - a * a) ** p / (1.0 - r * ap)
 
 
 def envelope_value(a: float, p: float, r: float) -> float:
@@ -107,22 +112,32 @@ def _parabolic_polish(f: Callable[[float], float], x: float, h: float, lo: float
     return v if lo < v < hi else x
 
 
+@functools.cache
+def _grid(stop: float, n: int, k_lo: int, k_hi: int) -> np.ndarray:
+    # n uniform points on [0, stop] plus the geometric cluster 1 - 10^(-k/2),
+    # k_lo <= k < k_hi, near a = 1, where the radius-defining behaviour lives.
+    # Read-only and built on first use: built at import, np.unique's first
+    # sort raised every importing process's peak RSS by ~0.4 MB.
+    pts = np.unique(np.concatenate([np.linspace(0.0, stop, n), 1.0 - 10.0 ** -(np.arange(k_lo, k_hi) / 2.0)]))
+    pts.flags.writeable = False
+    return pts
+
+
 def _candidate_grid(p: float, r: float) -> np.ndarray:
-    grid = [np.linspace(0.0, 1.0, ENVELOPE_GRID)]
-    # geometric cluster near a = 1, where the radius-defining behaviour lives
-    grid.append(1.0 - 10.0 ** -(np.arange(1, 25) / 2.0))
-    if p < 1.0 and r > 0.0:
-        # for p < 1 the envelope spikes above 1 in a boundary layer of width
-        # eps ~ (r 2^p / (1-r))^(1/(1-p)); seed the layer so the grid cannot
-        # miss a spike narrower than the uniform spacing
-        logt = math.log(r * 2.0**p / (1.0 - r)) / (1.0 - p)
-        for shift in (-2.0, -1.0, 0.0, 1.0):
-            t = math.exp(min(logt + shift, 50.0))
-            eps = t / (1.0 + t)
-            if 0.0 < eps < 1.0:
-                grid.append(np.array([1.0 - eps]))
-    pts = np.unique(np.concatenate(grid))
-    return pts[(pts >= 0.0) & (pts <= 1.0)]
+    grid = _grid(1.0, ENVELOPE_GRID, 1, 25)
+    if not (p < 1.0 and r > 0.0):
+        return grid
+    # for p < 1 the envelope spikes above 1 in a boundary layer of width
+    # eps ~ (r 2^p / (1-r))^(1/(1-p)); seed the layer so the grid cannot
+    # miss a spike narrower than the uniform spacing
+    logt = math.log(r * 2.0**p / (1.0 - r)) / (1.0 - p)
+    seeds = []
+    for shift in (-2.0, -1.0, 0.0, 1.0):
+        t = math.exp(min(logt + shift, 50.0))
+        eps = t / (1.0 + t)
+        if 0.0 < eps < 1.0:
+            seeds.append(1.0 - eps)
+    return np.unique(np.concatenate([grid, seeds]))
 
 
 def maximize_envelope(p: float, r: float, doubled: bool = False) -> EnvelopeResult:
@@ -150,8 +165,8 @@ def maximize_envelope(p: float, r: float, doubled: bool = False) -> EnvelopeResu
     results = [(f(1.0), 1.0, 0.0)]  # right endpoint is exactly 1
     total_iters = 0
     for idx in sorted(refine):
-        lo = grid[idx - 1] if idx > 0 else grid[0]
-        hi = grid[idx + 1] if idx < len(grid) - 1 else grid[-1]
+        lo = float(grid[max(idx - 1, 0)])
+        hi = float(grid[min(idx + 1, len(grid) - 1)])
         mid, iters, width = _golden_max(f, lo, hi)
         total_iters += iters
         polished = _parabolic_polish(f, mid, 1e-5, lo, hi)
@@ -186,8 +201,7 @@ def mp_theorem1(p: float, r: float) -> MpValue:
 
 
 def _rp_quotient(a, p: float):
-    a = np.asarray(a, dtype=float)
-    ap = a**p
+    ap = np.power(a, p)  # the pows of _envelope, for the same reason
     return (1.0 - ap) / (ap * (1.0 - ap) + (1.0 - a * a) ** p)
 
 
@@ -212,25 +226,31 @@ def rp_via_infimum(p: float) -> float:
     p = _check_p(p)
     if p == 2.0:
         return 1.0  # quotient is identically 1
-    cap = 1.0 - 1e-8
-    pts = np.concatenate(
-        [np.linspace(0.0, cap, 4096), 1.0 - 10.0 ** -(np.arange(2, 17) / 2.0)]
-    )
-    pts = np.unique(pts[(pts >= 0.0) & (pts <= cap)])
+    pts = _grid(1.0 - 1e-8, 4096, 2, 17)  # capped at the cluster's last point
     vals = _rp_quotient(pts, p)
     best = int(np.argmin(vals))
     f = lambda a: float(_rp_quotient(a, p))
-    lo = pts[best - 1] if best > 0 else pts[0]
-    hi = pts[best + 1] if best < len(pts) - 1 else pts[-1]
+    lo = float(pts[max(best - 1, 0)])
+    hi = float(pts[min(best + 1, len(pts) - 1)])
     mid, _, _ = _golden_max(lambda a: -f(a), lo, hi)
     found = min(float(vals[best]), f(mid))
     return min(found, _rp_limit_at_one(p))
 
 
-def _bisect_predicate(pred: Callable[[float], bool], lo: float, hi: float, iters: int = 80) -> float:
-    """Bisection on a monotone boolean predicate with pred(lo)=False, pred(hi)=True."""
-    for _ in range(iters):
+def _bisect_predicate(pred: Callable[[float], bool], lo: float, hi: float) -> float:
+    """Bisection on a monotone boolean predicate with pred(lo)=False, pred(hi)=True.
+
+    Stops as soon as the midpoint rounds onto an end, that is once lo and hi
+    are adjacent floats (about 54 steps from [0, 1)), or after 80 steps.  Any
+    further step would return that same midpoint, whatever pred says there.
+    The bracket is always the full one passed in: a predicate evaluated in
+    floats need not be monotone within a few ulps of its crossing, so a
+    narrower start bracket can end on a different float.
+    """
+    for _ in range(_BISECT_STEPS):
         mid = 0.5 * (lo + hi)
+        if mid == lo or mid == hi:
+            return mid
         if pred(mid):
             hi = mid
         else:
@@ -248,6 +268,12 @@ def rp_via_envelope_bisection(p: float) -> float:
     F(a) - 1 = (1-a) (r (1+2a) - 1) / (1 - r a): some a < 1 exceeds iff 3r > 1.
     For p < 1 every positive r exceeds near a = 1 (-eps + r 2^p eps^p > 0 for
     small eps), leaving radius 0.
+
+    The bisection starts from the full bracket [0, 1 - 1e-9] even though the
+    infimum route already knows r_p to a few ulps: the float predicate
+    maximize_envelope(p, r).value > 1 is not monotone within a few ulps of
+    r_p, so a bracket narrowed around that estimate ends elsewhere and moves
+    the residual that powered_radius_rp reports.
     """
     p = _check_p(p)
     if p == 2.0:

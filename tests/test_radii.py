@@ -30,6 +30,9 @@ from bohrlab import (
     rp_via_envelope_bisection,
     rp_via_infimum,
 )
+from bohrlab import radii
+from bohrlab.eilenberg import be_bound, be_harmonic_bound, be_harmonic_radius, be_radius
+from bohrlab.harmonic import harmonic_radius_p1
 
 BOMBIERI_AT_HALF = 6.0 - 2.0 * math.sqrt(6.0)
 ARGMAX_AT_HALF = (1.0 - math.sqrt(0.75) / math.sqrt(2.0)) / 0.5
@@ -102,6 +105,13 @@ class TestMaximizeEnvelope:
                 found = maximize_envelope(p, r).value
                 assert found >= brute - 1e-12
                 assert found <= brute + 1e-9
+
+
+    def test_candidate_grid_is_shared_and_read_only(self):
+        base = radii._candidate_grid(1.5, 0.7)
+        assert base is radii._candidate_grid(0.5, 0.0) and not base.flags.writeable
+        seeded = radii._candidate_grid(0.5, 0.2)  # the boundary-layer seeds join a copy
+        assert np.isin(base, seeded).all() and 0 < seeded.size - base.size <= 4
 
 
 class TestMpTheorem1:
@@ -343,3 +353,146 @@ class TestBombieriBourgainBound:
         for eps, big_c in ((math.nan, 0.0), (0.1, math.inf), (1e308, 1.0), (700.0, 1e200)):
             with pytest.raises(DomainError):
                 bb_lower_bound(1.5, 0.9, eps, big_c)
+
+
+# maximize_envelope (value, argmax, iterations, bracket_width) as float.hex,
+# pinned at the commit before the candidate grids were cached
+PINNED_ENVELOPE = {
+    (1.5, 0.7, False): ("0x1.055f2a8d85cb6p+0", "0x1.81cd351e27d88p-1", 44, "0x1.5eb0000000000p-41"),
+    (1.5, 0.0, False): ("0x1.0000000000000p+0", "0x1.0000000000000p+0", 0, "0x0.0p+0"),
+    (0.5, 0.2, False): ("0x1.0e712f4fbe0f7p+0", "0x1.d1405233e442bp-1", 44, "0x1.5eb0000000000p-41"),
+    (0.5, 0.0, True): ("0x1.0000000000000p+0", "0x1.0000000000000p+0", 0, "0x0.0p+0"),
+    (1.0, 0.5, False): ("0x1.19dc7afdb7b46p+0", "0x1.8cee3d7e821d5p-1", 44, "0x1.5eb0000000000p-41"),
+    (1.0, 0.2, True): ("0x1.0000000000000p+0", "0x1.0000000000000p+0", 3, "0x0.0p+0"),
+    (1.37, 0.41, True): ("0x1.0e3750b9efb2cp+0", "0x1.3a60ecbd6912dp-1", 44, "0x1.5eb0000000000p-41"),
+    (1.9, 0.95, False): ("0x1.04ba050681f78p+0", "0x1.6b087546e3a09p-1", 44, "0x1.5eb0000000000p-41"),
+}
+
+# powered_radius_rp (radius, residual) as float.hex, pinned the same way
+PINNED_RP = {
+    1.0: ("0x1.5555555555555p-2", "0x1.0000000000000p-54"),
+    1.05: ("0x1.894ee5381c448p-2", "0x1.4000000000000p-51"),
+    1.37: ("0x1.31fc819de0db6p-1", "0x1.0000000000000p-52"),
+    1.5: ("0x1.5abdf1539d431p-1", "0x1.0000000000000p-53"),
+    1.95: ("0x1.ee680acc8923ep-1", "0x1.0000000000000p-52"),
+    0.5: ("0x0.0p+0", "0x0.0p+0"),
+}
+
+
+class TestPinnedScalars:
+    @pytest.mark.parametrize("args", sorted(PINNED_ENVELOPE))
+    def test_maximize_envelope_bits(self, args):
+        res = maximize_envelope(*args)
+        got = (res.value.hex(), float(res.argmax).hex(), res.iterations, float(res.bracket_width).hex())
+        assert got == PINNED_ENVELOPE[args]
+
+    @pytest.mark.parametrize("p", sorted(PINNED_RP))
+    def test_powered_radius_bits(self, p):
+        cert = powered_radius_rp(p)
+        assert (cert.radius.hex(), float(cert.residual).hex()) == PINNED_RP[p]
+
+
+def _reference_envelope(a, p, r, weight):
+    # the formula as written before the scalar path dropped its 0-d arrays
+    a = np.asarray(a, dtype=float)
+    return a**p + weight * r * (1.0 - a * a) ** p / (1.0 - r * a**p)
+
+
+def _reference_rp_quotient(a, p):
+    a = np.asarray(a, dtype=float)
+    ap = a**p
+    return (1.0 - ap) / (ap * (1.0 - ap) + (1.0 - a * a) ** p)
+
+
+def _bits(x):
+    return np.asarray(x, dtype=float).view(np.uint64)
+
+
+class TestScalarFormulaBits:
+    """The envelope and the r_p quotient keep every bit of the 0-d-array
+    formulas: a^p through numpy's power ufunc, (1-a^2)^p through libm's pow
+    at a float and through the ufunc on an array.  The two pows differ in
+    the last bit on a few percent of inputs, so a swap would show here."""
+
+    def _draws(self):
+        rng = np.random.default_rng(20261018)
+        n = 12_000
+        a = rng.random(n)
+        a[:4] = (0.0, 1.0, 0.5, 1.0 - 2.0**-53)
+        p = rng.uniform(0.05, 2.0, n)
+        p[4 : 4 + 3 * 400] = np.repeat([0.5, 1.0, 2.0], 400)
+        r = rng.uniform(0.0, 1.0 - 1e-9, n)
+        return a, p, r
+
+    def test_envelope_at_floats(self):
+        a, p, r = self._draws()
+        with np.errstate(all="ignore"):
+            for ai, pi, ri, w in zip(a.tolist(), p.tolist(), r.tolist(), [1.0, 2.0] * len(a)):
+                got = radii._envelope(ai, pi, ri, w)
+                assert _bits(got) == _bits(_reference_envelope(ai, pi, ri, w)), (ai, pi, ri, w)
+
+    def test_rp_quotient_at_floats(self):
+        a, p, _ = self._draws()
+        with np.errstate(all="ignore"):
+            for ai, pi in zip(a.tolist(), p.tolist()):
+                got = radii._rp_quotient(ai, pi)
+                assert _bits(got) == _bits(_reference_rp_quotient(ai, pi)), (ai, pi)
+
+    def test_on_the_grids(self):
+        a, p, r = self._draws()
+        grid = np.concatenate([np.linspace(0.0, 1.0, 2048), a])
+        with np.errstate(all="ignore"):
+            for pi, ri in zip(p[:60].tolist() + [0.5, 1.0, 2.0], r[:63].tolist()):
+                for w in (1.0, 2.0):
+                    got = radii._envelope(grid, pi, ri, w)
+                    assert np.array_equal(_bits(got), _bits(_reference_envelope(grid, pi, ri, w)))
+                got = radii._rp_quotient(grid, pi)
+                assert np.array_equal(_bits(got), _bits(_reference_rp_quotient(grid, pi)))
+
+
+def _reference_bisection(pred, lo, hi):
+    # the fixed 80-step loop the early stop must reproduce exactly
+    for _ in range(80):
+        mid = 0.5 * (lo + hi)
+        if pred(mid):
+            hi = mid
+        else:
+            lo = mid
+    return 0.5 * (lo + hi)
+
+
+class TestBisectPredicate:
+    @pytest.mark.parametrize("root", [0.25, 1.0 / 3.0, 0.5, 0.67723039766008786, 0.9, 0.999])
+    def test_stops_when_the_bracket_closes(self, root):
+        calls = []
+
+        def pred(r):
+            calls.append(r)
+            return r > root
+
+        got = radii._bisect_predicate(pred, 0.0, 1.0 - 1e-9)
+        assert len(calls) <= 55
+        assert got == _reference_bisection(lambda r: r > root, 0.0, 1.0 - 1e-9)
+
+    def test_step_cap_still_binds(self):
+        # a root at 1e-300 needs ~1000 halvings: both loops stop at 80
+        calls = []
+        got = radii._bisect_predicate(lambda r: calls.append(r) or r > 1e-300, 0.0, 1.0)
+        assert len(calls) == 80
+        assert got == _reference_bisection(lambda r: r > 1e-300, 0.0, 1.0)
+
+    def test_radii_equal_the_80_step_loop(self):
+        top = 1.0 - 1e-9
+        assert rp_via_envelope_bisection(1.0) == _reference_bisection(lambda r: 3.0 * r - 1.0 > 0.0, 0.0, top)
+        assert powered_radius_rp(1.0).residual == abs(
+            rp_via_infimum(1.0) - _reference_bisection(lambda r: 3.0 * r - 1.0 > 0.0, 0.0, top)
+        )
+        assert rp_via_envelope_bisection(1.5) == _reference_bisection(
+            lambda r: maximize_envelope(1.5, r).value > 1.0, 0.0, top
+        )
+        assert be_radius().radius == _reference_bisection(lambda r: be_bound(r) > 1.0, 0.0, 0.999)
+        for p in (1.0, 2.0, 3.0):
+            want = _reference_bisection(lambda r: be_harmonic_bound(p, r) > 1.0, 0.0, 0.999)
+            assert be_harmonic_radius(p).radius == want
+        want = _reference_bisection(lambda r: 5.0 * r - 1.0 > 0.0, 0.0, 0.9)
+        assert harmonic_radius_p1().radius == want
