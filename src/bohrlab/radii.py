@@ -243,9 +243,9 @@ def _bisect_predicate(pred: Callable[[float], bool], lo: float, hi: float) -> fl
     Stops as soon as the midpoint rounds onto an end, that is once lo and hi
     are adjacent floats (about 54 steps from [0, 1)), or after 80 steps.  Any
     further step would return that same midpoint, whatever pred says there.
-    The bracket is always the full one passed in: a predicate evaluated in
-    floats need not be monotone within a few ulps of its crossing, so a
-    narrower start bracket can end on a different float.
+    Callers pass their full bracket, not one narrowed around an estimate: a
+    predicate evaluated in floats need not be monotone within a few ulps of
+    its crossing, so a narrower start can end on a different float.
     """
     for _ in range(_BISECT_STEPS):
         mid = 0.5 * (lo + hi)
