@@ -222,6 +222,20 @@ class TestExtremalCommand:
         ("extremal", "--family", "be", "--a", "0.5", "--r", "0.5", "--p", "nan"),
         # the CSV header must not precede the error
         ("envelope", "--p", "nan", "--r-start", "0.1", "--r-end", "0.2", "--steps", "2"),
+        # one more per radius kind with an option, claim and extremal family;
+        # argparse reads "-inf" as an option unless it is joined with "="
+        ("radius", "--kind", "rp", "--p", "nan"),
+        ("radius", "--kind", "mp_lower", "--p=-inf"),
+        ("radius", "--kind", "psymmetric", "--p", "inf", "--m", "1"),
+        ("radius", "--kind", "be_harmonic", "--p=-inf"),
+        ("verify", "theorem1", "--p", "1", "--r", "nan", "--seed", "1", "--trials", "3"),
+        ("verify", "lemma21", "--R", "inf", "--seed", "1", "--trials", "3"),
+        ("verify", "theorem2", "--p", "1", "--r=-inf", "--seed", "1", "--trials", "3"),
+        ("verify", "be", "--p", "1", "--r", "nan", "--seed", "1", "--trials", "3"),
+        ("verify", "theoremB", "--p", "nan", "--seed", "1"),
+        ("extremal", "--family", "mobius", "--a", "nan", "--r", "0.5"),
+        ("extremal", "--family", "psymmetric", "--p", "2", "--m", "1", "--a", "0.5", "--r", "inf"),
+        ("extremal", "--family", "be", "--a=-inf", "--r", "0.5"),
     ],
 )
 def test_non_finite_input_exits_2(capsys, argv):
@@ -316,11 +330,87 @@ class TestByteStability:
                 '"powered_sum_upper":0.7547609999999999,"envelope_value":0.74999999999999989,'
                 '"gap":-0.0047610000000000152}\n',
             ),
+            # pinned at the commit before the parameter rules moved into
+            # bohrlab.errors and the radius and verify commands into tables
+            (
+                ("radius", "--kind", "mp_lower", "--p", "1.3"),
+                '{"kind":"mp_lower","params":{"p":1.3},"radius":0.48035849210218168,'
+                '"method":"closed_form","residual":0}\n',
+            ),
+            (
+                ("radius", "--kind", "psymmetric", "--p", "3", "--m", "1"),
+                '{"kind":"psymmetric","params":{"m":1,"p":3},"radius":0.83378300630386071,'
+                '"method":"polynomial_roots","residual":0}\n',
+            ),
+            (
+                ("radius", "--kind", "harmonic_p1"),
+                '{"kind":"harmonic_p1","params":{},"radius":0.20000000000000001,'
+                '"method":"bisection","residual":0}\n',
+            ),
+            (
+                ("radius", "--kind", "be"),
+                '{"kind":"be","params":{},"radius":0.70710678118654746,'
+                '"method":"bisection","residual":1.1102230246251565e-16}\n',
+            ),
+            (
+                ("radius", "--kind", "be_harmonic", "--p", "1.5"),
+                '{"kind":"be_harmonic","params":{"p":1.5},"radius":0.53301374599221174,'
+                '"method":"bisection","residual":1.1102230246251565e-16}\n',
+            ),
+            (
+                ("verify", "theorem1", "--p", "1", "--r", "0.5", "--trials", "20", "--seed", "3"),
+                '{"claim_id":"theorem1","trials":20,"failures":0,"worst_margin":0,"seed":3,'
+                '"params":{"depth":12,"order":64,"p":1,"r":0.5,"witness_min_slack":0,'
+                '"worst_trial":18}}\n',
+            ),
+            (
+                ("verify", "lemma21", "--R", "0.5", "--trials", "20", "--seed", "3"),
+                '{"claim_id":"lemma21","trials":20,"failures":0,"worst_margin":0,"seed":3,'
+                '"params":{"R":0.5,"depth":12,"order":64,'
+                '"witness_max_abs_slack":5.5511151231257827e-17,"worst_trial":8}}\n',
+            ),
+            (
+                ("verify", "theorem2", "--p", "1", "--r", "0.5", "--trials", "20", "--seed", "3"),
+                '{"claim_id":"theorem2","trials":20,"failures":0,"worst_margin":0,"seed":3,'
+                '"params":{"depth":12,"order":64,"p":1,"r":0.5,"witness_min_slack":0,'
+                '"worst_trial":7}}\n',
+            ),
+            (
+                ("verify", "be", "--p", "1.5", "--r", "0.6", "--trials", "20", "--seed", "3"),
+                '{"claim_id":"be_analytic","trials":20,"failures":0,'
+                '"worst_margin":0.013092599131784843,"seed":3,"params":{"depth":12,'
+                '"max_sum":0.69459546486239521,"order":64,"r":0.59999999999999998,'
+                '"witness_min_slack":0.013092599131784843,"worst_trial":4}}\n'
+                '{"claim_id":"be_harmonic","trials":20,"failures":0,'
+                '"worst_margin":0.020783205634793411,"seed":3,"params":{"depth":12,'
+                '"order":64,"p":1.5,"r":0.59999999999999998,'
+                '"witness_min_slack":0.020783205634793411,"worst_trial":13}}\n',
+            ),
+            (
+                ("verify", "theoremB", "--p", "1.5", "--seed", "3"),
+                '{"claim_id":"theoremB","trials":4,"failures":0,'
+                '"worst_margin":0.60737201803740581,"seed":3,"params":{"p":1.5,'
+                '"ratio_0.5":0.8408964152537145,"ratio_0.9":0.73433115823047901,'
+                '"ratio_0.99":0.70976560532028166,"ratio_0.999":0.70737201803740579}}\n',
+            ),
         ],
     )
     def test_pinned_stdout(self, capsys, argv, want):
         code, out, _ = run(capsys, *argv)
         assert code == 0 and out == want
+
+    def test_pinned_failing_run(self, capsys):
+        # sampled pairs exceed the doubled-envelope bound in the upper part of
+        # the nominal p = 1 range: exit code 1, and the worst trial's seed for replay
+        code, out, _ = run(
+            capsys, "verify", "theorem2", "--p", "1", "--r", "0.81", "--trials", "50", "--seed", "2"
+        )
+        assert code == 1 and out == (
+            '{"claim_id":"theorem2","trials":50,"failures":2,'
+            '"worst_margin":-0.015275763268056686,"seed":2,"params":{"depth":12,"order":121,'
+            '"p":1,"r":0.81000000000000005,"witness_min_slack":-7.2019279429014205e-11,'
+            '"worst_trial":19,"worst_trial_seed":13564971763896621638}}\n'
+        )
 
     @pytest.mark.parametrize(
         "argv, length, digest",
