@@ -26,7 +26,6 @@ from .series import (
 from .majorant import (
     CertifiedSum,
     Check,
-    geometric_tail,
     harmonic_powered_sum,
     powered_sum,
     quadratic_sum_check,

@@ -9,6 +9,7 @@ byte-stable for identical inputs and seeds.  Exit codes: 0 success,
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import sys
@@ -57,51 +58,27 @@ def _emit_json(pairs: list[tuple[str, object]]) -> None:
     print("{" + ",".join(f"{json.dumps(k)}:{_json_value(v)}" for k, v in pairs) + "}")
 
 
-def _report_pairs(report: montecarlo.VerificationReport) -> list[tuple[str, object]]:
-    return [
-        ("claim_id", report.claim_id),
-        ("trials", report.trials),
-        ("failures", report.failures),
-        ("worst_margin", report.worst_margin),
-        ("seed", report.seed),
-        ("params", report.params),
-    ]
+def _report_pairs(result) -> list[tuple[str, object]]:
+    """The fields of a result dataclass, in declaration order."""
+    return [(f.name, getattr(result, f.name)) for f in dataclasses.fields(result)]
+
+
+# kind -> (options it needs, in the order they are required; the call)
+_RADII = {
+    "rp": (("p",), lambda a: radii.powered_radius_rp(a.p)),
+    "mp_lower": (("p",), lambda a: radii.RadiusCertificate(radii.lower_bound_mp(a.p), "closed_form", 0.0)),
+    "psymmetric": (("p", "m"), lambda a: radii.psymmetric_radius(a.p, a.m)),
+    "harmonic_p1": ((), lambda a: harmonic.harmonic_radius_p1()),
+    "be": ((), lambda a: eilenberg.be_radius()),
+    "be_harmonic": (("p",), lambda a: eilenberg.be_harmonic_radius(a.p)),
+}
 
 
 def _cmd_radius(args) -> int:
-    kind = args.kind
-    params: dict[str, float] = {}
-    if kind == "rp":
-        _require(args, "p")
-        params["p"] = args.p
-        cert = radii.powered_radius_rp(args.p)
-    elif kind == "mp_lower":
-        _require(args, "p")
-        params["p"] = args.p
-        value = radii.lower_bound_mp(args.p)
-        cert = radii.RadiusCertificate(radius=value, method="closed_form", residual=0.0)
-    elif kind == "psymmetric":
-        _require(args, "p")
-        _require(args, "m")
-        params["p"], params["m"] = args.p, args.m
-        cert = radii.psymmetric_radius(args.p, args.m)
-    elif kind == "harmonic_p1":
-        cert = harmonic.harmonic_radius_p1()
-    elif kind == "be":
-        cert = eilenberg.be_radius()
-    else:  # be_harmonic
-        _require(args, "p")
-        params["p"] = args.p
-        cert = eilenberg.be_harmonic_radius(args.p)
-    _emit_json(
-        [
-            ("kind", kind),
-            ("params", params),
-            ("radius", cert.radius),
-            ("method", cert.method),
-            ("residual", cert.residual),
-        ]
-    )
+    needs, call = _RADII[args.kind]
+    _require(args, *needs)
+    params = {name: getattr(args, name) for name in needs}
+    _emit_json([("kind", args.kind), ("params", params), *_report_pairs(call(args))])
     return 0
 
 
@@ -122,27 +99,21 @@ def _cmd_envelope(args) -> int:
     return 0
 
 
+# claim -> (options it needs, in the order they are required; the call, given
+# the parsed options and the Monte-Carlo keywords)
+_CLAIMS = {
+    "theorem1": (("p", "r"), lambda a, mc: [montecarlo.verify_theorem1(a.p, a.r, a.trials, **mc)]),
+    "lemma21": (("R",), lambda a, mc: [montecarlo.verify_lemma_quadratic(a.trials, a.R, **mc)]),
+    "theorem2": (("p", "r"), lambda a, mc: [montecarlo.verify_theorem2(a.p, a.r, a.trials, **mc)]),
+    "be": (("p", "r"), lambda a, mc: list(montecarlo.verify_be(a.r, a.p, a.trials, **mc))),
+    "theoremB": (("p",), lambda a, mc: [montecarlo.verify_theoremB_ratio(a.p, seed=a.seed)]),
+}
+
+
 def _cmd_verify(args) -> int:
-    claim = args.claim
-    common = dict(seed=args.seed, depth=args.depth, order=args.order)
-    if claim == "theorem1":
-        _require(args, "p")
-        _require(args, "r")
-        reports = [montecarlo.verify_theorem1(args.p, args.r, args.trials, **common)]
-    elif claim == "lemma21":
-        _require(args, "R")
-        reports = [montecarlo.verify_lemma_quadratic(args.trials, args.R, **common)]
-    elif claim == "theorem2":
-        _require(args, "p")
-        _require(args, "r")
-        reports = [montecarlo.verify_theorem2(args.p, args.r, args.trials, **common)]
-    elif claim == "be":
-        _require(args, "p")
-        _require(args, "r")
-        reports = list(montecarlo.verify_be(args.r, args.p, args.trials, **common))
-    else:  # theoremB
-        _require(args, "p")
-        reports = [montecarlo.verify_theoremB_ratio(args.p, seed=args.seed)]
+    needs, call = _CLAIMS[args.claim]
+    _require(args, *needs)
+    reports = call(args, dict(seed=args.seed, depth=args.depth, order=args.order))
     for report in reports:
         _emit_json(_report_pairs(report))
     return 1 if any(r.failures for r in reports) else 0
@@ -156,8 +127,7 @@ def _extremal_series(args) -> tuple[CoefficientSeries, float, float]:
         series = mobius_automorphism_coeffs(args.a, n)
         return series, radii.envelope_value(args.a, args.p, args.r), args.p
     if args.family == "psymmetric":
-        for name in ("a", "m"):
-            _require(args, name)
+        _require(args, "a", "m")
         series = psymmetric_extremal_coeffs(args.p, args.m, args.a, n)
         # the family's majorant sum telescopes to r^m F(a; 1, r^p)
         ref = args.r ** int(args.m) * radii.envelope_value(args.a, 1.0, args.r ** int(args.p))
@@ -232,9 +202,10 @@ def _cmd_table(args) -> int:
     return 0
 
 
-def _require(args, name: str) -> None:
-    if getattr(args, name, None) is None:
-        raise BohrlabError(f"--{name.replace('_', '-')} is required for this invocation")
+def _require(args, *names: str) -> None:
+    for name in names:
+        if getattr(args, name, None) is None:
+            raise BohrlabError(f"--{name.replace('_', '-')} is required for this invocation")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -245,11 +216,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_radius = sub.add_parser("radius", help="compute one of the named radii")
-    p_radius.add_argument(
-        "--kind",
-        required=True,
-        choices=["rp", "mp_lower", "psymmetric", "harmonic_p1", "be", "be_harmonic"],
-    )
+    p_radius.add_argument("--kind", required=True, choices=list(_RADII))
     p_radius.add_argument("--p", type=float)
     p_radius.add_argument("--m", type=float)
     p_radius.set_defaults(func=_cmd_radius)
@@ -263,9 +230,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_env.set_defaults(func=_cmd_envelope)
 
     p_verify = sub.add_parser("verify", help="run one seeded verification claim")
-    p_verify.add_argument(
-        "claim", choices=["theorem1", "lemma21", "theorem2", "be", "theoremB"]
-    )
+    p_verify.add_argument("claim", choices=list(_CLAIMS))
     p_verify.add_argument("--p", type=float)
     p_verify.add_argument("--r", type=float)
     p_verify.add_argument("--R", type=float)

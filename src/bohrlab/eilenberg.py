@@ -11,8 +11,8 @@ import math
 
 import numpy as np
 
-from .errors import ConvergenceFailure, DomainError, NonVanishingConstantTerm
-from .radii import RadiusCertificate, _bisect_predicate, _check_r
+from .errors import ConvergenceFailure, NonVanishingConstantTerm, _check_p_from_one, _check_r
+from .radii import RadiusCertificate, _bisect_predicate
 from .majorant import CertifiedSum, Check, _row_dots
 from .series import CoefficientSeries, HarmonicPair, evaluate_polynomial
 
@@ -63,9 +63,7 @@ def be_coefficient_check(c: CoefficientSeries) -> Check:
 
 def be_harmonic_bound(p: float, r: float) -> float:
     """l^p-combination bound max(2^(1/p - 1/2), 1) sqrt(2) r / sqrt(1 - r^2)."""
-    p, r = float(p), _check_r(r)
-    if not 1.0 <= p < math.inf:
-        raise DomainError(f"exponent p must be finite and >= 1, got {p}")
+    r, p = _check_r(r), _check_p_from_one(p)
     factor = max(2.0 ** (1.0 / p - 0.5), 1.0)
     return factor * math.sqrt(2.0) * r / math.sqrt(1.0 - r * r)
 
@@ -76,9 +74,7 @@ def be_harmonic_radius(p: float) -> RadiusCertificate:
     Bisection cross-checked against the closed form
     1 / sqrt(1 + 2 max(2^(2/p - 1), 1)); the two must agree to 1e-12.
     """
-    p = float(p)
-    if not 1.0 <= p < math.inf:
-        raise DomainError(f"exponent p must be finite and >= 1, got {p}")
+    p = _check_p_from_one(p)
     radius = _bisect_predicate(lambda r: be_harmonic_bound(p, r) > 1.0, 0.0, 0.999)
     closed = 1.0 / math.sqrt(1.0 + 2.0 * max(2.0 ** (2.0 / p - 1.0), 1.0))
     if abs(radius - closed) > 1e-12:
@@ -98,9 +94,7 @@ def be_lp_combination_sum(pair: HarmonicPair, p: float, r: float) -> CertifiedSu
     root).  Per term (|a_k|^p + |b_k|^p)^(1/p) <= 2^(1/p), giving the tail
     2^(1/p) r^(N+1)/(1-r).
     """
-    p, r = float(p), _check_r(r)
-    if not 1.0 <= p < math.inf:
-        raise DomainError(f"exponent p must be finite and >= 1, got {p}")
+    r, p = _check_r(r), _check_p_from_one(p)
     if abs(pair.analytic.coeffs[0]) != 0.0:
         raise NonVanishingConstantTerm("the class requires a_0 = 0")
     n = min(pair.analytic.order, pair.coanalytic.order)

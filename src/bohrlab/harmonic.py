@@ -19,16 +19,9 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import _check_a, _check_p, _check_positive_p, _check_r, _check_window
 from .majorant import Check
-from .radii import (
-    RadiusCertificate,
-    _bisect_predicate,
-    _check_p,
-    _check_r,
-    _envelope,
-    maximize_envelope,
-)
+from .radii import RadiusCertificate, _bisect_predicate, _envelope, maximize_envelope
 from .series import HarmonicPair
 
 DOMINATION_TOL = 1e-10
@@ -41,17 +34,13 @@ class HarmonicBound(NamedTuple):
 
 def harmonic_envelope_value(a: float, p: float, r: float) -> float:
     """Doubled envelope a^p + 2 r (1-a^2)^p / (1 - r a^p)."""
-    r, a = _check_r(r), float(a)
-    if not 0.0 <= a <= 1.0:
-        raise DomainError(f"argument a must lie in [0, 1], got {a}")
+    r, a = _check_r(r), _check_a(a, allow_one=True)
     return float(_envelope(a, _check_p(p), r, 2.0))
 
 
 def harmonic_threshold(p: float) -> float:
     """Validity radius (2^(1/(p-2)) + 1)^(p/2-1) of the doubled-envelope bound."""
-    p = float(p)
-    if not 0.0 < p < 2.0:
-        raise DomainError(f"exponent p must lie in (0, 2), got {p}")
+    p = _check_p(p, allow_two=False)
     return (2.0 ** (1.0 / (p - 2.0)) + 1.0) ** (p / 2.0 - 1.0)
 
 
@@ -62,9 +51,7 @@ def harmonic_bound(p: float, r: float) -> HarmonicBound:
     the threshold (at p = 2 the threshold degenerates to 1, so always valid).
     p > 2: max(1, 2r), valid for all r.
     """
-    p, r = float(p), _check_r(r)
-    if not 0.0 < p < math.inf:
-        raise DomainError(f"exponent p must be positive and finite, got {p}")
+    r, p = _check_r(r), _check_positive_p(p)
     if p > 2.0:
         return HarmonicBound(max(1.0, 2.0 * r), True)
     value = maximize_envelope(p, r, doubled=True).value
@@ -72,25 +59,19 @@ def harmonic_bound(p: float, r: float) -> HarmonicBound:
     return HarmonicBound(value, valid)
 
 
-_P1_LO = 0.2
-_P1_HI = math.sqrt(2.0 / 3.0)
+# the window of the doubled p = 1 closed forms: its ends and their printed names
+_P1 = (0.2, math.sqrt(2.0 / 3.0), "1/5, sqrt(2/3)")
 
 
 def harmonic_closed_form_p1(r: float) -> float:
     """Closed form (5 - 2 sqrt(6) sqrt(1-r^2)) / r on [1/5, sqrt(2/3)]."""
-    r = float(r)
-    if not _P1_LO - 1e-12 <= r <= _P1_HI + 1e-12:
-        raise DomainError(f"r must lie in [1/5, sqrt(2/3)], got {r}")
-    r = min(max(r, _P1_LO), _P1_HI)
+    r = _check_window(r, *_P1)
     return (5.0 - 2.0 * math.sqrt(6.0) * math.sqrt(1.0 - r * r)) / r
 
 
 def doubled_argmax_p1(r: float) -> float:
     """Maximizing a of the doubled p = 1 envelope: (3 - sqrt(6) sqrt(1-r^2)) / (3r)."""
-    r = float(r)
-    if not _P1_LO - 1e-12 <= r <= _P1_HI + 1e-12:
-        raise DomainError(f"r must lie in [1/5, sqrt(2/3)], got {r}")
-    r = min(max(r, _P1_LO), _P1_HI)
+    r = _check_window(r, *_P1)
     return (3.0 - math.sqrt(6.0) * math.sqrt(1.0 - r * r)) / (3.0 * r)
 
 

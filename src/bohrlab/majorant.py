@@ -6,13 +6,12 @@ checks downstream always compare the conservative side.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, _check_big_r, _check_positive_p, _check_r
 from .series import CoefficientSeries, HarmonicPair
 
 QUADRATIC_CHECK_TOL = 1e-10
@@ -31,10 +30,6 @@ class CertifiedSum:
     def upper(self) -> float:
         return self.lower + self.tail_bound
 
-    @property
-    def truncated_value(self) -> float:
-        return self.lower
-
 
 class Check(NamedTuple):
     """Outcome of an inequality check lhs <= rhs (up to the check's tolerance).
@@ -48,36 +43,9 @@ class Check(NamedTuple):
     ok: bool
 
 
-def _check_pr(p: float, r: float) -> tuple[float, float]:
-    p, r = float(p), float(r)
-    if not 0.0 < p < math.inf:
-        raise DomainError(f"exponent p must be positive and finite, got {p}")
-    if not 0.0 <= r < 1.0:
-        raise DomainError(f"radius r must lie in [0, 1), got {r}")
-    return p, r
-
-
-def _check_big_r(big_r: float) -> float:
-    big_r = float(big_r)
-    if not 0.0 < big_r <= 1.0:
-        raise DomainError(f"R must lie in (0, 1], got {big_r}")
-    return big_r
-
-
-def geometric_tail(c: CoefficientSeries, p: float, r: float) -> float:
-    """Tail bound for sum_{k > N} |a_k|^p r^k.
-
-    Certified series obey |a_k| <= 1 - |a_0|^2 for k >= 1, giving
-    (1 - head_bound^2)^p r^(N+1)/(1-r); otherwise the generic |a_k| <= 1
-    envelope r^(N+1)/(1-r) is used.
-    """
-    p, r = _check_pr(p, r)
-    return float(_geometric_tails(c.coeffs[None], p, r, c.certified)[0])
-
-
 def powered_sum(c: CoefficientSeries, p: float, r: float) -> CertifiedSum:
     """Certified enclosure of sum_{k>=0} |a_k|^p r^k."""
-    p, r = _check_pr(p, r)
+    p, r = _check_positive_p(p), _check_r(r)
     lower, tail = _powered_rows(c.coeffs[None], p, r, c.certified)
     return CertifiedSum(float(lower[0]), float(tail[0]), c.order)
 
@@ -89,7 +57,7 @@ def harmonic_powered_sum(h: HarmonicPair, p: float, r: float) -> CertifiedSum:
     domination transfers sum|b_k|^2 <= sum|a_k|^2 <= 1, so |b_k| <= 1 just like
     |a_k|, and the combined tail is 2 r^(N+1)/(1-r).
     """
-    p, r = _check_pr(p, r)
+    p, r = _check_positive_p(p), _check_r(r)
     n = min(h.analytic.order, h.coanalytic.order)
     a, b = h.analytic.coeffs[None, : n + 1], h.coanalytic.coeffs[None, : n + 1]
     lower, tail = _harmonic_rows(a, b, p, r)
@@ -128,7 +96,12 @@ def _heads(c: np.ndarray) -> list:
 
 
 def _geometric_tails(c: np.ndarray, p: float, r: float, certified: bool = True) -> np.ndarray:
-    """geometric_tail of each row."""
+    """Tail bound for sum_{k > N} |a_k|^p r^k of each row.
+
+    Certified series obey |a_k| <= 1 - |a_0|^2 for k >= 1, giving
+    (1 - head_bound^2)^p r^(N+1)/(1-r); otherwise the generic |a_k| <= 1
+    envelope r^(N+1)/(1-r) is used.
+    """
     geo = r ** c.shape[1] / (1.0 - r)
     if not certified:
         return np.full(len(c), geo)

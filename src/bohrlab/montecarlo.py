@@ -16,11 +16,19 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import (
+    DomainError,
+    _check_big_r,
+    _check_count,
+    _check_p,
+    _check_p_from_one,
+    _check_positive_p,
+    _check_r,
+)
 from .eilenberg import _lp_combination_rows, be_bound, be_harmonic_bound
 from .harmonic import harmonic_bound, harmonic_threshold
-from .majorant import _check_big_r, _harmonic_rows, _powered_rows, _quadratic_rows
-from .radii import _check_r, maximize_envelope, mp_theorem1
+from .majorant import _harmonic_rows, _powered_rows, _quadratic_rows
+from .radii import maximize_envelope, mp_theorem1
 from .series import (
     SchurFunction,
     _coanalytic_rows,
@@ -76,9 +84,7 @@ def sample_schur(seed: int, depth: int) -> SchurFunction:
     The verifiers draw trial i from trial_seed(seed, i) and reproduce these
     streams a block of trials at a time, bit for bit.
     """
-    depth = int(depth)
-    if depth < 0:
-        raise DomainError("depth must be non-negative")
+    depth = _check_count(depth, "depth")
     rng = np.random.default_rng(int(seed) & _MASK64)
     return SchurFunction(_disk_params(rng.random(2 * (depth + 1))))
 
@@ -212,9 +218,7 @@ def _order_and_depth(
     enclosure adds: 2 for the harmonic sum (both parts), 2^(1/p) for the
     l^p combination.
     """
-    order, depth = int(order), int(depth)
-    if order < 0 or depth < 0:
-        raise DomainError(f"order and depth must be non-negative, got {order} and {depth}")
+    order, depth = _check_count(order, "order"), _check_count(depth, "depth")
     if not 0.0 < r < 1.0:
         return order, depth
     need = math.log(0.1 * SLACK_TOL * (1.0 - r) / tail_factor) / math.log(r)
@@ -259,9 +263,7 @@ def _collect_slacks(
     _SAMPLE_TRIALS trials at once; each block's arrays are synthesized in one
     call each, and slack maps the coefficient blocks to the block's slacks.
     """
-    trials = int(trials)
-    if trials < 0:
-        raise DomainError(f"trial count must be non-negative, got {trials}")
+    trials = _check_count(trials, "trials")
     per_block = max(1, _BLOCK_COEFFS // (len(streams) * (order + 1)))
     per_draw = per_block * -(-_SAMPLE_TRIALS // per_block)  # whole blocks
     slacks = np.empty(trials)
@@ -315,8 +317,9 @@ def verify_theorem1(
     p: float,
     r: float,
     trials: int,
-    order: int = DEFAULT_ORDER,
+    *,
     seed: int = 0,
+    order: int = DEFAULT_ORDER,
     depth: int = DEFAULT_DEPTH,
 ) -> VerificationReport:
     """Dominance of the powered majorant bound over random unit-ball samples.
@@ -325,9 +328,7 @@ def verify_theorem1(
     trials (at the envelope argmax and a spread of parameters), since random
     sampling alone need not probe the near-extremal region.
     """
-    p, r = float(p), _check_r(r)
-    if not 0.0 < p <= 2.0:
-        raise DomainError(f"exponent p must lie in (0, 2], got {p}")
+    r, p = _check_r(r), _check_p(p)
     order, depth = _order_and_depth(order, depth, r)
     slack = _dominance(mp_theorem1(p, r).value, lambda c: _powered_rows(c, p, r))
     sample = lambda seeds: _sample_rows(seeds, depth)
@@ -341,6 +342,7 @@ def verify_theorem1(
 def verify_lemma_quadratic(
     trials: int,
     big_r: float,
+    *,
     seed: int = 0,
     order: int = DEFAULT_ORDER,
     depth: int = DEFAULT_DEPTH,
@@ -370,14 +372,13 @@ def verify_theorem2(
     p: float,
     r: float,
     trials: int,
+    *,
     seed: int = 0,
     order: int = DEFAULT_ORDER,
     depth: int = DEFAULT_DEPTH,
 ) -> VerificationReport:
     """Dominance of the harmonic bound over random dominated-dilatation pairs."""
-    p, r = float(p), _check_r(r)
-    if p <= 0.0:
-        raise DomainError(f"exponent p must be positive, got {p}")
+    r, p = _check_r(r), _check_positive_p(p)
     if p < 2.0 and r > harmonic_threshold(p):
         raise DomainError(
             f"r={r} exceeds the validity threshold {harmonic_threshold(p)} for p={p}"
@@ -403,6 +404,7 @@ def verify_be(
     r: float,
     p: float,
     trials: int,
+    *,
     seed: int = 0,
     order: int = DEFAULT_ORDER,
     depth: int = DEFAULT_DEPTH,
@@ -413,8 +415,7 @@ def verify_be(
     majorant bound (p = 1 sum) and the l^p-combination bound must dominate.
     Returns one report per claim.
     """
-    r = _check_r(r)
-    p = float(p)
+    r, p = _check_r(r), _check_p_from_one(p)
     bound_a, bound_h = be_bound(r), be_harmonic_bound(p, r)
     # the halves share one order, sized for the larger tail
     order, depth = _order_and_depth(order, depth, r, tail_factor=max(1.0, 2.0 ** (1.0 / p)))
@@ -449,11 +450,9 @@ _RATIO_GRID = (0.5, 0.9, 0.99, 0.999)
 _RATIO_BOUNDS = (0.1, 10.0)
 
 
-def verify_theoremB_ratio(p: float, seed: int = 0) -> VerificationReport:
+def verify_theoremB_ratio(p: float, *, seed: int = 0) -> VerificationReport:
     """Two-sided comparability: M_p(r) (1-r)^(1-p/2) stays inside [0.1, 10]."""
-    p = float(p)
-    if not 0.0 < p < 2.0:
-        raise DomainError(f"exponent p must lie in (0, 2), got {p}")
+    p = _check_p(p, allow_two=False)
     lo, hi = _RATIO_BOUNDS
     ratios = {}
     margins = []

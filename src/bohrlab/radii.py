@@ -16,7 +16,16 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .errors import ConvergenceFailure, DomainError, NoRootFound
+from .errors import (
+    ConvergenceFailure,
+    DomainError,
+    NoRootFound,
+    _check_a,
+    _check_p,
+    _check_pm,
+    _check_r,
+    _check_window,
+)
 
 ENVELOPE_GRID = 2048
 BRACKET_TOL = 1e-12
@@ -44,22 +53,6 @@ class RadiusCertificate:
     residual: float
 
 
-def _check_p(p: float, *, allow_two: bool = True) -> float:
-    p = float(p)
-    hi_ok = p <= 2.0 if allow_two else p < 2.0
-    if not (p > 0.0 and hi_ok):
-        rng = "(0, 2]" if allow_two else "(0, 2)"
-        raise DomainError(f"exponent p must lie in {rng}, got {p}")
-    return p
-
-
-def _check_r(r: float) -> float:
-    r = float(r)
-    if not 0.0 <= r < 1.0:
-        raise DomainError(f"radius r must lie in [0, 1), got {r}")
-    return r
-
-
 def exact_branch_threshold(p: float) -> float:
     """Radius 2^(p/2 - 1) separating the exact branch from the strict bound."""
     return 2.0 ** (_check_p(p) / 2.0 - 1.0)
@@ -75,10 +68,7 @@ def _envelope(a, p: float, r: float, weight: float):
 
 def envelope_value(a: float, p: float, r: float) -> float:
     """F(a; p, r) = a^p + r (1-a^2)^p / (1 - r a^p); exactly 1 at a = 1."""
-    a = float(a)
-    if not 0.0 <= a <= 1.0:
-        raise DomainError(f"argument a must lie in [0, 1], got {a}")
-    return float(_envelope(a, _check_p(p), _check_r(r), 1.0))
+    return float(_envelope(_check_a(a, allow_one=True), _check_p(p), _check_r(r), 1.0))
 
 
 def _golden_max(f: Callable[[float], float], lo: float, hi: float) -> tuple[float, int, float]:
@@ -317,26 +307,19 @@ def lower_bound_mp(p: float) -> float:
     return p / (2.0 * (1.0 + (p / 2.0) ** e) ** (2.0 - p))
 
 
-_BOMBIERI_LO = 1.0 / 3.0
-_BOMBIERI_HI = 1.0 / math.sqrt(2.0)
-
-
-def _check_bombieri_range(r: float) -> float:
-    r = float(r)
-    if not _BOMBIERI_LO - 1e-12 <= r <= _BOMBIERI_HI + 1e-12:
-        raise DomainError(f"r must lie in [1/3, 1/sqrt(2)], got {r}")
-    return min(max(r, _BOMBIERI_LO), _BOMBIERI_HI)
+# the window of the p = 1 closed forms: its ends and their printed names
+_BOMBIERI = (1.0 / 3.0, 1.0 / math.sqrt(2.0), "1/3, 1/sqrt(2)")
 
 
 def bombieri_closed_form(r: float) -> float:
     """Exact majorant supremum (3 - sqrt(8 (1-r^2)))/r on [1/3, 1/sqrt(2)]."""
-    r = _check_bombieri_range(r)
+    r = _check_window(r, *_BOMBIERI)
     return (3.0 - math.sqrt(8.0 * (1.0 - r * r))) / r
 
 
 def bombieri_argmax(r: float) -> float:
     """Maximizing a of the p = 1 envelope: (1 - sqrt((1-r^2)/2)) / r."""
-    r = _check_bombieri_range(r)
+    r = _check_window(r, *_BOMBIERI)
     return (1.0 - math.sqrt(0.5 * (1.0 - r * r))) / r
 
 
@@ -354,15 +337,6 @@ def psymmetric_root_equation(r, p: int, m: int):
     """Left side of -6 r^(p-m) + r^(2(p-m)) + 8 r^(2p) + 1 = 0."""
     r = np.asarray(r, dtype=float)
     return -6.0 * r ** (p - m) + r ** (2 * (p - m)) + 8.0 * r ** (2 * p) + 1.0
-
-
-def _check_pm(p, m) -> tuple[int, int]:
-    if not (math.isfinite(p) and math.isfinite(m)) or int(p) != p or int(m) != m:
-        raise DomainError(f"p and m must be integers, got p={p}, m={m}")
-    p, m = int(p), int(m)
-    if p < 1 or not 0 <= m <= p:
-        raise DomainError(f"need p >= 1 and 0 <= m <= p, got p={p}, m={m}")
-    return p, m
 
 
 def psymmetric_radius(p: int, m: int) -> RadiusCertificate:

@@ -12,8 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, NonSchurInput
-from .radii import _check_pm
+from .errors import DomainError, NonSchurInput, _check_a, _check_count, _check_pm
 
 # Schur parameters within this distance of the unit circle are treated as
 # unimodular: the synthesis terminates there (finite Blaschke product) and
@@ -89,11 +88,6 @@ class HarmonicPair:
     def __post_init__(self):
         if abs(self.coanalytic.coeffs[0]) != 0.0:
             raise DomainError("coanalytic part must vanish at the origin")
-
-
-def _check_order(order: int) -> None:
-    if order < 0:
-        raise DomainError(f"order must be non-negative, got {order}")
 
 
 # Outputs per step of the block division, and the order from which a short
@@ -220,10 +214,7 @@ def mobius_automorphism_coeffs(a: float, order: int) -> CoefficientSeries:
     a_0 = a and a_k = -(1 - a^2) a^(k-1) for k >= 1; this family attains the
     powered envelope bound exactly, so it serves as the sharpness witness.
     """
-    a = float(a)
-    if not 0.0 <= a < 1.0:
-        raise DomainError(f"automorphism parameter must lie in [0, 1), got {a}")
-    _check_order(order)
+    a, order = _check_a(a, allow_one=False), _check_count(order, "order")
     c = np.empty(order + 1, dtype=complex)
     c[0] = a
     if order >= 1:
@@ -238,10 +229,7 @@ def psymmetric_extremal_coeffs(p: int, m: int, a: float, order: int) -> Coeffici
     at m + j*p for j >= 1.
     """
     p, m = _check_pm(p, m)
-    a = float(a)
-    if not 0.0 <= a < 1.0:
-        raise DomainError(f"parameter a must lie in [0, 1), got {a}")
-    _check_order(order)
+    a, order = _check_a(a, allow_one=False), _check_count(order, "order")
     c = np.zeros(order + 1, dtype=complex)
     if m <= order:
         c[m] = -a
@@ -292,7 +280,7 @@ def schur_synthesis_rows(schurs, order: int) -> np.ndarray:
     the one-step recurrence differ by 1.7e-15, 6.6e-14 and 3.7e-13 (order
     1,000).
     """
-    _check_order(order)
+    order = _check_count(order, "order")
     return _synthesize_groups([_active_params(s.params) for s in schurs], order)
 
 
@@ -347,9 +335,7 @@ def schur_analysis(c: CoefficientSeries, depth: int) -> SchurFunction:
     themselves are conditioned by prod 1/(1 - |gamma_j|^2) and lose accuracy
     when intermediate moduli approach 1.
     """
-    depth = int(depth)
-    if depth < 0:
-        raise DomainError("depth must be non-negative")
+    depth = _check_count(depth, "depth")
     if depth > c.order:
         raise DomainError(f"depth {depth} exceeds series order {c.order}")
     f = np.array(c.coeffs, dtype=complex)

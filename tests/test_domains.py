@@ -1,0 +1,141 @@
+"""Every public entry point rejects each out-of-range parameter with DomainError.
+
+Each case names a cheap valid call, one of its parameters and the values that
+parameter must refuse: NaN, +-inf and a value just outside each end of its
+range.  Counts (trials, order, depth) must be finite, integer-valued and
+non-negative.  Entry points without a ranged parameter are not listed:
+be_radius, harmonic_radius_p1, be_coefficient_check, shifted_by_z,
+evaluate_polynomial, trial_seed, and psymmetric_root_equation, which
+evaluates its polynomial anywhere.
+"""
+
+import math
+
+import pytest
+
+import bohrlab
+from bohrlab import (
+    DomainError,
+    SchurFunction,
+    harmonic_pair,
+    mobius_automorphism_coeffs,
+)
+
+NAN, INF = math.nan, math.inf
+NON_FINITE = (NAN, INF, -INF)
+COUNTS = (2.5, NAN, -1, INF)
+
+
+def below(x):
+    return math.nextafter(x, -INF)
+
+
+def above(x):
+    return math.nextafter(x, INF)
+
+
+SERIES = mobius_automorphism_coeffs(0.3, 8)
+SCHUR = SchurFunction([0.3, 0.2])
+PAIR = harmonic_pair(SchurFunction([0.3]), SchurFunction([0.2]), 8)
+BE_PAIR = harmonic_pair(SchurFunction([0.0, 0.5]), SchurFunction([0.2]), 8)  # a_0 = 0
+
+P_02 = (0.0, above(2.0))  # p in (0, 2]
+P_02_OPEN = (0.0, 2.0)  # p in (0, 2)
+P_POS = (0.0,)  # p in (0, inf)
+P_FROM_1 = (below(1.0),)  # p in [1, inf)
+R_01 = (below(0.0), 1.0)  # r in [0, 1)
+A_CLOSED = (below(0.0), above(1.0))  # a in [0, 1]
+A_OPEN = (below(0.0), 1.0)  # a in [0, 1)
+MC = dict(trials=2, seed=1, order=8, depth=3)
+
+# (function, valid keyword arguments, {parameter: values just outside its range})
+ENTRY_POINTS = [
+    ("exact_branch_threshold", dict(p=1.0), dict(p=P_02)),
+    ("envelope_value", dict(a=0.5, p=1.0, r=0.5), dict(a=A_CLOSED, p=P_02, r=R_01)),
+    ("maximize_envelope", dict(p=1.0, r=0.5), dict(p=P_02, r=R_01)),
+    ("mp_theorem1", dict(p=1.0, r=0.5), dict(p=P_02, r=R_01)),
+    ("rp_via_infimum", dict(p=1.5), dict(p=P_02)),
+    ("rp_via_envelope_bisection", dict(p=1.0), dict(p=P_02)),
+    ("powered_radius_rp", dict(p=1.0), dict(p=P_02)),
+    ("lower_bound_mp", dict(p=1.0), dict(p=P_02_OPEN)),
+    ("bombieri_closed_form", dict(r=0.5), dict(r=(1 / 3 - 2e-12, 2**-0.5 + 2e-12))),
+    ("bombieri_argmax", dict(r=0.5), dict(r=(1 / 3 - 2e-12, 2**-0.5 + 2e-12))),
+    ("paulsen_majorant", dict(r=0.5), dict(r=R_01)),
+    ("psymmetric_radius", dict(p=2, m=1), dict(p=(0, 101, 1.5), m=(-1, 3, 0.5))),
+    ("psymmetric_extremal_a", dict(p=2, m=1), dict(p=(0, 101, 1.5), m=(-1, 3, 0.5))),
+    ("blaschke_sharpness_radius", dict(d=1, p=1.0), dict(d=(0, 1.5), p=P_02_OPEN)),
+    (
+        "bb_lower_bound",
+        dict(p=1.5, r=0.9, eps=0.1, big_c=0.0),
+        dict(p=(1.0, 2.0), r=(2**-0.25, 1.0), eps=(0.0,), big_c=(below(0.0),)),
+    ),
+    ("branch_consistency_gap", dict(p=1.5), dict(p=P_02_OPEN)),
+    ("harmonic_envelope_value", dict(a=0.5, p=1.0, r=0.3), dict(a=A_CLOSED, p=P_02, r=R_01)),
+    ("harmonic_threshold", dict(p=1.0), dict(p=P_02_OPEN)),
+    ("harmonic_bound", dict(p=1.0, r=0.3), dict(p=P_POS, r=R_01)),
+    ("harmonic_closed_form_p1", dict(r=0.5), dict(r=(0.2 - 2e-12, (2 / 3) ** 0.5 + 2e-12))),
+    ("doubled_argmax_p1", dict(r=0.5), dict(r=(0.2 - 2e-12, (2 / 3) ** 0.5 + 2e-12))),
+    ("dilatation_domination_check", dict(pair=PAIR, r=0.5), dict(r=R_01)),
+    ("be_bound", dict(r=0.5), dict(r=R_01)),
+    ("be_harmonic_bound", dict(p=1.0, r=0.5), dict(p=P_FROM_1, r=R_01)),
+    ("be_harmonic_radius", dict(p=1.0), dict(p=P_FROM_1)),
+    ("be_lp_combination_sum", dict(pair=BE_PAIR, p=1.0, r=0.5), dict(p=P_FROM_1, r=R_01)),
+    ("powered_sum", dict(c=SERIES, p=1.0, r=0.5), dict(p=P_POS, r=R_01)),
+    ("harmonic_powered_sum", dict(h=PAIR, p=1.0, r=0.5), dict(p=P_POS, r=R_01)),
+    ("quadratic_sum_check", dict(c=SERIES, big_r=0.5), dict(big_r=(0.0, above(1.0)))),
+    ("mobius_automorphism_coeffs", dict(a=0.5, order=4), dict(a=A_OPEN, order=COUNTS)),
+    (
+        "psymmetric_extremal_coeffs",
+        dict(p=2, m=1, a=0.5, order=4),
+        dict(p=(0, 1.5), m=(-1, 3, 0.5), a=A_OPEN, order=COUNTS),
+    ),
+    ("be_extremal_coeffs", dict(a=0.5, order=4), dict(a=A_OPEN, order=COUNTS)),
+    ("schur_synthesis", dict(s=SCHUR, order=4), dict(order=COUNTS)),
+    ("schur_synthesis_rows", dict(schurs=[SCHUR], order=4), dict(order=COUNTS)),
+    ("schur_analysis", dict(c=SERIES, depth=2), dict(depth=COUNTS + (SERIES.order + 1,))),
+    ("harmonic_pair", dict(h_params=SCHUR, w_params=SCHUR, order=4), dict(order=COUNTS)),
+    ("sample_schur", dict(seed=1, depth=3), dict(depth=COUNTS)),
+    (
+        "verify_theorem1",
+        dict(p=1.0, r=0.5, **MC),
+        dict(p=P_02, r=R_01, trials=COUNTS, order=COUNTS, depth=COUNTS),
+    ),
+    (
+        "verify_lemma_quadratic",
+        dict(big_r=0.5, **MC),
+        dict(big_r=(0.0, above(1.0)), trials=COUNTS, order=COUNTS, depth=COUNTS),
+    ),
+    (
+        "verify_theorem2",
+        # above the p = 1 threshold sqrt(2/3) the bound is not claimed
+        dict(p=1.0, r=0.5, **MC),
+        dict(p=P_POS, r=(below(0.0), above((2 / 3) ** 0.5)), trials=COUNTS, order=COUNTS, depth=COUNTS),
+    ),
+    (
+        "verify_be",
+        dict(r=0.5, p=1.0, **MC),
+        dict(r=R_01, p=P_FROM_1, trials=COUNTS, order=COUNTS, depth=COUNTS),
+    ),
+    ("verify_theoremB_ratio", dict(p=1.0, seed=1), dict(p=P_02_OPEN)),
+]
+
+COUNT_NAMES = ("trials", "order", "depth")
+CASES = [
+    pytest.param(name, valid, param, bad, id=f"{name}-{param}={bad!r}")
+    for name, valid, outside in ENTRY_POINTS
+    for param, values in outside.items()
+    for bad in (values if param in COUNT_NAMES else NON_FINITE + values)
+]
+
+
+@pytest.mark.parametrize(
+    "name, valid", [(name, valid) for name, valid, _ in ENTRY_POINTS], ids=[e[0] for e in ENTRY_POINTS]
+)
+def test_valid_call_runs(name, valid):
+    getattr(bohrlab, name)(**valid)
+
+
+@pytest.mark.parametrize("name, valid, param, bad", CASES)
+def test_out_of_range_parameter_raises_domain_error(name, valid, param, bad):
+    with pytest.raises(DomainError):
+        getattr(bohrlab, name)(**dict(valid, **{param: bad}))

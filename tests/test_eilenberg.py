@@ -142,7 +142,7 @@ class TestLpCombinationSum:
         amods = np.abs(pair.analytic.coeffs[1:])
         bmods = np.abs(pair.coanalytic.coeffs[1:])
         direct = np.dot(amods + bmods, 0.4 ** np.arange(1, 65))
-        assert abs(combo.truncated_value - direct) < 1e-13
+        assert abs(combo.lower - direct) < 1e-13
 
     def test_dominated_by_bound_on_grid(self):
         for p in (1.0, 1.5, 2.0, 3.0):

@@ -202,6 +202,6 @@ class TestLargePExtremalProbe:
         assert abs(pair.coanalytic.coeffs[1] - 1.0) < 1e-15
         for p in (3.0, 5.0, 10.0):
             hs = harmonic_powered_sum(pair, p, 0.6)
-            assert abs(hs.truncated_value - 1.2) < 1e-12
+            assert abs(hs.lower - 1.2) < 1e-12
             bound = harmonic_bound(p, 0.6).value
-            assert hs.truncated_value <= bound + 1e-12
+            assert hs.lower <= bound + 1e-12

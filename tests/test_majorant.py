@@ -10,7 +10,6 @@ from bohrlab import (
     DomainError,
     SchurFunction,
     be_extremal_coeffs,
-    geometric_tail,
     harmonic_pair,
     harmonic_powered_sum,
     mobius_automorphism_coeffs,
@@ -31,9 +30,8 @@ class TestPoweredSum:
         c = schur_synthesis(SchurFunction([0.7]), 50)
         for p in (0.5, 1.0, 2.0):
             ps = powered_sum(c, p, 0.5)
-            assert abs(ps.truncated_value - 0.7**p) < 1e-15
+            assert abs(ps.lower - 0.7**p) < 1e-15
             assert ps.tail_bound < 1e-12
-            assert ps.lower == ps.truncated_value
             assert ps.upper == ps.lower + ps.tail_bound
 
     def test_mobius_closed_form_bracket(self):
@@ -59,14 +57,14 @@ class TestPoweredSum:
         certified = mobius_automorphism_coeffs(0.6, 32)
         p, r = 1.5, 0.4
         expected = (1 - 0.36) ** p * r**33 / (1 - r)
-        assert math.isclose(geometric_tail(certified, p, r), expected, rel_tol=1e-15)
+        assert math.isclose(powered_sum(certified, p, r).tail_bound, expected, rel_tol=1e-15)
         plain = CoefficientSeries(certified.coeffs)
-        assert math.isclose(geometric_tail(plain, p, r), r**33 / (1 - r), rel_tol=1e-15)
+        assert math.isclose(powered_sum(plain, p, r).tail_bound, r**33 / (1 - r), rel_tol=1e-15)
 
     def test_tail_shrinks_with_order(self):
         r = 0.7
-        t1 = geometric_tail(mobius_automorphism_coeffs(0.5, 32), 1.0, r)
-        t2 = geometric_tail(mobius_automorphism_coeffs(0.5, 64), 1.0, r)
+        t1 = powered_sum(mobius_automorphism_coeffs(0.5, 32), 1.0, r).tail_bound
+        t2 = powered_sum(mobius_automorphism_coeffs(0.5, 64), 1.0, r).tail_bound
         assert t2 <= t1 * r**32
 
     def test_upper_monotone_in_r(self):
@@ -87,14 +85,14 @@ class TestHarmonicPoweredSum:
         pair = harmonic_pair(SchurFunction([0.5, -1.0]), SchurFunction([0.0]), 64)
         hs = harmonic_powered_sum(pair, 1.0, 0.4)
         ps = powered_sum(pair.analytic, 1.0, 0.4)
-        assert abs(hs.truncated_value - ps.truncated_value) < 1e-15
+        assert abs(hs.lower - ps.lower) < 1e-15
 
     def test_unimodular_dilatation_doubles(self):
         pair = harmonic_pair(SchurFunction([0.5, -1.0]), SchurFunction([1.0]), 64)
         hs = harmonic_powered_sum(pair, 1.0, 0.4)
         mods = np.abs(pair.analytic.coeffs)
         expected = mods[0] + 2.0 * np.dot(mods[1:], 0.4 ** np.arange(1, 65))
-        assert abs(hs.truncated_value - expected) < 1e-14
+        assert abs(hs.lower - expected) < 1e-14
 
     def test_equality_case_at_harmonic_radius(self):
         # near the degenerate argmax a -> 1 the doubled sum reaches 1 at r = 1/5
@@ -235,7 +233,7 @@ class TestRowEnclosures:
             one = [(s.lower, s.tail_bound) for s in (powered_sum(x, p, r) for x in series)]
             reference = [reference_powered(row, p, r, certified) for row in c]
             self.check(_powered_rows(c, p, r, certified), one, reference)
-            tails = [geometric_tail(x, p, r) for x in series]
+            tails = [powered_sum(x, p, r).tail_bound for x in series]
             assert all(map(same, tails, (ref[1] for ref in reference)))
 
     @pytest.mark.parametrize("p", [0.5, 1.0, 1.5, 3.0])

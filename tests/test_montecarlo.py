@@ -157,6 +157,18 @@ class TestTrialCount:
                 with pytest.raises(DomainError):
                     verify_be(0.65, 1.0, trials, seed=1, **sizes)
 
+    def test_options_after_the_count_are_keyword_only(self):
+        # a 4th positional argument once meant order in theorem1 and seed in the others
+        for call in (
+            lambda: verify_theorem1(1.0, 0.5, 2, 7),
+            lambda: verify_lemma_quadratic(2, 1.0, 7),
+            lambda: verify_theorem2(1.0, 0.3, 2, 7),
+            lambda: verify_be(0.65, 1.0, 2, 7),
+            lambda: verify_theoremB_ratio(1.0, 7),
+        ):
+            with pytest.raises(TypeError):
+                call()
+
     def test_zero_trials_reports_witnesses_only(self):
         report = verify_theorem1(1.0, 0.5, 0, seed=1)
         assert report.trials == 0 and report.failures == 0

@@ -53,7 +53,7 @@ class TestEnvelopeValue:
             for p in (0.7, 1.0, 1.6):
                 for r in (0.2, 0.5):
                     ps = powered_sum(mobius_automorphism_coeffs(a, 300), p, r)
-                    assert abs(ps.truncated_value - envelope_value(a, p, r)) < 1e-12
+                    assert abs(ps.lower - envelope_value(a, p, r)) < 1e-12
 
     def test_domain(self):
         with pytest.raises(DomainError):

@@ -1,6 +1,9 @@
 """Series engine: coefficient families, Schur recursion."""
 
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -466,3 +469,15 @@ class TestHelpers:
             CoefficientSeries([1.5], certified=True)
         with pytest.raises(DomainError):
             SchurFunction([1.2])
+
+    def test_series_loads_without_radii(self):
+        # the package's __init__ imports every module, so a bare package stands in
+        package = os.path.dirname(series.__file__)
+        code = (
+            "import sys, types\n"
+            "sys.modules['bohrlab'] = types.ModuleType('bohrlab')\n"
+            f"sys.modules['bohrlab'].__path__ = [{package!r}]\n"
+            "import bohrlab.series\n"
+            "assert 'bohrlab.radii' not in sys.modules\n"
+        )
+        subprocess.run([sys.executable, "-c", code], check=True)
