@@ -14,21 +14,17 @@ from .series import (
     HarmonicPair,
     SchurFunction,
     be_extremal_coeffs,
-    evaluate_polynomial,
     harmonic_pair,
     mobius_automorphism_coeffs,
     psymmetric_extremal_coeffs,
     schur_analysis,
     schur_synthesis,
     schur_synthesis_rows,
-    shifted_by_z,
 )
 from .majorant import (
     CertifiedSum,
-    Check,
     harmonic_powered_sum,
     powered_sum,
-    quadratic_sum_check,
 )
 from .radii import (
     EnvelopeResult,
@@ -36,7 +32,6 @@ from .radii import (
     RadiusCertificate,
     bb_lower_bound,
     blaschke_sharpness_radius,
-    bombieri_argmax,
     bombieri_closed_form,
     branch_consistency_gap,
     envelope_value,
@@ -54,17 +49,13 @@ from .radii import (
 )
 from .harmonic import (
     HarmonicBound,
-    dilatation_domination_check,
-    doubled_argmax_p1,
     harmonic_bound,
     harmonic_closed_form_p1,
-    harmonic_envelope_value,
     harmonic_radius_p1,
     harmonic_threshold,
 )
 from .eilenberg import (
     be_bound,
-    be_coefficient_check,
     be_harmonic_bound,
     be_harmonic_radius,
     be_lp_combination_sum,

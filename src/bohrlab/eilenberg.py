@@ -13,12 +13,8 @@ import numpy as np
 
 from .errors import ConvergenceFailure, NonVanishingConstantTerm, _check_p_from_one, _check_r
 from .radii import RadiusCertificate, _bisect_predicate
-from .majorant import CertifiedSum, Check, _row_dots
-from .series import CoefficientSeries, HarmonicPair, evaluate_polynomial
-
-COEFF_CHECK_TOL = 1e-10
-_MODULUS_GRID_ANGLES = 64
-_MODULUS_GRID_RADII = (0.5, 0.8)
+from .majorant import CertifiedSum, _row_dots
+from .series import HarmonicPair
 
 
 def be_bound(r: float) -> float:
@@ -31,34 +27,6 @@ def be_radius() -> RadiusCertificate:
     """Radius where be_bound crosses 1, by bisection; equals 1/sqrt(2)."""
     radius = _bisect_predicate(lambda r: be_bound(r) > 1.0, 0.0, 0.999)
     return RadiusCertificate(radius=radius, method="bisection", residual=abs(be_bound(radius) - 1.0))
-
-
-def be_coefficient_check(c: CoefficientSeries) -> Check:
-    """Check sum_{k>=1} |a_k|^2 <= 1 and the pointwise modulus bound.
-
-    The square sum folds in the Parseval remainder 1 - sum_{k<=N} |a_k|^2 when
-    the series carries the unit-ball certificate (for uncertified input only
-    the truncated sum is checked).  The modulus bound |f(z)| <= |z|/sqrt(1-|z|^2)
-    is sampled on circle grids at |z| in {0.5, 0.8} with truncation slack
-    |z|^(N+1)/(1-|z|).  The returned Check has the square sum as lhs, 1 as rhs,
-    and an ok flag that requires both checks.
-    """
-    if abs(c.coeffs[0]) != 0.0:
-        raise NonVanishingConstantTerm("the class requires a_0 = 0")
-    mods2 = np.abs(c.coeffs) ** 2
-    partial = float(mods2[1:].sum())
-    tail = max(0.0, 1.0 - partial) if c.certified else 0.0
-    sum_sq = partial + tail
-    ok = sum_sq <= 1.0 + COEFF_CHECK_TOL
-
-    for rho in _MODULUS_GRID_RADII:
-        angles = 2.0 * np.pi * np.arange(_MODULUS_GRID_ANGLES) / _MODULUS_GRID_ANGLES
-        points = rho * np.exp(1j * angles)
-        slack = rho ** (c.order + 1) / (1.0 - rho)
-        bound = rho / math.sqrt(1.0 - rho * rho)
-        if np.abs(evaluate_polynomial(c, points)).max() > bound + slack + COEFF_CHECK_TOL:
-            ok = False
-    return Check(lhs=sum_sq, rhs=1.0, ok=ok)
 
 
 def be_harmonic_bound(p: float, r: float) -> float:

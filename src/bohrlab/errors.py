@@ -107,3 +107,11 @@ def _check_count(n, name: str) -> int:
     if not (0 <= n < math.inf and int(n) == n):
         raise DomainError(f"{name} must be a non-negative integer, got {n}")
     return int(n)
+
+
+def _check_seed(seed) -> int:
+    """A seed: integer-valued and finite, of any sign (it is masked to 64 bits).
+    Compared with -inf and inf, since math.isfinite overflows on ints past 2^1024."""
+    if not (-math.inf < seed < math.inf and int(seed) == seed):
+        raise DomainError(f"seed must be an integer, got {seed}")
+    return int(seed)

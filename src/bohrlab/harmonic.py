@@ -17,25 +17,13 @@ from __future__ import annotations
 import math
 from typing import NamedTuple
 
-import numpy as np
-
-from .errors import _check_a, _check_p, _check_positive_p, _check_r, _check_window
-from .majorant import Check
-from .radii import RadiusCertificate, _bisect_predicate, _envelope, maximize_envelope
-from .series import HarmonicPair
-
-DOMINATION_TOL = 1e-10
+from .errors import _check_p, _check_positive_p, _check_r, _check_window
+from .radii import RadiusCertificate, _bisect_predicate, maximize_envelope
 
 
 class HarmonicBound(NamedTuple):
     value: float
     valid: bool
-
-
-def harmonic_envelope_value(a: float, p: float, r: float) -> float:
-    """Doubled envelope a^p + 2 r (1-a^2)^p / (1 - r a^p)."""
-    r, a = _check_r(r), _check_a(a, allow_one=True)
-    return float(_envelope(a, _check_p(p), r, 2.0))
 
 
 def harmonic_threshold(p: float) -> float:
@@ -69,12 +57,6 @@ def harmonic_closed_form_p1(r: float) -> float:
     return (5.0 - 2.0 * math.sqrt(6.0) * math.sqrt(1.0 - r * r)) / r
 
 
-def doubled_argmax_p1(r: float) -> float:
-    """Maximizing a of the doubled p = 1 envelope: (3 - sqrt(6) sqrt(1-r^2)) / (3r)."""
-    r = _check_window(r, *_P1)
-    return (3.0 - math.sqrt(6.0) * math.sqrt(1.0 - r * r)) / (3.0 * r)
-
-
 def harmonic_radius_p1() -> RadiusCertificate:
     """Radius where the doubled p = 1 envelope maximum first exceeds 1.
 
@@ -86,23 +68,3 @@ def harmonic_radius_p1() -> RadiusCertificate:
     radius = _bisect_predicate(lambda r: 5.0 * r - 1.0 > 0.0, 0.0, 0.9)
     residual = abs(maximize_envelope(1.0, radius, doubled=True).value - 1.0)
     return RadiusCertificate(radius=radius, method="bisection", residual=residual)
-
-
-def dilatation_domination_check(pair: HarmonicPair, r: float) -> Check:
-    """Check sum |b_k|^2 r^k <= sum |a_k|^2 r^k with the tail folded on the left.
-
-    The left side adds an upper tail estimate (conservative direction), the
-    right side gets none.
-    """
-    r = _check_r(r)
-    n = min(pair.analytic.order, pair.coanalytic.order)
-    powers = r ** np.arange(n + 1)
-    amods2 = np.abs(pair.analytic.coeffs[: n + 1]) ** 2
-    bmods2 = np.abs(pair.coanalytic.coeffs[: n + 1]) ** 2
-    rhs = float(np.dot(amods2[1:], powers[1:]))
-    lhs_partial = float(np.dot(bmods2[1:], powers[1:]))
-    # |b_k| <= 1 per term, and sum |b_k|^2 <= sum |a_k|^2 <= 1 caps the rest
-    crude = r ** (n + 1) / (1.0 - r)
-    remainder = max(0.0, 1.0 - float(bmods2.sum())) * r ** (n + 1)
-    lhs = lhs_partial + min(crude, remainder)
-    return Check(lhs=lhs, rhs=rhs, ok=lhs <= rhs + DOMINATION_TOL)

@@ -7,14 +7,11 @@ checks downstream always compare the conservative side.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
-from .errors import DomainError, _check_big_r, _check_positive_p, _check_r
+from .errors import _check_positive_p, _check_r
 from .series import CoefficientSeries, HarmonicPair
-
-QUADRATIC_CHECK_TOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -29,18 +26,6 @@ class CertifiedSum:
     @property
     def upper(self) -> float:
         return self.lower + self.tail_bound
-
-
-class Check(NamedTuple):
-    """Outcome of an inequality check lhs <= rhs (up to the check's tolerance).
-
-    ok may also require conditions that lhs and rhs do not show; the checker
-    names them (be_coefficient_check adds a pointwise modulus bound).
-    """
-
-    lhs: float
-    rhs: float
-    ok: bool
 
 
 def powered_sum(c: CoefficientSeries, p: float, r: float) -> CertifiedSum:
@@ -64,25 +49,12 @@ def harmonic_powered_sum(h: HarmonicPair, p: float, r: float) -> CertifiedSum:
     return CertifiedSum(float(lower[0]), float(tail[0]), n)
 
 
-def quadratic_sum_check(c: CoefficientSeries, big_r: float) -> Check:
-    """Check sum_{k>=1} |a_k|^2 R^k <= R (1-|a_0|^2)^2 / (1 - |a_0|^2 R).
-
-    The left side folds in an upper tail estimate; R = 1 is allowed (the right
-    side stays finite for |a_0| < 1) and there the tail falls back on the
-    Parseval remainder 1 - sum_{k<=N} |a_k|^2, valid for unit-ball series.
-    """
-    big_r = _check_big_r(big_r)
-    if not c.certified:
-        raise DomainError("quadratic sum check requires a certified unit-ball series")
-    lhs, rhs = (float(side[0]) for side in _quadratic_rows(c.coeffs[None], big_r))
-    return Check(lhs=lhs, rhs=rhs, ok=lhs <= rhs + QUADRATIC_CHECK_TOL)
-
-
-# Row-wise forms of the enclosures above, for a (rows, N + 1) block of
-# coefficient rows: each returns one array entry per row, and row i is bit for
-# bit what the public function gives for that row alone.  Terms that the
-# public functions form from a scalar (a_0) go through Python floats, since
-# numpy's array power and complex modulus differ from libm's in the last bit.
+# Row-wise forms of the enclosures above, and the quadratic inequality, for a
+# (rows, N + 1) block of coefficient rows: each returns one array entry per
+# row, and row i of an enclosure is bit for bit what the public function gives
+# for that row alone.  Terms formed from a scalar (a_0) go through Python
+# floats, since numpy's array power and complex modulus differ from libm's in
+# the last bit.
 
 def _row_dots(x: np.ndarray, w: np.ndarray) -> np.ndarray:
     """x @ w one row at a time, each through np.dot as for a single row
@@ -126,7 +98,13 @@ def _harmonic_rows(a: np.ndarray, b: np.ndarray, p: float, r: float):
 
 
 def _quadratic_rows(c: np.ndarray, big_r: float):
-    """(lhs, rhs) of quadratic_sum_check for each row."""
+    """(lhs, rhs) of sum_{k>=1} |a_k|^2 R^k <= R (1-|a_0|^2)^2 / (1 - |a_0|^2 R)
+    for each row of certified unit-ball coefficients.
+
+    lhs folds in an upper tail estimate.  R = 1 is allowed (the right side
+    stays finite for |a_0| < 1), and there the tail falls back on the Parseval
+    remainder 1 - sum_{k<=N} |a_k|^2.
+    """
     mods2 = np.abs(c) ** 2
     powers = big_r ** np.arange(c.shape[1])
     partial = _row_dots(mods2[:, 1:], powers[1:])

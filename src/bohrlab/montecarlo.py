@@ -24,6 +24,7 @@ from .errors import (
     _check_p_from_one,
     _check_positive_p,
     _check_r,
+    _check_seed,
 )
 from .eilenberg import _lp_combination_rows, be_bound, be_harmonic_bound
 from .harmonic import harmonic_bound, harmonic_threshold
@@ -68,12 +69,12 @@ def _splitmix64(x):
 
 def trial_seed(seed: int, index: int) -> int:
     """Per-trial seed: run seed xor splitmix hash of the trial counter."""
-    return (int(seed) ^ _splitmix64(int(index))) & _MASK64
+    return (_check_seed(seed) ^ _splitmix64(int(index))) & _MASK64
 
 
 def _trial_seeds(seed: int, start: int, stop: int) -> np.ndarray:
     """trial_seed(seed, i) for i in range(start, stop), as uint64."""
-    return np.uint64(int(seed) & _MASK64) ^ _splitmix64(np.arange(start, stop, dtype=np.uint64))
+    return np.uint64(seed & _MASK64) ^ _splitmix64(np.arange(start, stop, dtype=np.uint64))
 
 
 def sample_schur(seed: int, depth: int) -> SchurFunction:
@@ -85,7 +86,7 @@ def sample_schur(seed: int, depth: int) -> SchurFunction:
     streams a block of trials at a time, bit for bit.
     """
     depth = _check_count(depth, "depth")
-    rng = np.random.default_rng(int(seed) & _MASK64)
+    rng = np.random.default_rng(_check_seed(seed) & _MASK64)
     return SchurFunction(_disk_params(rng.random(2 * (depth + 1))))
 
 
@@ -305,7 +306,7 @@ def _reduce(claim_id, slacks, witness_slacks, seed, params, witness_abs_tol=None
         trials=len(slacks),
         failures=failures,
         worst_margin=worst,
-        seed=int(seed),
+        seed=seed,
         params=params,
     )
 
@@ -328,11 +329,11 @@ def verify_theorem1(
     trials (at the envelope argmax and a spread of parameters), since random
     sampling alone need not probe the near-extremal region.
     """
-    r, p = _check_r(r), _check_p(p)
+    r, p, seed = _check_r(r), _check_p(p), _check_seed(seed)
     order, depth = _order_and_depth(order, depth, r)
     slack = _dominance(mp_theorem1(p, r).value, lambda c: _powered_rows(c, p, r))
     sample = lambda seeds: _sample_rows(seeds, depth)
-    slacks = _collect_slacks(slack, (sample,), trials, int(seed), order)
+    slacks = _collect_slacks(slack, (sample,), trials, seed, order)
     witness_a = [0.2, 0.5, 0.8, min(maximize_envelope(p, r).argmax, 1.0 - 1e-8)]
     witness = slack(np.array([mobius_automorphism_coeffs(a, order).coeffs for a in witness_a]))
     params = {"p": p, "r": r, "depth": depth, "order": order}
@@ -353,7 +354,7 @@ def verify_lemma_quadratic(
     their |slack| must stay below 1e-8; violations count as failures.  At
     R = 1 the order is not raised: the Parseval remainder fold is exact there.
     """
-    big_r = _check_big_r(big_r)
+    big_r, seed = _check_big_r(big_r), _check_seed(seed)
     order, depth = _order_and_depth(order, depth, big_r)
 
     def slack(c: np.ndarray) -> np.ndarray:
@@ -361,7 +362,7 @@ def verify_lemma_quadratic(
         return rhs - lhs
 
     sample = lambda seeds: _sample_rows(seeds, depth)
-    slacks = _collect_slacks(slack, (sample,), trials, int(seed), order)
+    slacks = _collect_slacks(slack, (sample,), trials, seed, order)
     automorphisms = [mobius_automorphism_coeffs(a, max(order, 400)).coeffs for a in (0.2, 0.5, 0.8)]
     witness = slack(np.array(automorphisms))
     params = {"R": big_r, "depth": depth, "order": order}
@@ -378,7 +379,7 @@ def verify_theorem2(
     depth: int = DEFAULT_DEPTH,
 ) -> VerificationReport:
     """Dominance of the harmonic bound over random dominated-dilatation pairs."""
-    r, p = _check_r(r), _check_positive_p(p)
+    r, p, seed = _check_r(r), _check_positive_p(p), _check_seed(seed)
     if p < 2.0 and r > harmonic_threshold(p):
         raise DomainError(
             f"r={r} exceeds the validity threshold {harmonic_threshold(p)} for p={p}"
@@ -388,7 +389,7 @@ def verify_theorem2(
     slack = _dominance(harmonic_bound(p, r).value, enclose)
     sample = lambda seeds: _sample_rows(seeds, depth)
     omega = lambda seeds: _sample_rows(_splitmix64(seeds), depth)
-    slacks = _collect_slacks(slack, (sample, omega), trials, int(seed), order)
+    slacks = _collect_slacks(slack, (sample, omega), trials, seed, order)
     h_witnesses = [SchurFunction([0.0, 1.0])]
     if p <= 2.0:
         # phi_a has Schur parameters [a, -1]; omega = 1 doubles every term
@@ -415,7 +416,7 @@ def verify_be(
     majorant bound (p = 1 sum) and the l^p-combination bound must dominate.
     Returns one report per claim.
     """
-    r, p = _check_r(r), _check_p_from_one(p)
+    r, p, seed = _check_r(r), _check_p_from_one(p), _check_seed(seed)
     bound_a, bound_h = be_bound(r), be_harmonic_bound(p, r)
     # the halves share one order, sized for the larger tail
     order, depth = _order_and_depth(order, depth, r, tail_factor=max(1.0, 2.0 ** (1.0 / p)))
@@ -428,7 +429,7 @@ def verify_be(
         return np.concatenate((np.zeros((len(params), 1)), params), axis=1)
 
     omega = lambda seeds: _sample_rows(_splitmix64(seeds), depth)
-    slacks_a = _collect_slacks(slack_a, (shifted,), trials, int(seed), order)
+    slacks_a = _collect_slacks(slack_a, (shifted,), trials, seed, order)
     sums_a = bound_a - slacks_a
     # the extremal z(a-z)/(1-az) at a = 1/sqrt(2) attains the bound at the radius
     ext = SchurFunction([0.0, 1.0 / np.sqrt(2.0), -1.0])
@@ -452,7 +453,7 @@ _RATIO_BOUNDS = (0.1, 10.0)
 
 def verify_theoremB_ratio(p: float, *, seed: int = 0) -> VerificationReport:
     """Two-sided comparability: M_p(r) (1-r)^(1-p/2) stays inside [0.1, 10]."""
-    p = _check_p(p, allow_two=False)
+    p, seed = _check_p(p, allow_two=False), _check_seed(seed)
     lo, hi = _RATIO_BOUNDS
     ratios = {}
     margins = []
@@ -467,6 +468,6 @@ def verify_theoremB_ratio(p: float, *, seed: int = 0) -> VerificationReport:
         trials=len(_RATIO_GRID),
         failures=failures,
         worst_margin=float(min(margins)),
-        seed=int(seed),
+        seed=seed,
         params=params,
     )

@@ -317,12 +317,6 @@ def bombieri_closed_form(r: float) -> float:
     return (3.0 - math.sqrt(8.0 * (1.0 - r * r))) / r
 
 
-def bombieri_argmax(r: float) -> float:
-    """Maximizing a of the p = 1 envelope: (1 - sqrt((1-r^2)/2)) / r."""
-    r = _check_window(r, *_BOMBIERI)
-    return (1.0 - math.sqrt(0.5 * (1.0 - r * r))) / r
-
-
 def paulsen_majorant(r: float) -> tuple[float, float]:
     """Piecewise majorant bound M(r) and its cap m(r) = min(M(r), 1/sqrt(1-r^2))."""
     r = _check_r(r)

@@ -24,6 +24,8 @@ def _as_complex_array(values) -> np.ndarray:
     arr = np.array(values, dtype=complex)
     if arr.ndim != 1 or arr.size == 0:
         raise DomainError("coefficient data must be a non-empty 1-d sequence")
+    if not np.isfinite(arr).all():
+        raise DomainError("coefficient data must be finite")
     arr.setflags(write=False)
     return arr
 
@@ -241,8 +243,11 @@ def psymmetric_extremal_coeffs(p: int, m: int, a: float, order: int) -> Coeffici
 
 
 def be_extremal_coeffs(a: float, order: int) -> CoefficientSeries:
-    """Coefficients of z (a - z)/(1 - a z), the vanishing-at-0 extremal family."""
-    return shifted_by_z(mobius_automorphism_coeffs(a, order))
+    """Coefficients of z (a - z)/(1 - a z), the vanishing-at-0 extremal family:
+    the automorphism's coefficients moved up one index.  Multiplying by z keeps
+    the function in the unit ball, so the result keeps the certificate."""
+    c = mobius_automorphism_coeffs(a, order).coeffs
+    return CoefficientSeries(np.concatenate(([0.0], c[:-1])), certified=True)
 
 
 def _active_params(params: np.ndarray) -> np.ndarray:
@@ -384,17 +389,3 @@ def harmonic_pair(h_params: SchurFunction, w_params: SchurFunction, order: int) 
     b = _coanalytic_rows(a[None], w[None])[0]
     return HarmonicPair(CoefficientSeries(a, certified=True), CoefficientSeries(b, certified=True))
 
-
-def shifted_by_z(c: CoefficientSeries) -> CoefficientSeries:
-    """Multiply a certified unit-ball series by z (drops the last coefficient).
-
-    z*f stays in the unit ball with value 0 at the origin, so the result keeps
-    the certificate of c.
-    """
-    out = np.concatenate(([0.0], c.coeffs[:-1]))
-    return CoefficientSeries(out, certified=c.certified)
-
-
-def evaluate_polynomial(c: CoefficientSeries, z) -> np.ndarray:
-    """Horner evaluation of the truncated polynomial at point(s) z."""
-    return np.polyval(np.array(c.coeffs)[::-1], np.asarray(z, dtype=complex))

@@ -106,6 +106,14 @@ def test_criterion_05_sandwich_on_p_grid():
             f"margins: lower {lo_margin:+.3e}, upper {hi_margin:+.3e}"
         )
     ok = not failing
+    # the envelope maximum already exceeds 1 at the lower bound m_p itself
+    witnesses = []
+    for q in failing:
+        if q < 1.0:
+            top = maximize_envelope(q, lower_bound_mp(q))
+            witnesses.append(
+                f"p={q:.3f}: max F(a; p, m_p) - 1 = {top.value - 1:.3e} at a = {top.argmax:.6f}"
+            )
     report(
         5,
         ok,
@@ -113,7 +121,8 @@ def test_criterion_05_sandwich_on_p_grid():
         f"{20 - len(failing)}/20 hold"
         + (f"; FAILS at p in {[f'{q:.3f}' for q in failing]} (r_p = 0 for p < 1: "
            "the envelope exceeds 1 near a = 1 for every positive radius, "
-           "so no positive powered Bohr radius exists there)" if failing else ""),
+           "so no positive powered Bohr radius exists there)" if failing else "")
+        + (f"; at r = m_p: {'; '.join(witnesses)}" if witnesses else ""),
     )
     assert ok, f"sandwich fails for p in {failing}"
 

@@ -3,13 +3,14 @@
 Each case names a cheap valid call, one of its parameters and the values that
 parameter must refuse: NaN, +-inf and a value just outside each end of its
 range.  Counts (trials, order, depth) must be finite, integer-valued and
-non-negative.  Entry points without a ranged parameter are not listed:
-be_radius, harmonic_radius_p1, be_coefficient_check, shifted_by_z,
-evaluate_polynomial, trial_seed, and psymmetric_root_equation, which
-evaluates its polynomial anywhere.
+non-negative; seeds must be finite and integer-valued, of any sign.  Entry
+points without a ranged parameter are not listed: be_radius,
+harmonic_radius_p1, and psymmetric_root_equation, which evaluates its
+polynomial anywhere.  The last test pins the set of public names.
 """
 
 import math
+import types
 
 import pytest
 
@@ -24,6 +25,7 @@ from bohrlab import (
 NAN, INF = math.nan, math.inf
 NON_FINITE = (NAN, INF, -INF)
 COUNTS = (2.5, NAN, -1, INF)
+SEEDS = (2.5,)  # besides NaN and +-inf; negative and huge seeds are valid
 
 
 def below(x):
@@ -59,7 +61,6 @@ ENTRY_POINTS = [
     ("powered_radius_rp", dict(p=1.0), dict(p=P_02)),
     ("lower_bound_mp", dict(p=1.0), dict(p=P_02_OPEN)),
     ("bombieri_closed_form", dict(r=0.5), dict(r=(1 / 3 - 2e-12, 2**-0.5 + 2e-12))),
-    ("bombieri_argmax", dict(r=0.5), dict(r=(1 / 3 - 2e-12, 2**-0.5 + 2e-12))),
     ("paulsen_majorant", dict(r=0.5), dict(r=R_01)),
     ("psymmetric_radius", dict(p=2, m=1), dict(p=(0, 101, 1.5), m=(-1, 3, 0.5))),
     ("psymmetric_extremal_a", dict(p=2, m=1), dict(p=(0, 101, 1.5), m=(-1, 3, 0.5))),
@@ -70,19 +71,15 @@ ENTRY_POINTS = [
         dict(p=(1.0, 2.0), r=(2**-0.25, 1.0), eps=(0.0,), big_c=(below(0.0),)),
     ),
     ("branch_consistency_gap", dict(p=1.5), dict(p=P_02_OPEN)),
-    ("harmonic_envelope_value", dict(a=0.5, p=1.0, r=0.3), dict(a=A_CLOSED, p=P_02, r=R_01)),
     ("harmonic_threshold", dict(p=1.0), dict(p=P_02_OPEN)),
     ("harmonic_bound", dict(p=1.0, r=0.3), dict(p=P_POS, r=R_01)),
     ("harmonic_closed_form_p1", dict(r=0.5), dict(r=(0.2 - 2e-12, (2 / 3) ** 0.5 + 2e-12))),
-    ("doubled_argmax_p1", dict(r=0.5), dict(r=(0.2 - 2e-12, (2 / 3) ** 0.5 + 2e-12))),
-    ("dilatation_domination_check", dict(pair=PAIR, r=0.5), dict(r=R_01)),
     ("be_bound", dict(r=0.5), dict(r=R_01)),
     ("be_harmonic_bound", dict(p=1.0, r=0.5), dict(p=P_FROM_1, r=R_01)),
     ("be_harmonic_radius", dict(p=1.0), dict(p=P_FROM_1)),
     ("be_lp_combination_sum", dict(pair=BE_PAIR, p=1.0, r=0.5), dict(p=P_FROM_1, r=R_01)),
     ("powered_sum", dict(c=SERIES, p=1.0, r=0.5), dict(p=P_POS, r=R_01)),
     ("harmonic_powered_sum", dict(h=PAIR, p=1.0, r=0.5), dict(p=P_POS, r=R_01)),
-    ("quadratic_sum_check", dict(c=SERIES, big_r=0.5), dict(big_r=(0.0, above(1.0)))),
     ("mobius_automorphism_coeffs", dict(a=0.5, order=4), dict(a=A_OPEN, order=COUNTS)),
     (
         "psymmetric_extremal_coeffs",
@@ -94,29 +91,37 @@ ENTRY_POINTS = [
     ("schur_synthesis_rows", dict(schurs=[SCHUR], order=4), dict(order=COUNTS)),
     ("schur_analysis", dict(c=SERIES, depth=2), dict(depth=COUNTS + (SERIES.order + 1,))),
     ("harmonic_pair", dict(h_params=SCHUR, w_params=SCHUR, order=4), dict(order=COUNTS)),
-    ("sample_schur", dict(seed=1, depth=3), dict(depth=COUNTS)),
+    ("sample_schur", dict(seed=1, depth=3), dict(seed=SEEDS, depth=COUNTS)),
+    ("trial_seed", dict(seed=1, index=3), dict(seed=SEEDS)),
     (
         "verify_theorem1",
         dict(p=1.0, r=0.5, **MC),
-        dict(p=P_02, r=R_01, trials=COUNTS, order=COUNTS, depth=COUNTS),
+        dict(p=P_02, r=R_01, trials=COUNTS, seed=SEEDS, order=COUNTS, depth=COUNTS),
     ),
     (
         "verify_lemma_quadratic",
         dict(big_r=0.5, **MC),
-        dict(big_r=(0.0, above(1.0)), trials=COUNTS, order=COUNTS, depth=COUNTS),
+        dict(big_r=(0.0, above(1.0)), trials=COUNTS, seed=SEEDS, order=COUNTS, depth=COUNTS),
     ),
     (
         "verify_theorem2",
         # above the p = 1 threshold sqrt(2/3) the bound is not claimed
         dict(p=1.0, r=0.5, **MC),
-        dict(p=P_POS, r=(below(0.0), above((2 / 3) ** 0.5)), trials=COUNTS, order=COUNTS, depth=COUNTS),
+        dict(
+            p=P_POS,
+            r=(below(0.0), above((2 / 3) ** 0.5)),
+            trials=COUNTS,
+            seed=SEEDS,
+            order=COUNTS,
+            depth=COUNTS,
+        ),
     ),
     (
         "verify_be",
         dict(r=0.5, p=1.0, **MC),
-        dict(r=R_01, p=P_FROM_1, trials=COUNTS, order=COUNTS, depth=COUNTS),
+        dict(r=R_01, p=P_FROM_1, trials=COUNTS, seed=SEEDS, order=COUNTS, depth=COUNTS),
     ),
-    ("verify_theoremB_ratio", dict(p=1.0, seed=1), dict(p=P_02_OPEN)),
+    ("verify_theoremB_ratio", dict(p=1.0, seed=1), dict(p=P_02_OPEN, seed=SEEDS)),
 ]
 
 COUNT_NAMES = ("trials", "order", "depth")
@@ -139,3 +144,42 @@ def test_valid_call_runs(name, valid):
 def test_out_of_range_parameter_raises_domain_error(name, valid, param, bad):
     with pytest.raises(DomainError):
         getattr(bohrlab, name)(**dict(valid, **{param: bad}))
+
+
+SEEDED = [(name, valid) for name, valid, outside in ENTRY_POINTS if "seed" in outside]
+
+
+@pytest.mark.parametrize("seed", [-1, 2**64 + 5])
+@pytest.mark.parametrize("name, valid", SEEDED, ids=[name for name, _ in SEEDED])
+def test_negative_and_huge_seeds_run(name, valid, seed):
+    getattr(bohrlab, name)(**dict(valid, seed=seed))
+
+
+PUBLIC_NAMES = {
+    "BohrlabError", "CertifiedSum", "CoefficientSeries", "ConvergenceFailure",
+    "DomainError", "EnvelopeResult", "HarmonicBound", "HarmonicPair", "MpValue",
+    "NoRootFound", "NonSchurInput", "NonVanishingConstantTerm", "RadiusCertificate",
+    "SchurFunction", "VerificationReport",
+    "bb_lower_bound", "be_bound", "be_extremal_coeffs", "be_harmonic_bound",
+    "be_harmonic_radius", "be_lp_combination_sum", "be_radius",
+    "blaschke_sharpness_radius", "bombieri_closed_form", "branch_consistency_gap",
+    "envelope_value", "exact_branch_threshold", "harmonic_bound",
+    "harmonic_closed_form_p1", "harmonic_pair", "harmonic_powered_sum",
+    "harmonic_radius_p1", "harmonic_threshold", "lower_bound_mp", "maximize_envelope",
+    "mobius_automorphism_coeffs", "mp_theorem1", "paulsen_majorant",
+    "powered_radius_rp", "powered_sum", "psymmetric_extremal_a",
+    "psymmetric_extremal_coeffs", "psymmetric_radius", "psymmetric_root_equation",
+    "rp_via_envelope_bisection", "rp_via_infimum", "sample_schur", "schur_analysis",
+    "schur_synthesis", "schur_synthesis_rows", "trial_seed", "verify_be",
+    "verify_lemma_quadratic", "verify_theorem1", "verify_theorem2",
+    "verify_theoremB_ratio",
+}
+
+
+def test_public_names_are_pinned():
+    # adding or removing a public name has to edit PUBLIC_NAMES
+    public = {
+        name for name in dir(bohrlab)
+        if not name.startswith("_") and not isinstance(getattr(bohrlab, name), types.ModuleType)
+    }
+    assert public == PUBLIC_NAMES

@@ -14,10 +14,10 @@ from bohrlab import (
     harmonic_powered_sum,
     mobius_automorphism_coeffs,
     powered_sum,
-    quadratic_sum_check,
     sample_schur,
     schur_synthesis,
     schur_synthesis_rows,
+    verify_lemma_quadratic,
 )
 from bohrlab.eilenberg import _lp_combination_rows, be_lp_combination_sum
 from bohrlab.majorant import _harmonic_rows, _powered_rows, _quadratic_rows
@@ -107,37 +107,36 @@ class TestHarmonicPoweredSum:
         assert hs.tail_bound == 2.0 * 0.5**17 / 0.5
 
 
+def quadratic_sides(c, big_r):
+    """(lhs, rhs) of the quadratic inequality for one series, as
+    verify_lemma_quadratic scores it, checked against the one-row reference
+    below."""
+    lhs, rhs = (float(side[0]) for side in _quadratic_rows(c.coeffs[None], big_r))
+    assert (lhs, rhs) == reference_quadratic(c.coeffs, big_r)
+    return lhs, rhs
+
+
 class TestQuadraticSumCheck:
     def test_automorphism_attains_equality(self):
-        check = quadratic_sum_check(mobius_automorphism_coeffs(0.6, 400), 0.8)
-        assert abs(check.lhs - check.rhs) < 1e-9
-        assert check.ok
+        lhs, rhs = quadratic_sides(mobius_automorphism_coeffs(0.6, 400), 0.8)
+        assert abs(lhs - rhs) < 1e-9
 
     def test_constant_series(self):
         c = schur_synthesis(SchurFunction([0.4]), 200)
-        check = quadratic_sum_check(c, 0.5)
-        assert check.lhs < 1e-50
-        assert check.rhs > 0.0
-        assert check.ok
+        lhs, rhs = quadratic_sides(c, 0.5)
+        assert lhs < 1e-50
+        assert rhs > 0.0
 
     def test_random_samples_at_r_one(self):
         for seed in range(50):
             c = schur_synthesis(sample_schur(seed, 8), 64)
-            check = quadratic_sum_check(c, 1.0)
-            assert check.ok
-            assert check.lhs <= check.rhs + 1e-10
-
-    def test_requires_certificate(self):
-        plain = CoefficientSeries([0.5, 0.1])
-        with pytest.raises(DomainError):
-            quadratic_sum_check(plain, 0.5)
+            lhs, rhs = quadratic_sides(c, 1.0)
+            assert lhs <= rhs + 1e-10
 
     def test_r_domain(self):
-        c = mobius_automorphism_coeffs(0.3, 8)
-        with pytest.raises(DomainError):
-            quadratic_sum_check(c, 0.0)
-        with pytest.raises(DomainError):
-            quadratic_sum_check(c, 1.1)
+        for big_r in (0.0, 1.1):
+            with pytest.raises(DomainError):
+                verify_lemma_quadratic(1, big_r)
 
 
 def same(x, y) -> bool:
@@ -259,8 +258,7 @@ class TestRowEnclosures:
     @pytest.mark.parametrize("big_r", [0.5, 0.995, 1.0])
     def test_quadratic_rows(self, block, big_r):
         c = block[0]
-        checks = [quadratic_sum_check(CoefficientSeries(row, certified=True), big_r) for row in c]
-        one = [(check.lhs, check.rhs) for check in checks]
+        one = [tuple(side[0] for side in _quadratic_rows(row[None], big_r)) for row in c]
         self.check(_quadratic_rows(c, big_r), one, [reference_quadratic(row, big_r) for row in c])
 
     def test_coanalytic_rows(self, schurs, block):

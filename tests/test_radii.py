@@ -12,7 +12,6 @@ from bohrlab import (
     DomainError,
     bb_lower_bound,
     blaschke_sharpness_radius,
-    bombieri_argmax,
     bombieri_closed_form,
     branch_consistency_gap,
     envelope_value,
@@ -205,7 +204,7 @@ class TestBombieriClosedForm:
 
     def test_argmax_formula(self):
         for r in np.linspace(1.0 / 3.0, 1.0 / math.sqrt(2.0), 25):
-            expected = bombieri_argmax(float(r))
+            expected = (1.0 - math.sqrt((1.0 - r * r) / 2.0)) / r
             found = maximize_envelope(1.0, float(r)).argmax
             assert abs(found - expected) < 1e-8
 

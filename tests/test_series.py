@@ -16,7 +16,6 @@ from bohrlab import (
     NonSchurInput,
     SchurFunction,
     be_extremal_coeffs,
-    evaluate_polynomial,
     harmonic_pair,
     mobius_automorphism_coeffs,
     powered_sum,
@@ -24,7 +23,6 @@ from bohrlab import (
     schur_analysis,
     schur_synthesis,
     schur_synthesis_rows,
-    shifted_by_z,
 )
 from bohrlab import series
 from bohrlab.montecarlo import sample_schur, trial_seed
@@ -452,15 +450,12 @@ class TestHarmonicPair:
 
 class TestHelpers:
     def test_shift_by_z(self):
-        c = schur_synthesis(SchurFunction([0.3, 0.2]), 5)
-        out = shifted_by_z(c)
-        assert out.coeffs[0] == 0.0
-        np.testing.assert_allclose(out.coeffs[1:], c.coeffs[:-1])
+        # be_extremal_coeffs is the automorphism's series times z
+        c = mobius_automorphism_coeffs(0.3, 5)
+        out = be_extremal_coeffs(0.3, 5)
+        assert out.coeffs[0] == 0.0 and out.order == c.order
+        assert out.coeffs[1:].tobytes() == c.coeffs[:-1].tobytes()
         assert out.certified and out.head_bound == 0.0
-
-    def test_evaluate_polynomial(self):
-        c = CoefficientSeries([1.0, 2.0, 3.0])
-        assert abs(evaluate_polynomial(c, 0.5) - (1 + 1 + 0.75)) < 1e-15
 
     def test_series_validation(self):
         with pytest.raises(DomainError):
@@ -469,6 +464,19 @@ class TestHelpers:
             CoefficientSeries([1.5], certified=True)
         with pytest.raises(DomainError):
             SchurFunction([1.2])
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, complex(0.1, math.nan)])
+    def test_non_finite_data_refused(self, bad):
+        # NaN passes every modulus comparison, so each constructor checks finiteness
+        for certified in (False, True):
+            with pytest.raises(DomainError):
+                CoefficientSeries([0.1, bad], certified=certified)
+            with pytest.raises(DomainError):
+                CoefficientSeries([bad], certified=certified)
+        with pytest.raises(DomainError):
+            SchurFunction([bad, 0.2])
+        with pytest.raises(DomainError):
+            SchurFunction([0.2, bad])
 
     def test_series_loads_without_radii(self):
         # the package's __init__ imports every module, so a bare package stands in
