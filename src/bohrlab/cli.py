@@ -265,6 +265,10 @@ def main(argv=None) -> int:
     except BohrlabError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except MemoryError as exc:
+        # an input too large to allocate is a usage error, not a verification failure
+        print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

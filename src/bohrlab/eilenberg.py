@@ -13,7 +13,7 @@ import numpy as np
 
 from .errors import ConvergenceFailure, NonVanishingConstantTerm, _check_p_from_one, _check_r
 from .radii import RadiusCertificate, _bisect_predicate
-from .majorant import CertifiedSum, _row_dots
+from .majorant import CertifiedSum
 from .series import HarmonicPair
 
 
@@ -68,7 +68,7 @@ def be_lp_combination_sum(pair: HarmonicPair, p: float, r: float) -> CertifiedSu
     n = min(pair.analytic.order, pair.coanalytic.order)
     a, b = pair.analytic.coeffs[None, : n + 1], pair.coanalytic.coeffs[None, : n + 1]
     lower, tail = _lp_combination_rows(a, b, p, r)
-    return CertifiedSum(float(lower[0]), float(tail[0]), n)
+    return CertifiedSum(float(lower[0]), float(tail[0]))
 
 
 def _lp_combination_rows(a: np.ndarray, b: np.ndarray, p: float, r: float):
@@ -76,5 +76,5 @@ def _lp_combination_rows(a: np.ndarray, b: np.ndarray, p: float, r: float):
     co-analytic rows b of one length (see majorant's row-wise enclosures)."""
     n = a.shape[1] - 1
     terms = (np.abs(a[:, 1:]) ** p + np.abs(b[:, 1:]) ** p) ** (1.0 / p)
-    lower = _row_dots(terms, r ** np.arange(1, n + 1))
+    lower = np.vecdot(terms, r ** np.arange(1, n + 1))
     return lower, np.full(len(a), 2.0 ** (1.0 / p) * r ** (n + 1) / (1.0 - r))

@@ -16,12 +16,12 @@ from .series import CoefficientSeries, HarmonicPair
 
 @dataclass(frozen=True)
 class CertifiedSum:
-    """Interval enclosure [lower, lower + tail_bound] of an infinite powered
-    coefficient sum; lower is the truncated sum through order_used."""
+    """Interval enclosure [lower, upper] of an infinite powered coefficient
+    sum: lower is the truncated sum, and tail_bound bounds the terms past the
+    truncation order, so upper = lower + tail_bound."""
 
     lower: float
     tail_bound: float
-    order_used: int
 
     @property
     def upper(self) -> float:
@@ -32,7 +32,7 @@ def powered_sum(c: CoefficientSeries, p: float, r: float) -> CertifiedSum:
     """Certified enclosure of sum_{k>=0} |a_k|^p r^k."""
     p, r = _check_positive_p(p), _check_r(r)
     lower, tail = _powered_rows(c.coeffs[None], p, r, c.certified)
-    return CertifiedSum(float(lower[0]), float(tail[0]), c.order)
+    return CertifiedSum(float(lower[0]), float(tail[0]))
 
 
 def harmonic_powered_sum(h: HarmonicPair, p: float, r: float) -> CertifiedSum:
@@ -46,21 +46,16 @@ def harmonic_powered_sum(h: HarmonicPair, p: float, r: float) -> CertifiedSum:
     n = min(h.analytic.order, h.coanalytic.order)
     a, b = h.analytic.coeffs[None, : n + 1], h.coanalytic.coeffs[None, : n + 1]
     lower, tail = _harmonic_rows(a, b, p, r)
-    return CertifiedSum(float(lower[0]), float(tail[0]), n)
+    return CertifiedSum(float(lower[0]), float(tail[0]))
 
 
 # Row-wise forms of the enclosures above, and the quadratic inequality, for a
 # (rows, N + 1) block of coefficient rows: each returns one array entry per
 # row, and row i of an enclosure is bit for bit what the public function gives
-# for that row alone.  Terms formed from a scalar (a_0) go through Python
-# floats, since numpy's array power and complex modulus differ from libm's in
-# the last bit.
-
-def _row_dots(x: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """x @ w one row at a time, each through np.dot as for a single row
-    (matmul sums in another order)."""
-    return np.fromiter(map(w.dot, x), float, count=len(x))
-
+# for that row alone.  The row sums go through np.vecdot, which reduces each
+# row with the same kernel as np.dot on that row; matmul sums in another
+# order.  Terms formed from a scalar (a_0) go through Python floats, since
+# numpy's array power and complex modulus differ from libm's in the last bit.
 
 def _heads(c: np.ndarray) -> list:
     """|a_0| of each row, as a float."""
@@ -71,8 +66,9 @@ def _geometric_tails(c: np.ndarray, p: float, r: float, certified: bool = True) 
     """Tail bound for sum_{k > N} |a_k|^p r^k of each row.
 
     Certified series obey |a_k| <= 1 - |a_0|^2 for k >= 1, giving
-    (1 - head_bound^2)^p r^(N+1)/(1-r); otherwise the generic |a_k| <= 1
-    envelope r^(N+1)/(1-r) is used.
+    (1 - |a_0|^2)^p r^(N+1)/(1-r), with |a_0| capped at 1 (a snapped
+    unimodular Schur parameter can leave it one ulp above); otherwise the
+    generic |a_k| <= 1 envelope r^(N+1)/(1-r) is used.
     """
     geo = r ** c.shape[1] / (1.0 - r)
     if not certified:
@@ -82,7 +78,7 @@ def _geometric_tails(c: np.ndarray, p: float, r: float, certified: bool = True) 
 
 def _powered_rows(c: np.ndarray, p: float, r: float, certified: bool = True):
     """(lower, tail_bound) of powered_sum for each row."""
-    lower = _row_dots(np.abs(c) ** p, r ** np.arange(c.shape[1]))
+    lower = np.vecdot(np.abs(c) ** p, r ** np.arange(c.shape[1]))
     return lower, _geometric_tails(c, p, r, certified)
 
 
@@ -93,7 +89,7 @@ def _harmonic_rows(a: np.ndarray, b: np.ndarray, p: float, r: float):
     amods, bmods = np.abs(a), np.abs(b)
     powers = r ** np.arange(n + 1)
     head = np.array([m**p for m in amods[:, 0].tolist()])
-    lower = head + _row_dots(amods[:, 1:] ** p + bmods[:, 1:] ** p, powers[1:])
+    lower = head + np.vecdot(amods[:, 1:] ** p + bmods[:, 1:] ** p, powers[1:])
     return lower, np.full(len(a), 2.0 * r ** (n + 1) / (1.0 - r))
 
 
@@ -107,7 +103,7 @@ def _quadratic_rows(c: np.ndarray, big_r: float):
     """
     mods2 = np.abs(c) ** 2
     powers = big_r ** np.arange(c.shape[1])
-    partial = _row_dots(mods2[:, 1:], powers[1:])
+    partial = np.vecdot(mods2[:, 1:], powers[1:])
     tail = np.maximum(0.0, 1.0 - mods2.sum(axis=1)) * big_r ** c.shape[1]
     if big_r < 1.0:
         tail = np.minimum(_geometric_tails(c, 2.0, big_r), tail)

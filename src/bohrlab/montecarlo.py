@@ -69,7 +69,7 @@ def _splitmix64(x):
 
 def trial_seed(seed: int, index: int) -> int:
     """Per-trial seed: run seed xor splitmix hash of the trial counter."""
-    return (_check_seed(seed) ^ _splitmix64(int(index))) & _MASK64
+    return (_check_seed(seed) ^ _splitmix64(_check_count(index, "index"))) & _MASK64
 
 
 def _trial_seeds(seed: int, start: int, stop: int) -> np.ndarray:
@@ -81,12 +81,12 @@ def sample_schur(seed: int, depth: int) -> SchurFunction:
     """Deterministic disk-uniform Schur parameters: modulus sqrt(U), uniform angle.
 
     The parameters come from the first 2(depth + 1) doubles of
-    numpy.random.default_rng(seed): depth + 1 moduli, then depth + 1 angles.
-    The verifiers draw trial i from trial_seed(seed, i) and reproduce these
-    streams a block of trials at a time, bit for bit.
+    numpy.random.Generator(numpy.random.PCG64(seed)): depth + 1 moduli, then
+    depth + 1 angles.  The verifiers draw trial i from trial_seed(seed, i) and
+    reproduce these streams a block of trials at a time, bit for bit.
     """
     depth = _check_count(depth, "depth")
-    rng = np.random.default_rng(_check_seed(seed) & _MASK64)
+    rng = np.random.Generator(np.random.PCG64(_check_seed(seed) & _MASK64))
     return SchurFunction(_disk_params(rng.random(2 * (depth + 1))))
 
 
@@ -101,10 +101,10 @@ def _sample_rows(seeds: np.ndarray, depth: int) -> np.ndarray:
     return _disk_params(_uniform_rows(seeds, 2 * (depth + 1)))
 
 
-# numpy.random.default_rng(seed) hashes the seed with SeedSequence (pool of
-# four 32-bit words) into the 128-bit state and increment of a PCG64
-# generator.  The constants are SeedSequence's mixing multipliers and the
-# PCG64 LCG multiplier; its two hash multipliers are below.
+# numpy.random.PCG64(seed) hashes the seed with SeedSequence (pool of four
+# 32-bit words) into the generator's 128-bit state and increment.  The
+# constants are SeedSequence's mixing multipliers and the PCG64 LCG
+# multiplier; its two hash multipliers are below.
 _MASK32 = 0xFFFFFFFF
 _MIX = (0xCA01F9DD, 0x4973F715)
 _PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
@@ -176,7 +176,7 @@ def _jump_table(n: int) -> np.ndarray:
 
 
 def _uniform_rows(seeds: np.ndarray, n: int) -> np.ndarray:
-    """np.random.default_rng(seed).random(n) for each uint64 seed: (rows, n).
+    """Generator(PCG64(seed)).random(n) for each uint64 seed: (rows, n).
 
     Each state's 128 bits are formed digit by digit from exact 16-bit digit
     columns, carrying as they go, and then PCG64's XSL-RR output and
@@ -419,7 +419,7 @@ def verify_be(
     r, p, seed = _check_r(r), _check_p_from_one(p), _check_seed(seed)
     bound_a, bound_h = be_bound(r), be_harmonic_bound(p, r)
     # the halves share one order, sized for the larger tail
-    order, depth = _order_and_depth(order, depth, r, tail_factor=max(1.0, 2.0 ** (1.0 / p)))
+    order, depth = _order_and_depth(order, depth, r, tail_factor=2.0 ** (1.0 / p))
     slack_a = _dominance(bound_a, lambda c: _powered_rows(c, 1.0, r))
     slack_h = _dominance(bound_h, _harmonic(lambda a, b: _lp_combination_rows(a, b, p, r)))
 

@@ -35,10 +35,9 @@ class CoefficientSeries:
     """Truncated Taylor coefficients a_0..a_N of a function on the unit disk.
 
     When ``certified`` is set the series was produced by a constructor that
-    guarantees unit-ball membership, hence |a_k| <= 1 - |a_0|^2 for k >= 1, and
-    ``head_bound`` is |a_0| (capped at 1, since a snapped unimodular Schur
-    parameter can leave it one ulp above).  Uncertified series have
-    head_bound = 1 and receive only the generic |a_k| <= 1 tail envelope.
+    guarantees unit-ball membership, hence |a_k| <= 1 - |a_0|^2 for k >= 1,
+    and the tail enclosures use that bound.  Uncertified series receive only
+    the generic |a_k| <= 1 tail envelope.
     """
 
     coeffs: np.ndarray
@@ -48,10 +47,6 @@ class CoefficientSeries:
         object.__setattr__(self, "coeffs", _as_complex_array(self.coeffs))
         if self.certified and abs(self.coeffs[0]) > 1.0 + 1e-12:
             raise DomainError(f"certified series requires |a_0| <= 1, got {abs(self.coeffs[0])}")
-
-    @property
-    def head_bound(self) -> float:
-        return float(min(abs(self.coeffs[0]), 1.0)) if self.certified else 1.0
 
     @property
     def order(self) -> int:

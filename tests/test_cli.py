@@ -209,6 +209,32 @@ class TestExtremalCommand:
 
 
 @pytest.mark.parametrize(
+    "target, argv",
+    [
+        (
+            (cli.montecarlo, "verify_theorem1"),
+            ("verify", "theorem1", "--p", "1", "--r", "0.5", "--trials", "100000000000", "--seed", "1"),
+        ),
+        (
+            (cli, "mobius_automorphism_coeffs"),
+            ("extremal", "--family", "mobius", "--a", "0.5", "--r", "0.5", "--order", "100000000000"),
+        ),
+    ],
+)
+@pytest.mark.parametrize("exc", [MemoryError("Unable to allocate 745. GiB"), MemoryError()])
+def test_out_of_memory_exits_2(capsys, monkeypatch, target, argv, exc):
+    # the command is replaced by one that raises, so nothing is allocated: a
+    # host that overcommits memory could grant the real allocation
+    def oversized(*args, **kwargs):
+        raise exc
+
+    monkeypatch.setattr(*target, oversized)
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err == f"error: {str(exc) or 'out of memory'}\n"
+
+
+@pytest.mark.parametrize(
     "argv",
     [
         ("radius", "--kind", "psymmetric", "--p", "1", "--m", "nan"),

@@ -6,11 +6,17 @@ range.  Counts (trials, order, depth) must be finite, integer-valued and
 non-negative; seeds must be finite and integer-valued, of any sign.  Entry
 points without a ranged parameter are not listed: be_radius,
 harmonic_radius_p1, and psymmetric_root_equation, which evaluates its
-polynomial anywhere.  The last test pins the set of public names.
+polynomial anywhere.  The last tests pin the set of public names, and check
+that importing the package and its CLI loads none of the heavy optional
+modules.
 """
 
 import math
+import os
+import subprocess
+import sys
 import types
+from pathlib import Path
 
 import pytest
 
@@ -92,7 +98,7 @@ ENTRY_POINTS = [
     ("schur_analysis", dict(c=SERIES, depth=2), dict(depth=COUNTS + (SERIES.order + 1,))),
     ("harmonic_pair", dict(h_params=SCHUR, w_params=SCHUR, order=4), dict(order=COUNTS)),
     ("sample_schur", dict(seed=1, depth=3), dict(seed=SEEDS, depth=COUNTS)),
-    ("trial_seed", dict(seed=1, index=3), dict(seed=SEEDS)),
+    ("trial_seed", dict(seed=1, index=3), dict(seed=SEEDS, index=(2.5, -1))),
     (
         "verify_theorem1",
         dict(p=1.0, r=0.5, **MC),
@@ -183,3 +189,17 @@ def test_public_names_are_pinned():
         if not name.startswith("_") and not isinstance(getattr(bohrlab, name), types.ModuleType)
     }
     assert public == PUBLIC_NAMES
+
+
+def test_import_loads_no_heavy_module():
+    # scipy, mpmath and hypothesis are test or reference dependencies; any of
+    # them on the import path of bohrlab would add to every run's start-up
+    # time and memory
+    code = "import sys, bohrlab, bohrlab.cli; print(*sorted(sys.modules))"
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    loaded = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    ).stdout.split()
+    heavy = [m for m in loaded if m.split(".")[0] in ("scipy", "mpmath", "hypothesis")]
+    assert "bohrlab.cli" in loaded and heavy == []

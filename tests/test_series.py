@@ -214,7 +214,8 @@ class TestCoefficientFamilies:
     def test_mobius_closed_form(self):
         out = mobius_automorphism_coeffs(0.5, 2)
         np.testing.assert_allclose(out.coeffs, [0.5, -0.75, -0.375], rtol=1e-15)
-        assert out.head_bound == 0.5 and out.certified
+        # the certified tail (1 - |a_0|^2)^p r^(N+1)/(1-r) at |a_0| = 0.5
+        assert out.certified and powered_sum(out, 1.0, 0.5).tail_bound == 0.75 * 0.25
 
     def test_mobius_majorant_sum(self):
         # a + (1-a^2) r / (1 - a r) = 0.8 exactly at a = 0.5, r = 1/3
@@ -347,7 +348,11 @@ class TestSchurRecursion:
         mods = np.abs(out.coeffs)
         assert mods.max() <= 1.0 + 1e-12
         assert mods[1:].max(initial=0.0) <= 1.0 - mods[0] ** 2 + 1e-12
-        assert out.certified and abs(out.head_bound - mods[0]) < 1e-15
+        # the tail uses |a_0| capped at 1: finite at p = 1.5 even one ulp above
+        geo = 0.5 ** (order + 1) / 0.5
+        tail = powered_sum(out, 1.5, 0.5).tail_bound
+        assert out.certified and math.isfinite(tail)
+        assert abs(tail - (1.0 - min(mods[0], 1.0) ** 2) ** 1.5 * geo) <= 1e-15 * geo
 
     @settings(max_examples=60, deadline=None)
     @given(st.lists(block_row, min_size=1, max_size=30),
@@ -440,10 +445,12 @@ class TestHarmonicPair:
         np.testing.assert_allclose(pair.coanalytic.coeffs[1:], expected, atol=1e-15)
 
     def test_unimodular_analytic_parameter(self):
-        # the snapped parameter leaves |a_0| = 1 + 1 ulp; head_bound is capped at 1
+        # the snapped parameter leaves |a_0| = 1 + 1 ulp; the tail caps it at 1,
+        # without which 1 - |a_0|^2 < 0 would have no real power 1.5
         g = 0.9946128276123087 + 0.1036596505350456j
         pair = harmonic_pair(SchurFunction([g]), SchurFunction([0.5j]), 8)
-        assert pair.analytic.head_bound == 1.0 and pair.analytic.certified
+        assert pair.analytic.certified
+        assert powered_sum(pair.analytic, 1.5, 0.5).tail_bound == 0.0
         assert abs(abs(pair.analytic.coeffs[0]) - 1.0) < 1e-15
         np.testing.assert_array_equal(pair.coanalytic.coeffs, np.zeros(9))
 
@@ -455,7 +462,8 @@ class TestHelpers:
         out = be_extremal_coeffs(0.3, 5)
         assert out.coeffs[0] == 0.0 and out.order == c.order
         assert out.coeffs[1:].tobytes() == c.coeffs[:-1].tobytes()
-        assert out.certified and out.head_bound == 0.0
+        # a_0 = 0, so the certified tail is the whole r^(N+1)/(1-r)
+        assert out.certified and powered_sum(out, 1.0, 0.5).tail_bound == 0.5**6 / 0.5
 
     def test_series_validation(self):
         with pytest.raises(DomainError):
