@@ -7,14 +7,11 @@ from .errors import (
     DomainError,
     NoRootFound,
     NonSchurInput,
-    NonVanishingConstantTerm,
 )
 from .series import (
     CoefficientSeries,
-    HarmonicPair,
     SchurFunction,
     be_extremal_coeffs,
-    harmonic_pair,
     mobius_automorphism_coeffs,
     psymmetric_extremal_coeffs,
     schur_analysis,
@@ -23,7 +20,6 @@ from .series import (
 )
 from .majorant import (
     CertifiedSum,
-    harmonic_powered_sum,
     powered_sum,
 )
 from .radii import (
@@ -58,7 +54,6 @@ from .eilenberg import (
     be_bound,
     be_harmonic_bound,
     be_harmonic_radius,
-    be_lp_combination_sum,
     be_radius,
 )
 from .montecarlo import (

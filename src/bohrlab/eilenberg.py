@@ -2,19 +2,16 @@
 
 The class satisfies sum |a_k|^2 <= 1 and |f(z)| <= |z|/sqrt(1-|z|^2); the
 majorant radius is 1/sqrt(2), and harmonic pairs built over the class obey an
-l^p-combination bound with explicit radii at every p >= 1.
+l^p-combination bound with explicit radii at every p >= 1.  Only the scalar
+bounds and radii are here; majorant's _lp_combination_rows encloses the sum.
 """
 
 from __future__ import annotations
 
 import math
 
-import numpy as np
-
-from .errors import ConvergenceFailure, NonVanishingConstantTerm, _check_p_from_one, _check_r
+from .errors import ConvergenceFailure, _check_p_from_one, _check_r
 from .radii import RadiusCertificate, _bisect_predicate
-from .majorant import CertifiedSum
-from .series import HarmonicPair
 
 
 def be_bound(r: float) -> float:
@@ -52,29 +49,3 @@ def be_harmonic_radius(p: float) -> RadiusCertificate:
     return RadiusCertificate(
         radius=radius, method="bisection", residual=abs(be_harmonic_bound(p, radius) - 1.0)
     )
-
-
-def be_lp_combination_sum(pair: HarmonicPair, p: float, r: float) -> CertifiedSum:
-    """Certified enclosure of sum_{k>=1} (|a_k|^p + |b_k|^p)^(1/p) r^k.
-
-    This is the l^p accumulator of the harmonic bound over the vanishing-at-0
-    class (distinct from the harmonic powered sum, which never takes the 1/p
-    root).  Per term (|a_k|^p + |b_k|^p)^(1/p) <= 2^(1/p), giving the tail
-    2^(1/p) r^(N+1)/(1-r).
-    """
-    r, p = _check_r(r), _check_p_from_one(p)
-    if abs(pair.analytic.coeffs[0]) != 0.0:
-        raise NonVanishingConstantTerm("the class requires a_0 = 0")
-    n = min(pair.analytic.order, pair.coanalytic.order)
-    a, b = pair.analytic.coeffs[None, : n + 1], pair.coanalytic.coeffs[None, : n + 1]
-    lower, tail = _lp_combination_rows(a, b, p, r)
-    return CertifiedSum(float(lower[0]), float(tail[0]))
-
-
-def _lp_combination_rows(a: np.ndarray, b: np.ndarray, p: float, r: float):
-    """(lower, tail_bound) of be_lp_combination_sum for analytic rows a and
-    co-analytic rows b of one length (see majorant's row-wise enclosures)."""
-    n = a.shape[1] - 1
-    terms = (np.abs(a[:, 1:]) ** p + np.abs(b[:, 1:]) ** p) ** (1.0 / p)
-    lower = np.vecdot(terms, r ** np.arange(1, n + 1))
-    return lower, np.full(len(a), 2.0 ** (1.0 / p) * r ** (n + 1) / (1.0 - r))

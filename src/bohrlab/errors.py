@@ -19,10 +19,6 @@ class DomainError(BohrlabError, ValueError):
     """A parameter lies outside the documented domain of an operation."""
 
 
-class NonVanishingConstantTerm(DomainError):
-    """A series that must vanish at the origin has a nonzero constant term."""
-
-
 class NonSchurInput(BohrlabError, ValueError):
     """Coefficient data is inconsistent with membership in the closed unit ball."""
 

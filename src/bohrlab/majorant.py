@@ -1,6 +1,8 @@
-"""Powered majorant sums sum |a_k|^p r^k with rigorous tail enclosures.
+"""Certified enclosures of powered coefficient sums, as row-wise forms over
+blocks of coefficient rows: the powered, harmonic and l^p-combination sums,
+and the quadratic coefficient inequality.
 
-Every reported sum is an interval [truncated, truncated + tail]: inequality
+Every enclosure is an interval [truncated, truncated + tail]: inequality
 checks downstream always compare the conservative side.
 """
 
@@ -11,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import _check_positive_p, _check_r
-from .series import CoefficientSeries, HarmonicPair
+from .series import CoefficientSeries
 
 
 @dataclass(frozen=True)
@@ -35,27 +37,14 @@ def powered_sum(c: CoefficientSeries, p: float, r: float) -> CertifiedSum:
     return CertifiedSum(float(lower[0]), float(tail[0]))
 
 
-def harmonic_powered_sum(h: HarmonicPair, p: float, r: float) -> CertifiedSum:
-    """Certified enclosure of |a_0|^p + sum_{k>=1} (|a_k|^p + |b_k|^p) r^k.
-
-    Tail uses the crude per-term envelope for both parts: the dilatation
-    domination transfers sum|b_k|^2 <= sum|a_k|^2 <= 1, so |b_k| <= 1 just like
-    |a_k|, and the combined tail is 2 r^(N+1)/(1-r).
-    """
-    p, r = _check_positive_p(p), _check_r(r)
-    n = min(h.analytic.order, h.coanalytic.order)
-    a, b = h.analytic.coeffs[None, : n + 1], h.coanalytic.coeffs[None, : n + 1]
-    lower, tail = _harmonic_rows(a, b, p, r)
-    return CertifiedSum(float(lower[0]), float(tail[0]))
-
-
-# Row-wise forms of the enclosures above, and the quadratic inequality, for a
+# Row-wise forms of the enclosures, and of the quadratic inequality, for a
 # (rows, N + 1) block of coefficient rows: each returns one array entry per
-# row, and row i of an enclosure is bit for bit what the public function gives
-# for that row alone.  The row sums go through np.vecdot, which reduces each
-# row with the same kernel as np.dot on that row; matmul sums in another
-# order.  Terms formed from a scalar (a_0) go through Python floats, since
-# numpy's array power and complex modulus differ from libm's in the last bit.
+# row, and a row's entry does not depend on the other rows of its block.
+# powered_sum is the one-row case of _powered_rows.  The row sums go through
+# np.vecdot, which reduces each row with the same kernel as np.dot on that
+# row; matmul sums in another order.  Terms formed from a scalar (a_0) go
+# through Python floats, since numpy's array power and complex modulus differ
+# from libm's in the last bit.
 
 def _heads(c: np.ndarray) -> list:
     """|a_0| of each row, as a float."""
@@ -83,14 +72,29 @@ def _powered_rows(c: np.ndarray, p: float, r: float, certified: bool = True):
 
 
 def _harmonic_rows(a: np.ndarray, b: np.ndarray, p: float, r: float):
-    """(lower, tail_bound) of harmonic_powered_sum for analytic rows a and
-    co-analytic rows b of one length."""
+    """(lower, tail_bound) of |a_0|^p + sum_{k>=1} (|a_k|^p + |b_k|^p) r^k for
+    analytic rows a and co-analytic rows b of one length.  |omega| <= 1 gives
+    sum |b_k|^2 <= sum |a_k|^2 <= 1, so |b_k| <= 1 as |a_k| is, and the tail
+    of both parts together is 2 r^(N+1)/(1-r)."""
     n = a.shape[1] - 1
     amods, bmods = np.abs(a), np.abs(b)
     powers = r ** np.arange(n + 1)
     head = np.array([m**p for m in amods[:, 0].tolist()])
     lower = head + np.vecdot(amods[:, 1:] ** p + bmods[:, 1:] ** p, powers[1:])
     return lower, np.full(len(a), 2.0 * r ** (n + 1) / (1.0 - r))
+
+
+def _lp_combination_rows(a: np.ndarray, b: np.ndarray, p: float, r: float):
+    """(lower, tail_bound) of sum_{k>=1} (|a_k|^p + |b_k|^p)^(1/p) r^k, p >= 1,
+    the l^p combination of the vanishing-at-0 class, for rows a and b as in
+    _harmonic_rows.  Each term is at most 2^(1/p), giving the tail
+    2^(1/p) r^(N+1)/(1-r).  The rows must have a_0 = 0: verify_be's samples
+    and witness meet that by construction, through a leading zero Schur
+    parameter."""
+    n = a.shape[1] - 1
+    terms = (np.abs(a[:, 1:]) ** p + np.abs(b[:, 1:]) ** p) ** (1.0 / p)
+    lower = np.vecdot(terms, r ** np.arange(1, n + 1))
+    return lower, np.full(len(a), 2.0 ** (1.0 / p) * r ** (n + 1) / (1.0 - r))
 
 
 def _quadratic_rows(c: np.ndarray, big_r: float):

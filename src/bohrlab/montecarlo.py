@@ -26,9 +26,9 @@ from .errors import (
     _check_r,
     _check_seed,
 )
-from .eilenberg import _lp_combination_rows, be_bound, be_harmonic_bound
+from .eilenberg import be_bound, be_harmonic_bound
 from .harmonic import harmonic_bound, harmonic_threshold
-from .majorant import _harmonic_rows, _powered_rows, _quadratic_rows
+from .majorant import _harmonic_rows, _lp_combination_rows, _powered_rows, _quadratic_rows
 from .radii import maximize_envelope, mp_theorem1
 from .series import (
     SchurFunction,
@@ -380,13 +380,14 @@ def verify_theorem2(
 ) -> VerificationReport:
     """Dominance of the harmonic bound over random dominated-dilatation pairs."""
     r, p, seed = _check_r(r), _check_positive_p(p), _check_seed(seed)
-    if p < 2.0 and r > harmonic_threshold(p):
+    bound = harmonic_bound(p, r)
+    if not bound.valid:
         raise DomainError(
             f"r={r} exceeds the validity threshold {harmonic_threshold(p)} for p={p}"
         )
     order, depth = _order_and_depth(order, depth, r, tail_factor=2.0)
     enclose = _harmonic(lambda a, b: _harmonic_rows(a, b, p, r))
-    slack = _dominance(harmonic_bound(p, r).value, enclose)
+    slack = _dominance(bound.value, enclose)
     sample = lambda seeds: _sample_rows(seeds, depth)
     omega = lambda seeds: _sample_rows(_splitmix64(seeds), depth)
     slacks = _collect_slacks(slack, (sample, omega), trials, seed, order)

@@ -281,7 +281,11 @@ def powered_radius_rp(p: float) -> RadiusCertificate:
     """Powered Bohr radius with the two independent routes cross-checked.
 
     The infimum of the defining quotient and the envelope bisection must agree
-    within 1e-9; their disagreement is recorded as the residual.
+    within 1e-9; their disagreement is recorded as the residual.  Just above
+    p = 1 they do not, and the call raises ConvergenceFailure: for every
+    p - 1 <= 5.6e-8 and for some p - 1 up to 2e-6.  There the quotient's
+    minimizer 1 - a ~ p - 1 lies past the grid's 1 - 1e-8, and the float test
+    value > 1 cannot resolve an exceedance that grows like p - 1.
     """
     p = _check_p(p)
     if p == 2.0:

@@ -2,8 +2,9 @@
 
 Provides the closed-form coefficient families (disk automorphisms, p-symmetric
 extremals, the z(a-z)/(1-az) family), Schur-parameter synthesis/analysis for
-sampling the full unit ball, and the analytic/co-analytic pair construction
-for harmonic mappings with dominated dilatation.
+sampling the full unit ball, and the co-analytic coefficient rows of harmonic
+mappings h + conj(g) with dominated dilatation g' = omega h', which the
+harmonic verifiers build from blocks of synthesized h and omega rows.
 """
 
 from __future__ import annotations
@@ -73,18 +74,6 @@ class SchurFunction:
     @property
     def depth(self) -> int:
         return len(self.params) - 1
-
-
-@dataclass(frozen=True, eq=False)
-class HarmonicPair:
-    """Coefficients of h and g for a harmonic mapping h + conj(g), b_0 = 0."""
-
-    analytic: CoefficientSeries
-    coanalytic: CoefficientSeries
-
-    def __post_init__(self):
-        if abs(self.coanalytic.coeffs[0]) != 0.0:
-            raise DomainError("coanalytic part must vanish at the origin")
 
 
 # Outputs per step of the block division, and the order from which a short
@@ -361,7 +350,9 @@ def _coanalytic_rows(a: np.ndarray, w: np.ndarray) -> np.ndarray:
     """Co-analytic coefficient rows b of g' = omega h', for coefficient rows a
     of h and w of omega: b_k = (1/k) sum_{j<k} w_j (k-j) a_(k-j), b_0 = 0.
 
-    One convolution per row."""
+    Since |omega| <= 1 forces sum |b_k|^2 <= sum |a_k|^2 <= 1 for unit-ball h,
+    every |b_k| <= 1, and both parts carry the unit-ball certificate.  One
+    convolution per row."""
     order = a.shape[1] - 1
     b = np.zeros_like(a)
     if order >= 1:
@@ -371,16 +362,3 @@ def _coanalytic_rows(a: np.ndarray, w: np.ndarray) -> np.ndarray:
             b_row[1:] = np.convolve(w_row[:order], hp_row)[:order]  # omega h'
         b[:, 1:] /= k
     return b
-
-
-def harmonic_pair(h_params: SchurFunction, w_params: SchurFunction, order: int) -> HarmonicPair:
-    """Build (h, g) with h the Schur synthesis of h_params and g' = w h', where
-    w is the synthesis of w_params; both are synthesized in one block.
-
-    Since |omega| <= 1 forces sum |b_k|^2 <= sum |a_k|^2 <= 1, every |b_k| <= 1
-    and both parts carry the unit-ball certificate.
-    """
-    a, w = schur_synthesis_rows([h_params, w_params], order)
-    b = _coanalytic_rows(a[None], w[None])[0]
-    return HarmonicPair(CoefficientSeries(a, certified=True), CoefficientSeries(b, certified=True))
-

@@ -6,11 +6,12 @@ range.  Counts (trials, order, depth) must be finite, integer-valued and
 non-negative; seeds must be finite and integer-valued, of any sign.  Entry
 points without a ranged parameter are not listed: be_radius,
 harmonic_radius_p1, and psymmetric_root_equation, which evaluates its
-polynomial anywhere.  The last tests pin the set of public names, and check
+polynomial anywhere.  The last tests pin the set of public names, check
 that importing the package and its CLI loads none of the heavy optional
-modules.
+modules, and that no module keeps an unread import or private name.
 """
 
+import ast
 import math
 import os
 import subprocess
@@ -21,12 +22,7 @@ from pathlib import Path
 import pytest
 
 import bohrlab
-from bohrlab import (
-    DomainError,
-    SchurFunction,
-    harmonic_pair,
-    mobius_automorphism_coeffs,
-)
+from bohrlab import DomainError, SchurFunction, mobius_automorphism_coeffs
 
 NAN, INF = math.nan, math.inf
 NON_FINITE = (NAN, INF, -INF)
@@ -44,8 +40,6 @@ def above(x):
 
 SERIES = mobius_automorphism_coeffs(0.3, 8)
 SCHUR = SchurFunction([0.3, 0.2])
-PAIR = harmonic_pair(SchurFunction([0.3]), SchurFunction([0.2]), 8)
-BE_PAIR = harmonic_pair(SchurFunction([0.0, 0.5]), SchurFunction([0.2]), 8)  # a_0 = 0
 
 P_02 = (0.0, above(2.0))  # p in (0, 2]
 P_02_OPEN = (0.0, 2.0)  # p in (0, 2)
@@ -83,9 +77,7 @@ ENTRY_POINTS = [
     ("be_bound", dict(r=0.5), dict(r=R_01)),
     ("be_harmonic_bound", dict(p=1.0, r=0.5), dict(p=P_FROM_1, r=R_01)),
     ("be_harmonic_radius", dict(p=1.0), dict(p=P_FROM_1)),
-    ("be_lp_combination_sum", dict(pair=BE_PAIR, p=1.0, r=0.5), dict(p=P_FROM_1, r=R_01)),
     ("powered_sum", dict(c=SERIES, p=1.0, r=0.5), dict(p=P_POS, r=R_01)),
-    ("harmonic_powered_sum", dict(h=PAIR, p=1.0, r=0.5), dict(p=P_POS, r=R_01)),
     ("mobius_automorphism_coeffs", dict(a=0.5, order=4), dict(a=A_OPEN, order=COUNTS)),
     (
         "psymmetric_extremal_coeffs",
@@ -96,7 +88,6 @@ ENTRY_POINTS = [
     ("schur_synthesis", dict(s=SCHUR, order=4), dict(order=COUNTS)),
     ("schur_synthesis_rows", dict(schurs=[SCHUR], order=4), dict(order=COUNTS)),
     ("schur_analysis", dict(c=SERIES, depth=2), dict(depth=COUNTS + (SERIES.order + 1,))),
-    ("harmonic_pair", dict(h_params=SCHUR, w_params=SCHUR, order=4), dict(order=COUNTS)),
     ("sample_schur", dict(seed=1, depth=3), dict(seed=SEEDS, depth=COUNTS)),
     ("trial_seed", dict(seed=1, index=3), dict(seed=SEEDS, index=(2.5, -1))),
     (
@@ -163,14 +154,12 @@ def test_negative_and_huge_seeds_run(name, valid, seed):
 
 PUBLIC_NAMES = {
     "BohrlabError", "CertifiedSum", "CoefficientSeries", "ConvergenceFailure",
-    "DomainError", "EnvelopeResult", "HarmonicBound", "HarmonicPair", "MpValue",
-    "NoRootFound", "NonSchurInput", "NonVanishingConstantTerm", "RadiusCertificate",
-    "SchurFunction", "VerificationReport",
+    "DomainError", "EnvelopeResult", "HarmonicBound", "MpValue", "NoRootFound",
+    "NonSchurInput", "RadiusCertificate", "SchurFunction", "VerificationReport",
     "bb_lower_bound", "be_bound", "be_extremal_coeffs", "be_harmonic_bound",
-    "be_harmonic_radius", "be_lp_combination_sum", "be_radius",
-    "blaschke_sharpness_radius", "bombieri_closed_form", "branch_consistency_gap",
-    "envelope_value", "exact_branch_threshold", "harmonic_bound",
-    "harmonic_closed_form_p1", "harmonic_pair", "harmonic_powered_sum",
+    "be_harmonic_radius", "be_radius", "blaschke_sharpness_radius",
+    "bombieri_closed_form", "branch_consistency_gap", "envelope_value",
+    "exact_branch_threshold", "harmonic_bound", "harmonic_closed_form_p1",
     "harmonic_radius_p1", "harmonic_threshold", "lower_bound_mp", "maximize_envelope",
     "mobius_automorphism_coeffs", "mp_theorem1", "paulsen_majorant",
     "powered_radius_rp", "powered_sum", "psymmetric_extremal_a",
@@ -191,15 +180,54 @@ def test_public_names_are_pinned():
     assert public == PUBLIC_NAMES
 
 
+SRC = Path(__file__).resolve().parents[1] / "src" / "bohrlab"
+
+
 def test_import_loads_no_heavy_module():
     # scipy, mpmath and hypothesis are test or reference dependencies; any of
     # them on the import path of bohrlab would add to every run's start-up
     # time and memory
     code = "import sys, bohrlab, bohrlab.cli; print(*sorted(sys.modules))"
-    src = Path(__file__).resolve().parents[1] / "src"
-    env = dict(os.environ, PYTHONPATH=str(src))
+    env = dict(os.environ, PYTHONPATH=str(SRC.parent))
     loaded = subprocess.run(
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
     ).stdout.split()
     heavy = [m for m in loaded if m.split(".")[0] in ("scipy", "mpmath", "hypothesis")]
     assert "bohrlab.cli" in loaded and heavy == []
+
+
+def test_no_unused_import_or_private_name():
+    # no linter runs on the package: fail on a name a module imports and never
+    # reads (the re-exports of __init__ aside), and on a private top-level name
+    # that no module reads
+    trees = {path.stem: ast.parse(path.read_text()) for path in SRC.glob("*.py")}
+    reads = {
+        stem: {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)
+               and isinstance(node.ctx, ast.Load)}
+        | {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+        for stem, tree in trees.items()
+    }
+    read_anywhere = set().union(*reads.values())
+    unused, unread = [], []
+    for stem, tree in trees.items():
+        for node in ast.walk(tree):
+            if stem == "__init__" or not isinstance(node, (ast.Import, ast.ImportFrom)):
+                continue
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            for alias in node.names:
+                bound = alias.asname or alias.name.split(".")[0]
+                if bound not in reads[stem]:
+                    unused.append(f"{stem}: {bound}")
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                defined = [node.name]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                defined = [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+            else:
+                continue
+            for name in defined:
+                if name.startswith("_") and not name.startswith("__") and name not in read_anywhere:
+                    unread.append(f"{stem}: {name}")
+    assert (unused, unread) == ([], [])

@@ -8,20 +8,19 @@ import pytest
 from bohrlab import (
     CoefficientSeries,
     DomainError,
-    NonVanishingConstantTerm,
     SchurFunction,
     be_bound,
     be_extremal_coeffs,
     be_harmonic_bound,
     be_harmonic_radius,
-    be_lp_combination_sum,
     be_radius,
-    harmonic_pair,
     powered_sum,
     sample_schur,
     schur_synthesis,
     trial_seed,
 )
+from bohrlab.majorant import _lp_combination_rows
+from pair_rows import pair_rows
 
 INV_SQRT2 = 1.0 / math.sqrt(2.0)
 
@@ -148,33 +147,31 @@ class TestBeHarmonicRadius:
 
 
 class TestLpCombinationSum:
+    """majorant._lp_combination_rows on one pair of the class: a leading zero
+    Schur parameter gives a_0 = 0, as in verify_be."""
+
     def _pair(self, seed, order=64):
         g = sample_schur(trial_seed(seed, 0), 10)
         h_params = SchurFunction(np.concatenate(([0.0], g.params)))
-        return harmonic_pair(h_params, sample_schur(trial_seed(seed, 1), 10), order)
-
-    def test_requires_vanishing_constant_term(self):
-        pair = harmonic_pair(SchurFunction([0.5]), SchurFunction([0.2]), 8)
-        with pytest.raises(NonVanishingConstantTerm):
-            be_lp_combination_sum(pair, 1.0, 0.3)
+        a, b = pair_rows(h_params, sample_schur(trial_seed(seed, 1), 10), order)
+        assert a[0] == 0.0
+        return a[None], b[None]
 
     def test_p_one_splits_into_two_sums(self):
-        pair = self._pair(5)
-        combo = be_lp_combination_sum(pair, 1.0, 0.4)
-        amods = np.abs(pair.analytic.coeffs[1:])
-        bmods = np.abs(pair.coanalytic.coeffs[1:])
-        direct = np.dot(amods + bmods, 0.4 ** np.arange(1, 65))
-        assert abs(combo.lower - direct) < 1e-13
+        a, b = self._pair(5)
+        lower, _ = _lp_combination_rows(a, b, 1.0, 0.4)
+        direct = np.dot(np.abs(a[0, 1:]) + np.abs(b[0, 1:]), 0.4 ** np.arange(1, 65))
+        assert abs(lower[0] - direct) < 1e-13
 
     def test_dominated_by_bound_on_grid(self):
         for p in (1.0, 1.5, 2.0, 3.0):
             for i in range(25):
-                pair = self._pair(1000 + i)
+                a, b = self._pair(1000 + i)
                 for r in (0.3, 0.5, 0.57):
-                    combo = be_lp_combination_sum(pair, p, r)
-                    assert combo.upper <= be_harmonic_bound(p, r) + 1e-9
+                    lower, tail = _lp_combination_rows(a, b, p, r)
+                    assert lower[0] + tail[0] <= be_harmonic_bound(p, r) + 1e-9
 
     def test_tail_envelope(self):
-        pair = self._pair(9, order=16)
-        combo = be_lp_combination_sum(pair, 2.0, 0.5)
-        assert math.isclose(combo.tail_bound, math.sqrt(2.0) * 0.5**17 / 0.5, rel_tol=1e-15)
+        a, b = self._pair(9, order=16)
+        _, tail = _lp_combination_rows(a, b, 2.0, 0.5)
+        assert math.isclose(tail[0], math.sqrt(2.0) * 0.5**17 / 0.5, rel_tol=1e-15)

@@ -10,8 +10,6 @@ from bohrlab import (
     SchurFunction,
     harmonic_bound,
     harmonic_closed_form_p1,
-    harmonic_pair,
-    harmonic_powered_sum,
     harmonic_radius_p1,
     harmonic_threshold,
     maximize_envelope,
@@ -19,7 +17,9 @@ from bohrlab import (
     sample_schur,
     trial_seed,
 )
+from bohrlab.majorant import _harmonic_rows
 from bohrlab.radii import _envelope
+from pair_rows import pair_rows
 
 SQRT_TWO_THIRDS = math.sqrt(2.0 / 3.0)
 
@@ -140,52 +140,52 @@ class TestHarmonicRadius:
         assert maximize_envelope(1.0, 0.21, doubled=True).value > 1.0
 
 
-def domination_sides(pair, r):
+def domination_sides(a, b, r):
     """(lhs, rhs) of sum |b_k|^2 r^k <= sum |a_k|^2 r^k over k >= 1, with an
     upper tail estimate folded into lhs and none into rhs."""
-    n = min(pair.analytic.order, pair.coanalytic.order)
+    n = len(a) - 1
     powers = r ** np.arange(1, n + 1)
-    amods2 = np.abs(pair.analytic.coeffs[: n + 1]) ** 2
-    bmods2 = np.abs(pair.coanalytic.coeffs[: n + 1]) ** 2
+    amods2 = np.abs(a) ** 2
+    bmods2 = np.abs(b) ** 2
     # |b_k| <= 1 per term, and sum |b_k|^2 <= sum |a_k|^2 <= 1 caps the rest
     tail = min(r ** (n + 1) / (1.0 - r), max(0.0, 1.0 - float(bmods2.sum())) * r ** (n + 1))
     return float(np.dot(bmods2[1:], powers)) + tail, float(np.dot(amods2[1:], powers))
 
 
 class TestDilatationDomination:
-    """harmonic_pair's co-analytic part is dominated by its analytic part, the
-    fact behind the |b_k| <= 1 tail of harmonic_powered_sum."""
+    """A pair's co-analytic part is dominated by its analytic part, the fact
+    behind the |b_k| <= 1 tail of majorant._harmonic_rows."""
 
     def test_zero_dilatation(self):
-        pair = harmonic_pair(SchurFunction([0.5, -1.0]), SchurFunction([0.0]), 400)
-        lhs, rhs = domination_sides(pair, 0.6)
+        a, b = pair_rows(SchurFunction([0.5, -1.0]), SchurFunction([0.0]), 400)
+        lhs, rhs = domination_sides(a, b, 0.6)
         assert lhs <= rhs + 1e-10
         assert lhs < 1e-12
 
     def test_constant_dilatation_proportionality(self):
         c = 0.7
-        pair = harmonic_pair(SchurFunction([0.5, -1.0]), SchurFunction([c]), 400)
-        lhs, rhs = domination_sides(pair, 0.5)
+        a, b = pair_rows(SchurFunction([0.5, -1.0]), SchurFunction([c]), 400)
+        lhs, rhs = domination_sides(a, b, 0.5)
         assert lhs <= rhs + 1e-10
         assert abs(lhs - c * c * rhs) < 1e-12
 
     def test_unimodular_constant_equality(self):
-        pair = harmonic_pair(SchurFunction([0.5, -1.0]), SchurFunction([1.0]), 400)
+        a, b = pair_rows(SchurFunction([0.5, -1.0]), SchurFunction([1.0]), 400)
         for r in (0.3, 0.6, 0.9):
-            lhs, rhs = domination_sides(pair, r)
+            lhs, rhs = domination_sides(a, b, r)
             assert lhs <= rhs + 1e-10
             assert abs(lhs - rhs) < 1e-10
 
     def test_random_pairs(self):
         for i in range(100):
-            pair = harmonic_pair(
+            a, b = pair_rows(
                 sample_schur(trial_seed(1234, i), 12),
                 sample_schur(trial_seed(4321, i), 12),
                 400,
             )
-            assert np.abs(pair.coanalytic.coeffs).max() <= 1.0
+            assert np.abs(b).max() <= 1.0
             for r in (0.3, 0.6, 0.9):
-                lhs, rhs = domination_sides(pair, r)
+                lhs, rhs = domination_sides(a, b, r)
                 assert lhs <= rhs + 1e-10
 
 
@@ -196,13 +196,13 @@ class TestDominanceRange:
             supported = (2.0 ** (1.0 / (2.0 - p)) + 1.0) ** (p / 2.0 - 1.0)
             bound = harmonic_bound(p, supported).value
             for i in range(150):
-                pair = harmonic_pair(
+                a, b = pair_rows(
                     sample_schur(trial_seed(8, i), 12),
                     sample_schur(trial_seed(80, i), 12),
                     300,
                 )
-                total = harmonic_powered_sum(pair, p, supported)
-                assert total.upper <= bound + 1e-9
+                lower, tail = _harmonic_rows(a[None], b[None], p, supported)
+                assert lower[0] + tail[0] <= bound + 1e-9
 
     def test_known_violation_beyond_supported_range(self):
         # frozen counterexample: inside the nominal validity range but beyond
@@ -213,20 +213,20 @@ class TestDominanceRange:
         r = 0.81
         assert r < harmonic_threshold(1.0)
         ts = trial_seed(2, 19)
-        pair = harmonic_pair(sample_schur(ts, 12), sample_schur(_splitmix64(ts), 12), 400)
-        total = harmonic_powered_sum(pair, 1.0, r)
+        a, b = pair_rows(sample_schur(ts, 12), sample_schur(_splitmix64(ts), 12), 400)
+        lower, _ = _harmonic_rows(a[None], b[None], 1.0, r)
         bound = harmonic_bound(1.0, r).value
-        assert total.lower > bound + 0.01
+        assert lower[0] > bound + 0.01
 
 
 class TestLargePExtremalProbe:
     def test_pair_with_unit_first_coefficients_attains(self):
         # h(z) = z with omega = 1 gives |a_1| = |b_1| = 1 and sum = 2r
-        pair = harmonic_pair(SchurFunction([0.0, 1.0]), SchurFunction([1.0]), 64)
-        assert abs(pair.analytic.coeffs[1] - 1.0) < 1e-15
-        assert abs(pair.coanalytic.coeffs[1] - 1.0) < 1e-15
+        a, b = pair_rows(SchurFunction([0.0, 1.0]), SchurFunction([1.0]), 64)
+        assert abs(a[1] - 1.0) < 1e-15
+        assert abs(b[1] - 1.0) < 1e-15
         for p in (3.0, 5.0, 10.0):
-            hs = harmonic_powered_sum(pair, p, 0.6)
-            assert abs(hs.lower - 1.2) < 1e-12
+            lower, _ = _harmonic_rows(a[None], b[None], p, 0.6)
+            assert abs(lower[0] - 1.2) < 1e-12
             bound = harmonic_bound(p, 0.6).value
-            assert hs.lower <= bound + 1e-12
+            assert lower[0] <= bound + 1e-12

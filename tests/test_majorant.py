@@ -6,12 +6,11 @@ import numpy as np
 import pytest
 
 from bohrlab import (
+    CertifiedSum,
     CoefficientSeries,
     DomainError,
     SchurFunction,
     be_extremal_coeffs,
-    harmonic_pair,
-    harmonic_powered_sum,
     mobius_automorphism_coeffs,
     powered_sum,
     sample_schur,
@@ -19,10 +18,10 @@ from bohrlab import (
     schur_synthesis_rows,
     verify_lemma_quadratic,
 )
-from bohrlab.eilenberg import _lp_combination_rows, be_lp_combination_sum
-from bohrlab.majorant import _harmonic_rows, _powered_rows, _quadratic_rows
+from bohrlab.majorant import _harmonic_rows, _lp_combination_rows, _powered_rows, _quadratic_rows
 from bohrlab.montecarlo import _sample_rows, _trial_seeds
-from bohrlab.series import HarmonicPair, _coanalytic_rows
+from bohrlab.series import _coanalytic_rows
+from pair_rows import pair_rows
 
 
 class TestPoweredSum:
@@ -80,30 +79,35 @@ class TestPoweredSum:
             assert np.sum(np.abs(c.coeffs) ** 2) <= 1.0 + 1e-12
 
 
+def harmonic_sum(a, b, p, r):
+    """_harmonic_rows on the one pair (a, b), as a CertifiedSum."""
+    return CertifiedSum(*(float(side[0]) for side in _harmonic_rows(a[None], b[None], p, r)))
+
+
 class TestHarmonicPoweredSum:
     def test_zero_coanalytic_matches_analytic_sum(self):
-        pair = harmonic_pair(SchurFunction([0.5, -1.0]), SchurFunction([0.0]), 64)
-        hs = harmonic_powered_sum(pair, 1.0, 0.4)
-        ps = powered_sum(pair.analytic, 1.0, 0.4)
+        a, b = pair_rows(SchurFunction([0.5, -1.0]), SchurFunction([0.0]), 64)
+        hs = harmonic_sum(a, b, 1.0, 0.4)
+        ps = powered_sum(CoefficientSeries(a, certified=True), 1.0, 0.4)
         assert abs(hs.lower - ps.lower) < 1e-15
 
     def test_unimodular_dilatation_doubles(self):
-        pair = harmonic_pair(SchurFunction([0.5, -1.0]), SchurFunction([1.0]), 64)
-        hs = harmonic_powered_sum(pair, 1.0, 0.4)
-        mods = np.abs(pair.analytic.coeffs)
+        a, b = pair_rows(SchurFunction([0.5, -1.0]), SchurFunction([1.0]), 64)
+        hs = harmonic_sum(a, b, 1.0, 0.4)
+        mods = np.abs(a)
         expected = mods[0] + 2.0 * np.dot(mods[1:], 0.4 ** np.arange(1, 65))
         assert abs(hs.lower - expected) < 1e-14
 
     def test_equality_case_at_harmonic_radius(self):
         # near the degenerate argmax a -> 1 the doubled sum reaches 1 at r = 1/5
-        pair = harmonic_pair(SchurFunction([1.0 - 1e-8, -1.0]), SchurFunction([1.0]), 400)
-        hs = harmonic_powered_sum(pair, 1.0, 0.2)
+        a, b = pair_rows(SchurFunction([1.0 - 1e-8, -1.0]), SchurFunction([1.0]), 400)
+        hs = harmonic_sum(a, b, 1.0, 0.2)
         assert abs(hs.lower - 1.0) < 1e-9
         assert abs(hs.upper - 1.0) < 1e-9
 
     def test_tail_is_doubled_envelope(self):
-        pair = harmonic_pair(SchurFunction([0.2]), SchurFunction([0.3]), 16)
-        hs = harmonic_powered_sum(pair, 1.0, 0.5)
+        a, b = pair_rows(SchurFunction([0.2]), SchurFunction([0.3]), 16)
+        hs = harmonic_sum(a, b, 1.0, 0.5)
         assert hs.tail_bound == 2.0 * 0.5**17 / 0.5
 
 
@@ -187,13 +191,10 @@ def reference_coanalytic(a, w):
     return b
 
 
-def pair_of(a, b) -> HarmonicPair:
-    return HarmonicPair(CoefficientSeries(a, certified=True), CoefficientSeries(b, certified=True))
-
-
 class TestRowEnclosures:
-    """Row i of each block enclosure is bit for bit the one-row public call
-    and the one-row reference above."""
+    """Row i of each block enclosure is bit for bit the same row form on row i
+    alone (for the powered sum, its one-row case powered_sum) and the one-row
+    reference above."""
 
     ORDER = 80
 
@@ -240,8 +241,10 @@ class TestRowEnclosures:
     def test_harmonic_rows(self, block, p, r):
         c, w, _ = block
         b = _coanalytic_rows(c, w)
-        pairs = [pair_of(x, y) for x, y in zip(c, b)]
-        one = [(s.lower, s.tail_bound) for s in (harmonic_powered_sum(x, p, r) for x in pairs)]
+        one = [
+            tuple(side[0] for side in _harmonic_rows(x[None], y[None], p, r))
+            for x, y in zip(c, b)
+        ]
         reference = [reference_harmonic(x, y, p, r) for x, y in zip(c, b)]
         self.check(_harmonic_rows(c, b, p, r), one, reference)
 
@@ -250,8 +253,10 @@ class TestRowEnclosures:
     def test_lp_combination_rows(self, block, p, r):
         _, w, a = block
         b = _coanalytic_rows(a, w)
-        pairs = [pair_of(x, y) for x, y in zip(a, b)]
-        one = [(s.lower, s.tail_bound) for s in (be_lp_combination_sum(x, p, r) for x in pairs)]
+        one = [
+            tuple(side[0] for side in _lp_combination_rows(x[None], y[None], p, r))
+            for x, y in zip(a, b)
+        ]
         reference = [reference_lp_combination(x, y, p, r) for x, y in zip(a, b)]
         self.check(_lp_combination_rows(a, b, p, r), one, reference)
 
@@ -264,8 +269,9 @@ class TestRowEnclosures:
     def test_coanalytic_rows(self, schurs, block):
         c, w, _ = block
         b = _coanalytic_rows(c, w)
+        assert (b[:, 0] == 0).all()
         for i, (h, omega) in enumerate(zip(*schurs)):
-            pair = harmonic_pair(h, omega, self.ORDER)
-            assert np.array_equal(pair.analytic.coeffs, c[i])
-            assert pair.coanalytic.coeffs.tobytes() == b[i].tobytes(), i
+            a_i, b_i = pair_rows(h, omega, self.ORDER)
+            assert np.array_equal(a_i, c[i])
+            assert b_i.tobytes() == b[i].tobytes(), i
             assert reference_coanalytic(c[i], w[i]).tobytes() == b[i].tobytes(), i

@@ -138,6 +138,35 @@ class TestMpTheorem1:
             assert branch_consistency_gap(p) < 1e-9
 
 
+def rp_reference(mpmath, p):
+    """The powered Bohr radius for 0 < p - 1 <= 1e-5 in 60 digits: the
+    infimum of the defining quotient, by golden section in t = log(1 - a) on
+    log(p - 1) +- 4.  The minimizer sits at 1 - a ~ p - 1, and a 1/8-step scan
+    of t over [-45, 0] finds nothing lower on the grid of the test below."""
+    with mpmath.workdps(60):
+        p = mpmath.mpf(p)
+
+        def quotient(t):
+            eps = mpmath.exp(t)  # 1 - a
+            ap = (1 - eps) ** p
+            return (1 - ap) / (ap * (1 - ap) + (eps * (2 - eps)) ** p)
+
+        lo, hi = mpmath.log(p - 1) - 4, mpmath.log(p - 1) + 4
+        g = (mpmath.sqrt(5) - 1) / 2
+        x1, x2 = hi - g * (hi - lo), lo + g * (hi - lo)
+        f1, f2 = quotient(x1), quotient(x2)
+        for _ in range(60):
+            if f1 < f2:
+                hi, x2, f2 = x2, x1, f1
+                x1 = hi - g * (hi - lo)
+                f1 = quotient(x1)
+            else:
+                lo, x1, f1 = x1, x2, f2
+                x2 = lo + g * (hi - lo)
+                f2 = quotient(x2)
+        return float(min(f1, f2))
+
+
 class TestPoweredRadius:
     def test_classical_radius_both_routes(self):
         assert abs(rp_via_infimum(1.0) - 1.0 / 3.0) < 1e-9
@@ -171,6 +200,22 @@ class TestPoweredRadius:
         monkeypatch.setattr(radii_mod, "rp_via_envelope_bisection", lambda p: 0.5)
         with pytest.raises(ConvergenceFailure):
             radii_mod.powered_radius_rp(1.0)
+
+    def test_refuses_or_is_accurate_just_above_one(self):
+        # at p = 1 + 10^-k the two routes disagree for every p - 1 <= 5.6e-8
+        # and at some larger p - 1, and the call raises; whatever radius it
+        # returns must match the 60-digit reference
+        mpmath = pytest.importorskip("mpmath")
+        answered = 0
+        for k in range(20, 64):
+            p = 1.0 + 10.0 ** -(k / 4)
+            try:
+                radius = powered_radius_rp(p).radius
+            except ConvergenceFailure:
+                continue
+            answered += 1
+            assert abs(radius - rp_reference(mpmath, p)) < 1e-9, p
+        assert answered
 
 
 class TestLowerBound:

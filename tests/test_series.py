@@ -16,7 +16,6 @@ from bohrlab import (
     NonSchurInput,
     SchurFunction,
     be_extremal_coeffs,
-    harmonic_pair,
     mobius_automorphism_coeffs,
     powered_sum,
     psymmetric_extremal_coeffs,
@@ -27,6 +26,7 @@ from bohrlab import (
 from bohrlab import series
 from bohrlab.montecarlo import sample_schur, trial_seed
 from bohrlab.series import _BLOCK_FROM_ORDER, _divide_trunc
+from pair_rows import pair_rows
 
 
 def params_strategy(max_depth=12, max_modulus=1.0):
@@ -410,49 +410,48 @@ class TestSchurRecursion:
 
 
 class TestHarmonicPair:
+    """The pair (h, g) with g' = omega h' that the harmonic verifiers build."""
+
     def test_constant_dilatation_scales_coefficients(self):
         h = SchurFunction([0.5, -1.0])  # the automorphism phi_{0.5}
         c = 0.6 - 0.3j
-        pair = harmonic_pair(h, SchurFunction([c]), 10)
-        np.testing.assert_allclose(
-            pair.coanalytic.coeffs[1:], c * pair.analytic.coeffs[1:], atol=1e-14
-        )
-        assert pair.coanalytic.coeffs[0] == 0.0
+        a, b = pair_rows(h, SchurFunction([c]), 10)
+        np.testing.assert_allclose(b[1:], c * a[1:], atol=1e-14)
+        assert b[0] == 0.0
 
     def test_zero_dilatation(self):
-        pair = harmonic_pair(SchurFunction([0.5, -1.0]), SchurFunction([0.0]), 8)
-        np.testing.assert_array_equal(pair.coanalytic.coeffs, np.zeros(9))
+        _, b = pair_rows(SchurFunction([0.5, -1.0]), SchurFunction([0.0]), 8)
+        np.testing.assert_array_equal(b, np.zeros(9))
 
     def test_quadratic_domination_on_grid(self):
         # h = phi_{0.5}, omega(z) = z
-        pair = harmonic_pair(SchurFunction([0.5, -1.0]), SchurFunction([0.0, 1.0]), 8)
+        a, b = pair_rows(SchurFunction([0.5, -1.0]), SchurFunction([0.0, 1.0]), 8)
         for r in (0.3, 0.6, 0.9):
             powers = r ** np.arange(9)
-            lhs = np.dot(np.abs(pair.coanalytic.coeffs) ** 2, powers)
-            rhs = np.dot(np.abs(pair.analytic.coeffs) ** 2, powers)
+            lhs = np.dot(np.abs(b) ** 2, powers)
+            rhs = np.dot(np.abs(a) ** 2, powers)
             assert lhs <= rhs + 1e-14
 
     def test_parts_match_separate_syntheses(self):
         # h and omega share one block; h's row is synthesized as it is alone
         h = SchurFunction([0.0, 0.3 + 0.4j, -0.5, 0.2j])
         w = SchurFunction([0.6, -0.1j])
-        pair = harmonic_pair(h, w, 24)
-        np.testing.assert_array_equal(pair.analytic.coeffs, schur_synthesis(h, 24).coeffs)
+        a, b = pair_rows(h, w, 24)
+        np.testing.assert_array_equal(a, schur_synthesis(h, 24).coeffs)
         wc = schur_synthesis(w, 24).coeffs
         k = np.arange(1, 25)
-        expected = np.array([np.dot(wc[:n][::-1], k[:n] * pair.analytic.coeffs[1 : n + 1]) / n
-                             for n in k])
-        np.testing.assert_allclose(pair.coanalytic.coeffs[1:], expected, atol=1e-15)
+        expected = np.array([np.dot(wc[:n][::-1], k[:n] * a[1 : n + 1]) / n for n in k])
+        np.testing.assert_allclose(b[1:], expected, atol=1e-15)
 
     def test_unimodular_analytic_parameter(self):
         # the snapped parameter leaves |a_0| = 1 + 1 ulp; the tail caps it at 1,
         # without which 1 - |a_0|^2 < 0 would have no real power 1.5
         g = 0.9946128276123087 + 0.1036596505350456j
-        pair = harmonic_pair(SchurFunction([g]), SchurFunction([0.5j]), 8)
-        assert pair.analytic.certified
-        assert powered_sum(pair.analytic, 1.5, 0.5).tail_bound == 0.0
-        assert abs(abs(pair.analytic.coeffs[0]) - 1.0) < 1e-15
-        np.testing.assert_array_equal(pair.coanalytic.coeffs, np.zeros(9))
+        a, b = pair_rows(SchurFunction([g]), SchurFunction([0.5j]), 8)
+        analytic = CoefficientSeries(a, certified=True)
+        assert powered_sum(analytic, 1.5, 0.5).tail_bound == 0.0
+        assert abs(abs(a[0]) - 1.0) < 1e-15
+        np.testing.assert_array_equal(b, np.zeros(9))
 
 
 class TestHelpers:
