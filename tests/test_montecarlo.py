@@ -322,3 +322,75 @@ class TestBlocking:
         assert {r.params["order"] for r in blocked} == {894, 2750}
         monkeypatch.setattr(montecarlo, "_BLOCK_COEFFS", 1)
         assert reports() == blocked
+
+
+class TestReportPins:
+    """Whole reports pinned bit for bit, recorded when every trial was scored
+    at the claim's full order: scoring a trial at a lower order first, when
+    that settles it, must leave every reported number as it was."""
+
+    @staticmethod
+    def key(report):
+        p = report.params
+        max_sum = p.get("max_sum")
+        return (
+            report.failures,
+            p.get("worst_trial"),
+            p.get("worst_trial_seed"),
+            float.hex(report.worst_margin),
+            p["order"],
+            None if max_sum is None else float.hex(max_sum),
+        )
+
+    # the five claims of the high-r benchmark workload, at seed 7
+    HIGH_R = [
+        (
+            lambda: verify_theorem2(3.0, 0.97, 100, seed=7),
+            [(0, 51, None, "-0x1.a87e400000000p-34", 894, None)],
+        ),
+        (
+            lambda: verify_theorem1(1.5, 0.99, 100, seed=7),
+            [(0, 65, None, "0x1.54724bcfc66d8p-2", 2750, None)],
+        ),
+        (
+            lambda: verify_theorem1(1.5, 0.995, 100, seed=7),
+            [(0, 65, None, "0x1.4c6a7548ef7d0p-1", 4000, None)],
+        ),
+        (
+            lambda: verify_lemma_quadratic(100, 0.99, seed=7),
+            [(0, 29, None, "0x0.0p+0", 2750, None)],
+        ),
+        (
+            lambda: verify_be(0.97, 1.0, 100, seed=7),
+            [
+                (0, 65, None, "0x1.23e1fc8ea0970p-1", 894, "0x1.b5c15bb0bbc33p+1"),
+                (0, 47, None, "0x1.948d85a797378p+0", 894, None),
+            ],
+        ),
+    ]
+
+    @pytest.mark.parametrize("call, want", HIGH_R)
+    def test_high_r_reports(self, call, want):
+        out = call()
+        reports = list(out) if isinstance(out, tuple) else [out]
+        assert [self.key(rep) for rep in reports] == want
+
+    def test_acceptance_order_241(self):
+        report = verify_theorem1(1.5, 0.9, 200, seed=7)
+        assert self.key(report) == (0, 30, None, "0x1.b4510c27be600p-6", 241, None)
+
+    def test_harmonic_over_claim(self):
+        # the nominal harmonic threshold over-claims: at p = 1, r = 0.8 (below
+        # sqrt(2/3)) one random trial breaks the bound by ~0.042
+        report = verify_theorem2(1.0, 0.8, 300, seed=7)
+        want = (1, 262, 16732235586306984514, "-0x1.585cf7b917ac0p-5", 114, None)
+        assert self.key(report) == want
+
+    def test_geometric_tail_at_the_order_cap(self):
+        # a known defect, not a property: at r = 0.999 the order stops at
+        # 4000, where the geometric tail bound still exceeds the true tail by
+        # ~8 decades, so every trial and witness of a true theorem reads as
+        # violated.  A sound, tighter tail moves this pin.
+        report = verify_theorem1(2.0, 0.999, 100, seed=1)
+        want = (101, 56, 11319972279577420102, "-0x1.235ec655e9572p+4", 4000, None)
+        assert self.key(report) == want
