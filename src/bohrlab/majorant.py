@@ -98,12 +98,12 @@ def _lp_combination_rows(a: np.ndarray, b: np.ndarray, p: float, r: float):
 
 
 def _quadratic_rows(c: np.ndarray, big_r: float):
-    """(lhs, rhs) of sum_{k>=1} |a_k|^2 R^k <= R (1-|a_0|^2)^2 / (1 - |a_0|^2 R)
+    """(partial, tail, rhs) of sum_{k>=1} |a_k|^2 R^k <= R (1-|a_0|^2)^2 / (1 - |a_0|^2 R)
     for each row of certified unit-ball coefficients.
 
-    lhs folds in an upper tail estimate.  R = 1 is allowed (the right side
-    stays finite for |a_0| < 1), and there the tail falls back on the Parseval
-    remainder 1 - sum_{k<=N} |a_k|^2.
+    The left side is enclosed in [partial, partial + tail].  R = 1 is allowed
+    (the right side stays finite for |a_0| < 1), and there the tail falls back
+    on the Parseval remainder 1 - sum_{k<=N} |a_k|^2.
     """
     mods2 = np.abs(c) ** 2
     powers = big_r ** np.arange(c.shape[1])
@@ -116,4 +116,4 @@ def _quadratic_rows(c: np.ndarray, big_r: float):
         rhs = [1.0 - xi for xi in x]  # limit of R(1-x)^2/(1-xR) at R = 1
     else:
         rhs = [big_r * (1.0 - xi) ** 2 / (1.0 - xi * big_r) for xi in x]
-    return partial + tail, np.array(rhs)
+    return partial, tail, np.array(rhs)

@@ -207,32 +207,36 @@ def _uniform_rows(seeds: np.ndarray, n: int) -> np.ndarray:
 
 def _order_and_depth(
     order: int, depth: int, r: float, tail_factor: float = 1.0
-) -> tuple[int, int]:
-    """Validated truncation order and sampling depth, the order raised until the
-    claim's tail tail_factor * r^(N+1)/(1-r) falls below a tenth of the slack
-    tolerance.
+) -> tuple[int, int, int]:
+    """Validated first order, full order N* and sampling depth.
 
-    The enclosures compare their conservative side against the bound, so at
-    large r a coarse order would flag tail-sized spurious failures on tight
-    witnesses; the adaptive floor keeps the tail ignorable at every radius.
-    tail_factor is the multiple of the generic tail that the claim's
-    enclosure adds: 2 for the harmonic sum (both parts), 2^(1/p) for the
-    l^p combination.
+    N* is the order every reported number is computed at: the requested order,
+    raised until the claim's tail tail_factor * r^(N+1)/(1-r) falls below a
+    tenth of the slack tolerance, up to 4000.  The enclosures compare their
+    conservative side against the bound, so at large r a coarse order would
+    flag tail-sized spurious failures on tight witnesses; the adaptive floor
+    keeps the tail ignorable at every radius.  tail_factor is the multiple of
+    the generic tail that the claim's enclosure adds: 2 for the harmonic sum
+    (both parts), 2^(1/p) for the l^p combination.  Random trials are scored
+    first at the requested order and then on a ladder of orders up to N*
+    (see _collect_slacks).
     """
     order, depth = _check_count(order, "order"), _check_count(depth, "depth")
     if not 0.0 < r < 1.0:
-        return order, depth
+        return order, order, depth
     need = math.log(0.1 * SLACK_TOL * (1.0 - r) / tail_factor) / math.log(r)
-    return max(order, min(int(need) + 1, 4000)), depth
+    return order, max(order, min(int(need) + 1, 4000)), depth
 
 
 def _dominance(bound: float, enclose: Callable) -> Callable[..., np.ndarray]:
     """Slack of a dominance claim for each row of a block: bound minus the
-    certified upper enclosure."""
+    certified upper enclosure, and with sides set also bound minus the lower
+    side."""
 
-    def slack(*rows: np.ndarray) -> np.ndarray:
+    def slack(*rows: np.ndarray, sides: bool = False):
         lower, tail = enclose(*rows)
-        return bound - (lower + tail)
+        lo = bound - (lower + tail)
+        return (lo, bound - lower) if sides else lo
 
     return slack
 
@@ -254,28 +258,84 @@ _SAMPLE_TRIALS = 256
 
 
 def _collect_slacks(
-    slack: Callable, streams: tuple, trials: int, seed: int, order: int
+    slack: Callable, streams: tuple, trials: int, seed: int, first: int, full: int, r: float
 ) -> np.ndarray:
     """Slack of every trial's sample, in trial order, a block of trials at a time.
 
     Each stream maps trial seeds to one (rows, length) array of Schur
     parameters: one stream for a unit-ball series, two (h, omega) for a
-    harmonic pair.  Parameters are drawn for whole blocks, at least
-    _SAMPLE_TRIALS trials at once; each block's arrays are synthesized in one
-    call each, and slack maps the coefficient blocks to the block's slacks.
+    harmonic pair.  Parameters are drawn for whole blocks of the first order,
+    at least _SAMPLE_TRIALS trials at once; each block's arrays are
+    synthesized in one call each, and slack(..., sides=True) maps the
+    coefficient blocks to each row's [lo, hi]: bound minus the upper and the
+    lower side of its enclosure.
+
+    Every trial is scored first at the order first, then if need be on the
+    ladder 2 first, 4 first, ... below full, and at full.  With U the least hi
+    so far, which bounds the least full-order slack from above, a row whose lo
+    exceeds max(U, -SLACK_TOL) + SLACK_TOL is settled: the tail bounds of
+    higher orders only tighten the enclosure, so its full-order slack is at
+    least lo, and it can neither fail nor be the worst trial.  Its entry is
+    lo.  Every other row is rescored at the least rung whose tail, shrinking
+    at least like r^(N - first), comes within half its margin, and at full if
+    it is still unsettled there.  So every failing row and every row that
+    could be the least is scored at full, and, as a row's result does not
+    depend on its block, the counts, the least slack and its index come out
+    as if every row had been scored at full.
     """
     trials = _check_count(trials, "trials")
-    per_block = max(1, _BLOCK_COEFFS // (len(streams) * (order + 1)))
-    per_draw = per_block * -(-_SAMPLE_TRIALS // per_block)  # whole blocks
+    rungs = [first]
+    while 2 * rungs[-1] < full:
+        rungs.append(max(2 * rungs[-1], 1))
+    if full > first:
+        rungs.append(full)
+    last = len(rungs) - 1
+
+    def per_block(order: int) -> int:
+        return max(1, _BLOCK_COEFFS // (len(streams) * (order + 1)))
+
+    def score(params: list, order: int) -> tuple[np.ndarray, np.ndarray]:
+        lo, hi = np.empty(len(params[0])), np.empty(len(params[0]))
+        step = per_block(order)
+        for start in range(0, len(lo), step):
+            rows = slice(start, start + step)
+            coeffs = (_synthesize_params(g[rows], order) for g in params)
+            lo[rows], hi[rows] = slack(*coeffs, sides=True)
+        return lo, hi
+
+    per_draw = per_block(first) * -(-_SAMPLE_TRIALS // per_block(first))  # whole blocks
     slacks = np.empty(trials)
-    for first in range(0, trials, per_draw):
-        seeds = _trial_seeds(seed, first, min(trials, first + per_draw))
+    least_hi = np.inf
+    for start in range(0, trials, per_draw):
+        seeds = _trial_seeds(seed, start, min(trials, start + per_draw))
         params = [draw(seeds) for draw in streams]
-        out = slacks[first : first + len(seeds)]
-        for start in range(0, len(seeds), per_block):
-            rows = slice(start, start + per_block)
-            out[rows] = slack(*(_synthesize_params(g[rows], order) for g in params))
+        out = slacks[start : start + len(seeds)]
+        target = np.zeros(len(seeds), dtype=int)  # next rung of each row; -1 once settled
+        for rung, order in enumerate(rungs):
+            rows = np.flatnonzero(target == rung)
+            if not len(rows):
+                continue
+            lo, hi = score([g[rows] for g in params], order)
+            least_hi = min(least_hi, hi.min())
+            if rung == last:
+                out[rows] = lo
+                continue
+            threshold = max(least_hi, -SLACK_TOL) + SLACK_TOL
+            settled = lo > threshold
+            out[rows[settled]] = lo[settled]
+            step = _next_rungs(hi - lo, 0.5 * (hi - threshold), r, rungs) if rung == 0 else last
+            target[rows] = np.where(settled, -1, step)
     return slacks
+
+
+def _next_rungs(tails: np.ndarray, margins: np.ndarray, r: float, rungs: list) -> np.ndarray:
+    """For each row, the index of the least rung above the first at which its
+    tail, shrunk to tails r^(N - rungs[0]), is within its margin; the last
+    rung where none is."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        steps = np.log(margins / tails) / math.log(r)
+    need = np.where(margins > 0.0, rungs[0] + np.maximum(steps, 1.0), np.inf)
+    return np.minimum(np.searchsorted(rungs[:-1], need), len(rungs) - 1)
 
 
 def _reduce(claim_id, slacks, witness_slacks, seed, params, witness_abs_tol=None):
@@ -330,10 +390,10 @@ def verify_theorem1(
     sampling alone need not probe the near-extremal region.
     """
     r, p, seed = _check_r(r), _check_p(p), _check_seed(seed)
-    order, depth = _order_and_depth(order, depth, r)
+    first, order, depth = _order_and_depth(order, depth, r)
     slack = _dominance(mp_theorem1(p, r).value, lambda c: _powered_rows(c, p, r))
     sample = lambda seeds: _sample_rows(seeds, depth)
-    slacks = _collect_slacks(slack, (sample,), trials, seed, order)
+    slacks = _collect_slacks(slack, (sample,), trials, seed, first, order, r)
     witness_a = [0.2, 0.5, 0.8, min(maximize_envelope(p, r).argmax, 1.0 - 1e-8)]
     witness = slack(np.array([mobius_automorphism_coeffs(a, order).coeffs for a in witness_a]))
     params = {"p": p, "r": r, "depth": depth, "order": order}
@@ -355,14 +415,15 @@ def verify_lemma_quadratic(
     R = 1 the order is not raised: the Parseval remainder fold is exact there.
     """
     big_r, seed = _check_big_r(big_r), _check_seed(seed)
-    order, depth = _order_and_depth(order, depth, big_r)
+    first, order, depth = _order_and_depth(order, depth, big_r)
 
-    def slack(c: np.ndarray) -> np.ndarray:
-        lhs, rhs = _quadratic_rows(c, big_r)
-        return rhs - lhs
+    def slack(c: np.ndarray, sides: bool = False):
+        partial, tail, rhs = _quadratic_rows(c, big_r)
+        lo = rhs - (partial + tail)
+        return (lo, rhs - partial) if sides else lo
 
     sample = lambda seeds: _sample_rows(seeds, depth)
-    slacks = _collect_slacks(slack, (sample,), trials, seed, order)
+    slacks = _collect_slacks(slack, (sample,), trials, seed, first, order, big_r)
     automorphisms = [mobius_automorphism_coeffs(a, max(order, 400)).coeffs for a in (0.2, 0.5, 0.8)]
     witness = slack(np.array(automorphisms))
     params = {"R": big_r, "depth": depth, "order": order}
@@ -385,12 +446,12 @@ def verify_theorem2(
         raise DomainError(
             f"r={r} exceeds the validity threshold {harmonic_threshold(p)} for p={p}"
         )
-    order, depth = _order_and_depth(order, depth, r, tail_factor=2.0)
+    first, order, depth = _order_and_depth(order, depth, r, tail_factor=2.0)
     enclose = _harmonic(lambda a, b: _harmonic_rows(a, b, p, r))
     slack = _dominance(bound.value, enclose)
     sample = lambda seeds: _sample_rows(seeds, depth)
     omega = lambda seeds: _sample_rows(_splitmix64(seeds), depth)
-    slacks = _collect_slacks(slack, (sample, omega), trials, seed, order)
+    slacks = _collect_slacks(slack, (sample, omega), trials, seed, first, order, r)
     h_witnesses = [SchurFunction([0.0, 1.0])]
     if p <= 2.0:
         # phi_a has Schur parameters [a, -1]; omega = 1 doubles every term
@@ -420,7 +481,7 @@ def verify_be(
     r, p, seed = _check_r(r), _check_p_from_one(p), _check_seed(seed)
     bound_a, bound_h = be_bound(r), be_harmonic_bound(p, r)
     # the halves share one order, sized for the larger tail
-    order, depth = _order_and_depth(order, depth, r, tail_factor=2.0 ** (1.0 / p))
+    first, order, depth = _order_and_depth(order, depth, r, tail_factor=2.0 ** (1.0 / p))
     slack_a = _dominance(bound_a, lambda c: _powered_rows(c, 1.0, r))
     slack_h = _dominance(bound_h, _harmonic(lambda a, b: _lp_combination_rows(a, b, p, r)))
 
@@ -430,7 +491,7 @@ def verify_be(
         return np.concatenate((np.zeros((len(params), 1)), params), axis=1)
 
     omega = lambda seeds: _sample_rows(_splitmix64(seeds), depth)
-    slacks_a = _collect_slacks(slack_a, (shifted,), trials, seed, order)
+    slacks_a = _collect_slacks(slack_a, (shifted,), trials, seed, first, order, r)
     sums_a = bound_a - slacks_a
     # the extremal z(a-z)/(1-az) at a = 1/sqrt(2) attains the bound at the radius
     ext = SchurFunction([0.0, 1.0 / np.sqrt(2.0), -1.0])
@@ -441,7 +502,8 @@ def verify_be(
     report_a = _reduce("be_analytic", slacks_a, witness_a, seed, params_a)
 
     # distinct deterministic stream for the harmonic half
-    slacks_h = _collect_slacks(slack_h, (shifted, omega), trials, trial_seed(seed, 0x5EED), order)
+    seed_h = trial_seed(seed, 0x5EED)
+    slacks_h = _collect_slacks(slack_h, (shifted, omega), trials, seed_h, first, order, r)
     witness_h = slack_h(ext_rows, one_rows)
     params_h = {"p": p, "r": r, "depth": depth, "order": order}
     report_h = _reduce("be_harmonic", slacks_h, witness_h, seed, params_h)

@@ -115,9 +115,9 @@ def quadratic_sides(c, big_r):
     """(lhs, rhs) of the quadratic inequality for one series, as
     verify_lemma_quadratic scores it, checked against the one-row reference
     below."""
-    lhs, rhs = (float(side[0]) for side in _quadratic_rows(c.coeffs[None], big_r))
-    assert (lhs, rhs) == reference_quadratic(c.coeffs, big_r)
-    return lhs, rhs
+    partial, tail, rhs = (float(side[0]) for side in _quadratic_rows(c.coeffs[None], big_r))
+    assert (partial, tail, rhs) == reference_quadratic(c.coeffs, big_r)
+    return partial + tail, rhs
 
 
 class TestQuadraticSumCheck:
@@ -181,7 +181,7 @@ def reference_quadratic(c, big_r):
         tail = min((1.0 - float(min(abs(c[0]), 1.0)) ** 2) ** 2 * geo, tail)
     x = abs(c[0]) ** 2
     rhs = 1.0 - x if big_r == 1.0 else big_r * (1.0 - x) ** 2 / (1.0 - x * big_r)
-    return partial + tail, rhs
+    return partial, tail, rhs
 
 
 def reference_coanalytic(a, w):

@@ -394,3 +394,51 @@ class TestReportPins:
         report = verify_theorem1(2.0, 0.999, 100, seed=1)
         want = (101, 56, 11319972279577420102, "-0x1.235ec655e9572p+4", 4000, None)
         assert self.key(report) == want
+
+
+class TestOrderLadder:
+    """Trials are scored at the least order that settles them, and every
+    report stays as if each trial had been scored at the full order."""
+
+    @staticmethod
+    def coefficients(monkeypatch, call):
+        """Coefficients, rows x (order + 1), synthesized for the trials of a call."""
+        count = [0]
+        synthesize = montecarlo._synthesize_params
+
+        def counted(g, order):
+            count[0] += len(g) * (order + 1)
+            return synthesize(g, order)
+
+        monkeypatch.setattr(montecarlo, "_synthesize_params", counted)
+        call()
+        return count[0]
+
+    @pytest.mark.parametrize(
+        "call, share",
+        [
+            (lambda: verify_theorem1(1.5, 0.99, 100, seed=7), 0.5),
+            (lambda: verify_lemma_quadratic(100, 0.99, seed=7), 0.2),
+        ],
+    )
+    def test_high_r_claims_synthesize_a_fraction(self, monkeypatch, call, share):
+        # both run at the full order 2,750: 100 x 2,751 coefficients when
+        # every trial is synthesized there
+        assert self.coefficients(monkeypatch, call) <= share * 100 * 2751
+
+    def test_entries_bound_the_full_order_slacks(self):
+        # every entry is the row's full-order slack or a lower bound on it
+        # that clears the least slack by SLACK_TOL
+        p, r, depth = 1.5, 0.99, montecarlo.DEFAULT_DEPTH
+        first, full, _ = montecarlo._order_and_depth(DEFAULT_ORDER, depth, r)
+        slack = montecarlo._dominance(
+            montecarlo.mp_theorem1(p, r).value, lambda c: montecarlo._powered_rows(c, p, r)
+        )
+        streams = (lambda seeds: _sample_rows(seeds, depth),)
+        ladder = montecarlo._collect_slacks(slack, streams, 600, 3, first, full, r)
+        flat = montecarlo._collect_slacks(slack, streams, 600, 3, full, full, r)
+        scored = ladder == flat
+        assert 0 < scored.sum() < len(flat) // 4
+        assert (ladder[~scored] < flat[~scored]).all()
+        assert (ladder[~scored] > flat.min() + SLACK_TOL).all()
+        assert ladder.argmin() == flat.argmin()
