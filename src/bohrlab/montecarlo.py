@@ -228,7 +228,7 @@ def _order_and_depth(
     return order, max(order, min(int(need) + 1, 4000)), depth
 
 
-def _dominance(bound: float, enclose: Callable) -> Callable[..., np.ndarray]:
+def _dominance(bound: float, enclose: Callable) -> Callable:
     """Slack of a dominance claim for each row of a block: bound minus the
     certified upper enclosure, and with sides set also bound minus the lower
     side."""
@@ -270,7 +270,7 @@ def _collect_slacks(
     coefficient blocks to each row's [lo, hi]: bound minus the upper and the
     lower side of its enclosure.
 
-    Every trial is scored first at the order first, then if need be on the
+    Every trial is scored first at order first, then if need be on the
     ladder 2 first, 4 first, ... below full, and at full.  With U the least hi
     so far, which bounds the least full-order slack from above, a row whose lo
     exceeds max(U, -SLACK_TOL) + SLACK_TOL is settled: the tail bounds of
@@ -286,7 +286,7 @@ def _collect_slacks(
     trials = _check_count(trials, "trials")
     rungs = [first]
     while 2 * rungs[-1] < full:
-        rungs.append(max(2 * rungs[-1], 1))
+        rungs.append(max(2 * rungs[-1], 1))  # 0 would double to 0
     if full > first:
         rungs.append(full)
     last = len(rungs) - 1
