@@ -65,36 +65,91 @@ def _geometric_tails(c: np.ndarray, p: float, r: float, certified: bool = True) 
     return np.array([(1.0 - min(head, 1.0) ** 2) ** p * geo for head in _heads(c)])
 
 
-def _powered_rows(c: np.ndarray, p: float, r: float, certified: bool = True):
-    """(lower, tail_bound) of powered_sum for each row."""
-    lower = np.vecdot(np.abs(c) ** p, r ** np.arange(c.shape[1]))
-    return lower, _geometric_tails(c, p, r, certified)
+# A Parseval remainder 1 - sum_{k<=N} |a_k|^2 cancels to rounding error on
+# rows near an inner function; this floor, equal to montecarlo.SLACK_TOL,
+# keeps the bounds below above the true remainder there.
+_REMAINDER_FLOOR = 1e-9
 
 
-def _harmonic_rows(a: np.ndarray, b: np.ndarray, p: float, r: float):
+def _remainders(rows: np.ndarray, less=0.0) -> np.ndarray:
+    """Bound max(1 - less - sum_{k<=N} |x_k|^2, 0) + floor on the remainder
+    sum_{k>N} |x_k|^2 of each row x whose whole sum is at most 1 - less."""
+    return np.maximum(1.0 - less - np.vecdot(rows, rows).real, 0.0) + _REMAINDER_FLOOR
+
+
+def _holder_tails(rho: np.ndarray, q: float, r: float, n: int) -> np.ndarray:
+    """Bound rho^q r^(N+1) (1-r)^(q-1) on sum_{k>N} x_k^(2q) r^k, for
+    0 < q <= 1 and sum_{k>N} x_k^2 <= rho: Hölder with exponents 1/q and
+    1/(1-q) on (x_k^2 r^k)^q (r^k)^(1-q) (Djakov & Ramanujan, J. Analysis 8,
+    2000)."""
+    return rho**q * (r ** (n + 1) * (1.0 - r) ** (q - 1.0))
+
+
+def _settle_tails(tail: np.ndarray, holder: np.ndarray, r: float, n: int, full: int) -> np.ndarray:
+    """The tail min(t_N, T_N + t_N r^(full - N)) that a rung N < full of
+    montecarlo's order ladder settles rows with, from the geometric tail t_N
+    and a Hölder tail T_N at N.  The terms N < k <= full sum to at most T_N
+    and t_N r^(full - N) is the geometric tail at full, so lower + tail here
+    bounds the full-order upper side of the row, even where the full order is
+    capped short of a negligible tail."""
+    return np.minimum(tail, holder + tail * r ** (full - n))
+
+
+def _powered_rows(
+    c: np.ndarray, p: float, r: float, certified: bool = True, full: int | None = None
+):
+    """(lower, tail_bound) of powered_sum for each row.  With full set (above
+    the rows' order N) the tail is the settle tail at N, whose Hölder part
+    takes q = min(p, 2)/2: for p > 2, |a_k| <= 1 gives |a_k|^p <= |a_k|^2."""
+    mods = np.abs(c)
+    lower = np.vecdot(mods**p, r ** np.arange(c.shape[1]))
+    tail = _geometric_tails(c, p, r, certified)
+    if full is None:
+        return lower, tail
+    n = c.shape[1] - 1
+    holder = _holder_tails(_remainders(mods), min(p, 2.0) / 2.0, r, n)
+    return lower, _settle_tails(tail, holder, r, n, full)
+
+
+def _harmonic_rows(a: np.ndarray, b: np.ndarray, p: float, r: float, full: int | None = None):
     """(lower, tail_bound) of |a_0|^p + sum_{k>=1} (|a_k|^p + |b_k|^p) r^k for
-    analytic rows a and co-analytic rows b of one length.  |omega| <= 1 gives
-    sum |b_k|^2 <= sum |a_k|^2 <= 1, so |b_k| <= 1 as |a_k| is, and the tail
-    of both parts together is 2 r^(N+1)/(1-r)."""
+    analytic rows a and co-analytic rows b (b_0 = 0) of one length.
+    |g'| <= |h'| and the Littlewood-Paley identity give
+    sum_{k>=1} |b_k|^2 <= sum_{k>=1} |a_k|^2 <= 1 - |a_0|^2, so |b_k| <= 1 as
+    |a_k| is, and the tail of both parts together is 2 r^(N+1)/(1-r).  With
+    full set, the tail is the settle tail at N, whose Hölder part adds the
+    bounds of _powered_rows for a and for b."""
     n = a.shape[1] - 1
     amods, bmods = np.abs(a), np.abs(b)
     powers = r ** np.arange(n + 1)
     head = np.array([m**p for m in amods[:, 0].tolist()])
     lower = head + np.vecdot(amods[:, 1:] ** p + bmods[:, 1:] ** p, powers[1:])
-    return lower, np.full(len(a), 2.0 * r ** (n + 1) / (1.0 - r))
+    tail = np.full(len(a), 2.0 * r ** (n + 1) / (1.0 - r))
+    if full is None:
+        return lower, tail
+    q = min(p, 2.0) / 2.0
+    rho_b = _remainders(bmods, amods[:, 0] ** 2)
+    holder = _holder_tails(_remainders(amods), q, r, n) + _holder_tails(rho_b, q, r, n)
+    return lower, _settle_tails(tail, holder, r, n, full)
 
 
-def _lp_combination_rows(a: np.ndarray, b: np.ndarray, p: float, r: float):
+def _lp_combination_rows(a: np.ndarray, b: np.ndarray, p: float, r: float, full: int | None = None):
     """(lower, tail_bound) of sum_{k>=1} (|a_k|^p + |b_k|^p)^(1/p) r^k, p >= 1,
     the l^p combination of the vanishing-at-0 class, for rows a and b as in
     _harmonic_rows.  Each term is at most 2^(1/p), giving the tail
     2^(1/p) r^(N+1)/(1-r).  The rows must have a_0 = 0: verify_be's samples
     and witness meet that by construction, through a leading zero Schur
-    parameter."""
+    parameter.  With full set, the tail is the settle tail at N, whose Hölder
+    part bounds each term by 2^max(1/p - 1/2, 0) (|a_k|^2 + |b_k|^2)^(1/2)."""
     n = a.shape[1] - 1
     terms = (np.abs(a[:, 1:]) ** p + np.abs(b[:, 1:]) ** p) ** (1.0 / p)
     lower = np.vecdot(terms, r ** np.arange(1, n + 1))
-    return lower, np.full(len(a), 2.0 ** (1.0 / p) * r ** (n + 1) / (1.0 - r))
+    tail = np.full(len(a), 2.0 ** (1.0 / p) * r ** (n + 1) / (1.0 - r))
+    if full is None:
+        return lower, tail
+    rho = _remainders(a) + _remainders(b, np.abs(a[:, 0]) ** 2)
+    holder = 2.0 ** max(1.0 / p - 0.5, 0.0) * _holder_tails(rho, 0.5, r, n)
+    return lower, _settle_tails(tail, holder, r, n, full)
 
 
 def _quadratic_rows(c: np.ndarray, big_r: float):

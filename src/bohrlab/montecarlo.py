@@ -231,10 +231,10 @@ def _order_and_depth(
 def _dominance(bound: float, enclose: Callable) -> Callable:
     """Slack of a dominance claim for each row of a block: bound minus the
     certified upper enclosure, and with sides set also bound minus the lower
-    side."""
+    side.  full is passed on to the enclosure (see _collect_slacks)."""
 
-    def slack(*rows: np.ndarray, sides: bool = False):
-        lower, tail = enclose(*rows)
+    def slack(*rows: np.ndarray, sides: bool = False, full: int | None = None):
+        lower, tail = enclose(*rows, full=full)
         lo = bound - (lower + tail)
         return (lo, bound - lower) if sides else lo
 
@@ -243,7 +243,7 @@ def _dominance(bound: float, enclose: Callable) -> Callable:
 
 def _harmonic(enclose: Callable) -> Callable:
     """An enclosure of (h, g) rows as a function of the rows of h and omega."""
-    return lambda a, w: enclose(a, _coanalytic_rows(a, w))
+    return lambda a, w, full=None: enclose(a, _coanalytic_rows(a, w), full=full)
 
 
 # Most coefficients, rows x (order + 1), synthesized in one block of trials.
@@ -271,17 +271,25 @@ def _collect_slacks(
     lower side of its enclosure.
 
     Every trial is scored first at order first, then if need be on the
-    ladder 2 first, 4 first, ... below full, and at full.  With U the least hi
-    so far, which bounds the least full-order slack from above, a row whose lo
-    exceeds max(U, -SLACK_TOL) + SLACK_TOL is settled: the tail bounds of
-    higher orders only tighten the enclosure, so its full-order slack is at
-    least lo, and it can neither fail nor be the worst trial.  Its entry is
-    lo.  Every other row is rescored at the least rung whose tail, shrinking
-    at least like r^(N - first), comes within half its margin, and at full if
-    it is still unsettled there.  So every failing row and every row that
-    could be the least is scored at full, and, as a row's result does not
-    depend on its block, the counts, the least slack and its index come out
-    as if every row had been scored at full.
+    ladder 2 first, 4 first, ... below full, and at full.  A rung N below full
+    scores rows with slack(..., full=full), whose tail is the settle tail
+    min(t_N, T_N + t_N r^(full - N)) (majorant._settle_tails): t_N is the
+    enclosure's own tail, and T_N a Parseval-Hölder bound on the terms past N
+    from the row's coefficients, two to four decades below t_N at the low
+    rungs.  Either way lower + tail at N bounds the upper side at full, so lo
+    bounds the full-order slack from below.  With U the least hi so far,
+    which bounds the least full-order slack from above, a row whose lo
+    exceeds max(U, -SLACK_TOL) + SLACK_TOL is settled: it can neither fail nor
+    be the worst trial.  Its entry is lo.  After the first rung, every other
+    row is rescored at the least rung whose tail, shrunk like r^(N - first),
+    comes within half its margin, and at full if it is still unsettled there.
+    So every failing row and every row that could be the least is scored at
+    full, and, as a row's result does not depend on its block, the counts,
+    the least slack and its index come out as if every row had been scored
+    at full.  The full order keeps the enclosure's tail alone, since the
+    reported numbers are read there: T_N tends to the row's Parseval
+    remainder, not to 0, so it settles margins but cannot replace t_N as the
+    reported tail near r = 1.
     """
     trials = _check_count(trials, "trials")
     rungs = [first]
@@ -300,7 +308,7 @@ def _collect_slacks(
         for start in range(0, len(lo), step):
             rows = slice(start, start + step)
             coeffs = (_synthesize_params(g[rows], order) for g in params)
-            lo[rows], hi[rows] = slack(*coeffs, sides=True)
+            lo[rows], hi[rows] = slack(*coeffs, sides=True, full=None if order == full else full)
         return lo, hi
 
     per_draw = per_block(first) * -(-_SAMPLE_TRIALS // per_block(first))  # whole blocks
@@ -391,7 +399,7 @@ def verify_theorem1(
     """
     r, p, seed = _check_r(r), _check_p(p), _check_seed(seed)
     first, order, depth = _order_and_depth(order, depth, r)
-    slack = _dominance(mp_theorem1(p, r).value, lambda c: _powered_rows(c, p, r))
+    slack = _dominance(mp_theorem1(p, r).value, functools.partial(_powered_rows, p=p, r=r))
     sample = lambda seeds: _sample_rows(seeds, depth)
     slacks = _collect_slacks(slack, (sample,), trials, seed, first, order, r)
     witness_a = [0.2, 0.5, 0.8, min(maximize_envelope(p, r).argmax, 1.0 - 1e-8)]
@@ -417,7 +425,9 @@ def verify_lemma_quadratic(
     big_r, seed = _check_big_r(big_r), _check_seed(seed)
     first, order, depth = _order_and_depth(order, depth, big_r)
 
-    def slack(c: np.ndarray, sides: bool = False):
+    def slack(c: np.ndarray, sides: bool = False, full: int | None = None):
+        # the tail's Parseval remainder already bounds every higher order's
+        # terms, so the ladder's rungs need no other tail (full is unused)
         partial, tail, rhs = _quadratic_rows(c, big_r)
         lo = rhs - (partial + tail)
         return (lo, rhs - partial) if sides else lo
@@ -447,7 +457,7 @@ def verify_theorem2(
             f"r={r} exceeds the validity threshold {harmonic_threshold(p)} for p={p}"
         )
     first, order, depth = _order_and_depth(order, depth, r, tail_factor=2.0)
-    enclose = _harmonic(lambda a, b: _harmonic_rows(a, b, p, r))
+    enclose = _harmonic(functools.partial(_harmonic_rows, p=p, r=r))
     slack = _dominance(bound.value, enclose)
     sample = lambda seeds: _sample_rows(seeds, depth)
     omega = lambda seeds: _sample_rows(_splitmix64(seeds), depth)
@@ -482,8 +492,8 @@ def verify_be(
     bound_a, bound_h = be_bound(r), be_harmonic_bound(p, r)
     # the halves share one order, sized for the larger tail
     first, order, depth = _order_and_depth(order, depth, r, tail_factor=2.0 ** (1.0 / p))
-    slack_a = _dominance(bound_a, lambda c: _powered_rows(c, 1.0, r))
-    slack_h = _dominance(bound_h, _harmonic(lambda a, b: _lp_combination_rows(a, b, p, r)))
+    slack_a = _dominance(bound_a, functools.partial(_powered_rows, p=1.0, r=r))
+    slack_h = _dominance(bound_h, _harmonic(functools.partial(_lp_combination_rows, p=p, r=r)))
 
     def shifted(seeds: np.ndarray) -> np.ndarray:
         # a leading zero parameter synthesizes z * g

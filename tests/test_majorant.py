@@ -18,6 +18,7 @@ from bohrlab import (
     schur_synthesis_rows,
     verify_lemma_quadratic,
 )
+from bohrlab import majorant
 from bohrlab.majorant import _harmonic_rows, _lp_combination_rows, _powered_rows, _quadratic_rows
 from bohrlab.montecarlo import _sample_rows, _trial_seeds
 from bohrlab.series import _coanalytic_rows
@@ -275,3 +276,69 @@ class TestRowEnclosures:
             assert np.array_equal(a_i, c[i])
             assert b_i.tobytes() == b[i].tobytes(), i
             assert reference_coanalytic(c[i], w[i]).tobytes() == b[i].tobytes(), i
+
+
+class TestHolderTails:
+    """The Parseval-Hölder part T_N of each row form's settle tail bounds the
+    terms N < k <= 20,000 of the row's own series.  The rows are depth-12
+    samples, samples with one parameter at modulus 1 - 1e-6 (Parseval
+    remainders 1 - sum_{k<=N} |a_k|^2 of 1e-7 to 1e-6) and finite Blaschke
+    products, a parameter at modulus 1, whose remainder cancels to rounding
+    error, so that only its floor keeps T_N above the tail."""
+
+    ORDER = 20_000
+
+    @pytest.fixture(scope="class")
+    def schurs(self):
+        params = _sample_rows(_trial_seeds(11, 0, 80), 12)
+        for i, row in enumerate(params[40:]):
+            row[i % 13] *= (1.0 if i >= 20 else 1.0 - 1e-6) / abs(row[i % 13])
+        omegas = _sample_rows(_trial_seeds(12, 0, 6), 12)
+        return params, omegas
+
+    @pytest.fixture(scope="class")
+    def series(self, schurs):
+        params, omegas = schurs
+        c = schur_synthesis_rows([SchurFunction(row) for row in params], self.ORDER)
+        # harmonic pairs of two rows of each kind; the l^p class takes the
+        # same rows behind a leading zero parameter
+        h = [SchurFunction(row) for row in params[[0, 1, 41, 42, 61, 62]]]
+        pairs = [pair_rows(f, SchurFunction(w), self.ORDER) for f, w in zip(h, omegas)]
+        shifted = [SchurFunction([0.0, *f.params]) for f in h]
+        lp_pairs = [pair_rows(f, SchurFunction(w), self.ORDER) for f, w in zip(shifted, omegas)]
+        return c, np.array(pairs).transpose(1, 0, 2), np.array(lp_pairs).transpose(1, 0, 2)
+
+    @staticmethod
+    def holder_tails(monkeypatch, rows, enclose, n):
+        """T_N of enclose on the rows cut at order n."""
+        monkeypatch.setattr(majorant, "_settle_tails", lambda tail, holder, *rest: holder)
+        return enclose(*(x[:, : n + 1] for x in rows), full=TestHolderTails.ORDER)[1]
+
+    def check(self, monkeypatch, rows, enclose, terms, r):
+        powers = r ** np.arange(self.ORDER + 1)
+        for n in (64, 256, 1024):
+            bound = self.holder_tails(monkeypatch, rows, enclose, n)
+            truncated = np.vecdot(terms[:, n + 1 :], powers[n + 1 :])
+            assert (bound >= truncated).all(), (n, (bound / truncated).min())
+
+    @pytest.mark.parametrize("p", [0.5, 1.0, 1.5, 2.0, 3.0])
+    @pytest.mark.parametrize("r", [0.9, 0.99, 0.999])
+    def test_powered(self, monkeypatch, series, p, r):
+        c = series[0]
+        enclose = lambda c, full: _powered_rows(c, p, r, full=full)
+        self.check(monkeypatch, (c,), enclose, np.abs(c) ** p, r)
+
+    @pytest.mark.parametrize("p", [0.5, 1.0, 1.5, 2.0, 3.0])
+    @pytest.mark.parametrize("r", [0.9, 0.99, 0.999])
+    def test_harmonic(self, monkeypatch, series, p, r):
+        a, b = series[1]
+        enclose = lambda a, b, full: _harmonic_rows(a, b, p, r, full=full)
+        self.check(monkeypatch, (a, b), enclose, np.abs(a) ** p + np.abs(b) ** p, r)
+
+    @pytest.mark.parametrize("p", [1.0, 1.5, 2.0, 3.0])
+    @pytest.mark.parametrize("r", [0.9, 0.99, 0.999])
+    def test_lp_combination(self, monkeypatch, series, p, r):
+        a, b = series[2]
+        enclose = lambda a, b, full: _lp_combination_rows(a, b, p, r, full=full)
+        terms = (np.abs(a) ** p + np.abs(b) ** p) ** (1.0 / p)
+        self.check(monkeypatch, (a, b), enclose, terms, r)

@@ -32,6 +32,28 @@ def bits(x):
     return np.ascontiguousarray(x).view(np.uint8)
 
 
+def trial_loops(monkeypatch, call):
+    """The arguments (slack, streams, trials, seed, first, full, r) of each
+    trial loop, a _collect_slacks call, that call() runs."""
+    loops = []
+    collect = montecarlo._collect_slacks
+
+    def spy(*args):
+        loops.append(args)
+        return collect(*args)
+
+    monkeypatch.setattr(montecarlo, "_collect_slacks", spy)
+    call()
+    monkeypatch.setattr(montecarlo, "_collect_slacks", collect)
+    return loops
+
+
+def flat_slacks(loop):
+    """The slacks of a trial loop with every trial scored at its full order."""
+    slack, streams, trials, seed, _, full, r = loop
+    return montecarlo._collect_slacks(slack, streams, trials, seed, full, full, r)
+
+
 class TestSampler:
     def test_determinism(self):
         a = sample_schur(987654321, 12)
@@ -308,9 +330,11 @@ class TestBlocking:
                 assert self.reports(n) == expected, (n, sample_trials)
 
     def test_one_row_blocks_give_identical_reports_at_high_order(self, monkeypatch):
-        # r near 1 lifts the order to 894 and 2,750, where the division runs
-        # k outputs a step; at the default budget the 7 trials share one block
-        # at order 894 and fill blocks of 5 and 2 at order 2,750
+        # r near 1 lifts the full order to 894 and 2,750, where the division
+        # runs k outputs a step.  On the order ladder only the worst trials
+        # and the witnesses reach it, so each trial loop is also scored flat
+        # at its full order: at the default budget the 7 trials then share
+        # one block at order 894 and fill blocks of 5 and 2 at order 2,750
         def reports():
             return [
                 verify_theorem1(1.5, 0.99, 7, seed=5),
@@ -318,10 +342,16 @@ class TestBlocking:
                 *verify_be(0.97, 1.0, 7, seed=5),
             ]
 
-        blocked = reports()
+        loops = trial_loops(monkeypatch, reports)
+        blocked, flat = reports(), [flat_slacks(loop) for loop in loops]
         assert {r.params["order"] for r in blocked} == {894, 2750}
+        assert [loop[5] for loop in loops] == [2750, 894, 894, 894]
+        assert montecarlo._BLOCK_COEFFS // 2751 == 5
+        assert montecarlo._BLOCK_COEFFS // (2 * 895) >= 7
         monkeypatch.setattr(montecarlo, "_BLOCK_COEFFS", 1)
         assert reports() == blocked
+        for loop, expected in zip(loops, flat):
+            assert np.array_equal(bits(flat_slacks(loop)), bits(expected))
 
 
 class TestReportPins:
@@ -415,30 +445,51 @@ class TestOrderLadder:
         return count[0]
 
     @pytest.mark.parametrize(
-        "call, share",
+        "call, flat, share",
         [
-            (lambda: verify_theorem1(1.5, 0.99, 100, seed=7), 0.5),
-            (lambda: verify_lemma_quadratic(100, 0.99, seed=7), 0.2),
+            pytest.param(
+                lambda: verify_theorem1(1.5, 0.99, 100, seed=7), 100 * 2751, 0.1, id="theorem1"
+            ),
+            pytest.param(
+                lambda: verify_lemma_quadratic(100, 0.99, seed=7), 100 * 2751, 0.2, id="lemma21"
+            ),
+            pytest.param(
+                lambda: verify_theorem2(3.0, 0.97, 100, seed=7), 2 * 100 * 895, 0.15, id="theorem2"
+            ),
+            pytest.param(lambda: verify_be(0.97, 1.0, 100, seed=7), 3 * 100 * 895, 0.2, id="be"),
         ],
     )
-    def test_high_r_claims_synthesize_a_fraction(self, monkeypatch, call, share):
-        # both run at the full order 2,750: 100 x 2,751 coefficients when
-        # every trial is synthesized there
-        assert self.coefficients(monkeypatch, call) <= share * 100 * 2751
+    def test_high_r_claims_synthesize_a_fraction(self, monkeypatch, call, flat, share):
+        # flat is the count when every trial is synthesized at the full order
+        # (2,750 or 894), one row a stream
+        assert self.coefficients(monkeypatch, call) <= share * flat
 
-    def test_entries_bound_the_full_order_slacks(self):
+    def test_order_cap_claim_keeps_its_work(self, monkeypatch):
+        # B's defect: every trial fails at the order cap, so nearly all climb
+        # from order 64 straight to 4,000, as 406,600 coefficients did before
+        # the settle tail; it neither adds nor saves work there
+        call = lambda: verify_theorem1(2.0, 0.999, 100, seed=1)
+        assert abs(self.coefficients(monkeypatch, call) - 406_600) <= 0.02 * 406_600
+
+    def test_entries_bound_the_full_order_slacks(self, monkeypatch):
         # every entry is the row's full-order slack or a lower bound on it
-        # that clears the least slack by SLACK_TOL
-        p, r, depth = 1.5, 0.99, montecarlo.DEFAULT_DEPTH
-        first, full, _ = montecarlo._order_and_depth(DEFAULT_ORDER, depth, r)
-        slack = montecarlo._dominance(
-            montecarlo.mp_theorem1(p, r).value, lambda c: montecarlo._powered_rows(c, p, r)
-        )
-        streams = (lambda seeds: _sample_rows(seeds, depth),)
-        ladder = montecarlo._collect_slacks(slack, streams, 600, 3, first, full, r)
-        flat = montecarlo._collect_slacks(slack, streams, 600, 3, full, full, r)
-        scored = ladder == flat
-        assert 0 < scored.sum() < len(flat) // 4
-        assert (ladder[~scored] < flat[~scored]).all()
-        assert (ladder[~scored] > flat.min() + SLACK_TOL).all()
-        assert ladder.argmin() == flat.argmin()
+        # that clears the least slack by SLACK_TOL, on every enclosure the
+        # settle tail settles, at the order cap and on a failing claim
+        calls = [
+            (lambda: verify_theorem1(1.5, 0.99, 600, seed=3), False),
+            (lambda: verify_theorem1(1.5, 0.995, 600, seed=3), False),  # N* = 4,000
+            (lambda: verify_theorem2(3.0, 0.97, 600, seed=3), False),
+            (lambda: verify_theorem2(1.0, 0.8, 600, seed=3), True),
+            (lambda: verify_be(0.97, 1.0, 600, seed=3), False),  # both halves
+        ]
+        for call, failing in calls:
+            for loop in trial_loops(monkeypatch, call):
+                ladder, flat = montecarlo._collect_slacks(*loop), flat_slacks(loop)
+                settled = ladder != flat
+                assert settled.sum() > len(flat) // 2
+                assert (ladder <= flat).all()
+                assert (ladder[settled] > flat.min() + SLACK_TOL).all()
+                assert ladder.argmin() == flat.argmin()
+                failures = (flat < -SLACK_TOL).sum()
+                assert (ladder < -SLACK_TOL).sum() == failures
+                assert (failures > 0) == failing
