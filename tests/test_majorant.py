@@ -1,6 +1,7 @@
 """Powered sums, certified tails and the quadratic coefficient inequality."""
 
 import math
+from functools import partial
 
 import numpy as np
 import pytest
@@ -289,35 +290,27 @@ class TestHolderTails:
     ORDER = 20_000
 
     @pytest.fixture(scope="class")
-    def schurs(self):
+    def series(self):
         params = _sample_rows(_trial_seeds(11, 0, 80), 12)
         for i, row in enumerate(params[40:]):
             row[i % 13] *= (1.0 if i >= 20 else 1.0 - 1e-6) / abs(row[i % 13])
-        omegas = _sample_rows(_trial_seeds(12, 0, 6), 12)
-        return params, omegas
-
-    @pytest.fixture(scope="class")
-    def series(self, schurs):
-        params, omegas = schurs
         c = schur_synthesis_rows([SchurFunction(row) for row in params], self.ORDER)
         # harmonic pairs of two rows of each kind; the l^p class takes the
         # same rows behind a leading zero parameter
-        h = [SchurFunction(row) for row in params[[0, 1, 41, 42, 61, 62]]]
-        pairs = [pair_rows(f, SchurFunction(w), self.ORDER) for f, w in zip(h, omegas)]
-        shifted = [SchurFunction([0.0, *f.params]) for f in h]
-        lp_pairs = [pair_rows(f, SchurFunction(w), self.ORDER) for f, w in zip(shifted, omegas)]
-        return c, np.array(pairs).transpose(1, 0, 2), np.array(lp_pairs).transpose(1, 0, 2)
-
-    @staticmethod
-    def holder_tails(monkeypatch, rows, enclose, n):
-        """T_N of enclose on the rows cut at order n."""
-        monkeypatch.setattr(majorant, "_settle_tails", lambda tail, holder, *rest: holder)
-        return enclose(*(x[:, : n + 1] for x in rows), full=TestHolderTails.ORDER)[1]
+        h = params[[0, 1, 41, 42, 61, 62]]
+        omegas = [SchurFunction(w) for w in _sample_rows(_trial_seeds(12, 0, 6), 12)]
+        pairs, lp_pairs = (
+            np.array([pair_rows(SchurFunction(f), w, self.ORDER) for f, w in zip(rows, omegas)])
+            for rows in (h, np.concatenate((np.zeros((len(h), 1)), h), axis=1))
+        )
+        return c, pairs.transpose(1, 0, 2), lp_pairs.transpose(1, 0, 2)
 
     def check(self, monkeypatch, rows, enclose, terms, r):
+        # the settle tail reduced to its Hölder part T_N
+        monkeypatch.setattr(majorant, "_settle_tails", lambda tail, holder, *rest: holder)
         powers = r ** np.arange(self.ORDER + 1)
         for n in (64, 256, 1024):
-            bound = self.holder_tails(monkeypatch, rows, enclose, n)
+            bound = enclose(*(x[:, : n + 1] for x in rows), full=self.ORDER)[1]
             truncated = np.vecdot(terms[:, n + 1 :], powers[n + 1 :])
             assert (bound >= truncated).all(), (n, (bound / truncated).min())
 
@@ -325,20 +318,18 @@ class TestHolderTails:
     @pytest.mark.parametrize("r", [0.9, 0.99, 0.999])
     def test_powered(self, monkeypatch, series, p, r):
         c = series[0]
-        enclose = lambda c, full: _powered_rows(c, p, r, full=full)
-        self.check(monkeypatch, (c,), enclose, np.abs(c) ** p, r)
+        self.check(monkeypatch, (c,), partial(_powered_rows, p=p, r=r), np.abs(c) ** p, r)
 
     @pytest.mark.parametrize("p", [0.5, 1.0, 1.5, 2.0, 3.0])
     @pytest.mark.parametrize("r", [0.9, 0.99, 0.999])
     def test_harmonic(self, monkeypatch, series, p, r):
         a, b = series[1]
-        enclose = lambda a, b, full: _harmonic_rows(a, b, p, r, full=full)
-        self.check(monkeypatch, (a, b), enclose, np.abs(a) ** p + np.abs(b) ** p, r)
+        terms = np.abs(a) ** p + np.abs(b) ** p
+        self.check(monkeypatch, (a, b), partial(_harmonic_rows, p=p, r=r), terms, r)
 
     @pytest.mark.parametrize("p", [1.0, 1.5, 2.0, 3.0])
     @pytest.mark.parametrize("r", [0.9, 0.99, 0.999])
     def test_lp_combination(self, monkeypatch, series, p, r):
         a, b = series[2]
-        enclose = lambda a, b, full: _lp_combination_rows(a, b, p, r, full=full)
         terms = (np.abs(a) ** p + np.abs(b) ** p) ** (1.0 / p)
-        self.check(monkeypatch, (a, b), enclose, terms, r)
+        self.check(monkeypatch, (a, b), partial(_lp_combination_rows, p=p, r=r), terms, r)

@@ -476,11 +476,11 @@ class TestOrderLadder:
         # that clears the least slack by SLACK_TOL, on every enclosure the
         # settle tail settles, at the order cap and on a failing claim
         calls = [
-            (lambda: verify_theorem1(1.5, 0.99, 600, seed=3), False),
-            (lambda: verify_theorem1(1.5, 0.995, 600, seed=3), False),  # N* = 4,000
-            (lambda: verify_theorem2(3.0, 0.97, 600, seed=3), False),
-            (lambda: verify_theorem2(1.0, 0.8, 600, seed=3), True),
-            (lambda: verify_be(0.97, 1.0, 600, seed=3), False),  # both halves
+            (lambda: verify_theorem1(1.5, 0.99, 300, seed=3), False),
+            (lambda: verify_theorem1(1.5, 0.995, 300, seed=3), False),  # N* = 4,000
+            (lambda: verify_theorem2(3.0, 0.97, 300, seed=3), False),
+            (lambda: verify_theorem2(1.0, 0.8, 300, seed=3), True),
+            (lambda: verify_be(0.97, 1.0, 300, seed=3), False),  # both halves
         ]
         for call, failing in calls:
             for loop in trial_loops(monkeypatch, call):
