@@ -286,10 +286,10 @@ def _collect_slacks(
     So every failing row and every row that could be the least is scored at
     full, and, as a row's result does not depend on its block, the counts,
     the least slack and its index come out as if every row had been scored
-    at full.  The full order keeps the enclosure's tail alone, since the
-    reported numbers are read there: T_N tends to the row's Parseval
-    remainder, not to 0, so it settles margins but cannot replace t_N as the
-    reported tail near r = 1.
+    at full.  The full order keeps the enclosure's tail alone, since every
+    reported number is read there, as in flat scoring at full.  Nor would
+    T_N mend the order cap near r = 1: its remainder tends to 1 - |f|_2^2,
+    not to 0, so at order 4,000 and r = 0.999 it stays far above SLACK_TOL.
     """
     trials = _check_count(trials, "trials")
     rungs = [first]
