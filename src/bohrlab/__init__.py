@@ -59,7 +59,6 @@ from .eilenberg import (
 from .montecarlo import (
     VerificationReport,
     sample_schur,
-    trial_seed,
     verify_be,
     verify_lemma_quadratic,
     verify_theorem1,

@@ -1,10 +1,11 @@
 """Seeded Monte-Carlo stress tests of the implemented inequalities.
 
-Each claim draws deterministic unit-ball samples (per-trial seeds derived from
-the run seed by a splitmix-style counter hash), measures the slack of the
-claimed bound against a certified upper enclosure of the sample's sum, and
-reports failures, worst margin and replay data.  Reports are deterministic
-for a given seed.
+Each claim draws deterministic unit-ball samples (trial i of a run is words
+of a splitmix64 counter stream keyed by the run seed, see _sample_rows),
+measures the slack of the claimed bound against a certified upper enclosure
+of the sample's sum, and reports failures, worst margin and the worst trial.
+Reports are deterministic for a given seed, and (seed, worst_trial, depth)
+replays the worst trial through sample_schur.
 """
 
 from __future__ import annotations
@@ -44,6 +45,7 @@ DEFAULT_DEPTH = 12
 DEFAULT_ORDER = 64
 
 _MASK64 = (1 << 64) - 1
+_GAMMA = 0x9E3779B97F4A7C15  # splitmix64's increment, the golden ratio in 64 bits
 
 
 @dataclass(frozen=True)
@@ -60,34 +62,23 @@ class VerificationReport:
 
 def _splitmix64(x):
     """splitmix64 hash of an int, or of each entry of a uint64 array."""
-    x = (x + 0x9E3779B97F4A7C15) & _MASK64
+    x = (x + _GAMMA) & _MASK64
     z = x
     z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
     z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
     return z ^ (z >> 31)
 
 
-def trial_seed(seed: int, index: int) -> int:
-    """Per-trial seed: run seed xor splitmix hash of the trial counter."""
-    return (_check_seed(seed) ^ _splitmix64(_check_count(index, "index"))) & _MASK64
+def sample_schur(seed: int, index: int, depth: int) -> SchurFunction:
+    """Trial index of run seed: depth + 1 disk-uniform Schur parameters,
+    modulus sqrt(U) and uniform angle.
 
-
-def _trial_seeds(seed: int, start: int, stop: int) -> np.ndarray:
-    """trial_seed(seed, i) for i in range(start, stop), as uint64."""
-    return np.uint64(seed & _MASK64) ^ _splitmix64(np.arange(start, stop, dtype=np.uint64))
-
-
-def sample_schur(seed: int, depth: int) -> SchurFunction:
-    """Deterministic disk-uniform Schur parameters: modulus sqrt(U), uniform angle.
-
-    The parameters come from the first 2(depth + 1) doubles of
-    numpy.random.Generator(numpy.random.PCG64(seed)): depth + 1 moduli, then
-    depth + 1 angles.  The verifiers draw trial i from trial_seed(seed, i) and
-    reproduce these streams a block of trials at a time, bit for bit.
+    It is the one-row case of _sample_rows on stream 0, so it replays trial
+    index of every report of that seed and depth; theorem2's omega is the
+    same trial on stream 1 (see _sample_rows).
     """
-    depth = _check_count(depth, "depth")
-    rng = np.random.Generator(np.random.PCG64(_check_seed(seed) & _MASK64))
-    return SchurFunction(_disk_params(rng.random(2 * (depth + 1))))
+    index, depth = _check_count(index, "index"), _check_count(depth, "depth")
+    return SchurFunction(_sample_rows(_check_seed(seed), 0, index, index + 1, depth)[0])
 
 
 def _disk_params(u: np.ndarray) -> np.ndarray:
@@ -96,113 +87,24 @@ def _disk_params(u: np.ndarray) -> np.ndarray:
     return np.sqrt(u[..., :half]) * np.exp(1j * (2.0 * np.pi * u[..., half:]))
 
 
-def _sample_rows(seeds: np.ndarray, depth: int) -> np.ndarray:
-    """sample_schur(seed, depth).params for each uint64 seed: (rows, depth + 1)."""
-    return _disk_params(_uniform_rows(seeds, 2 * (depth + 1)))
+def _sample_rows(seed: int, stream: int, start: int, stop: int, depth: int) -> np.ndarray:
+    """Schur parameters of trials [start, stop) of a stream: (rows, depth + 1).
 
-
-# numpy.random.PCG64(seed) hashes the seed with SeedSequence (pool of four
-# 32-bit words) into the generator's 128-bit state and increment.  The
-# constants are SeedSequence's mixing multipliers and the PCG64 LCG
-# multiplier; its two hash multipliers are below.
-_MASK32 = 0xFFFFFFFF
-_MIX = (0xCA01F9DD, 0x4973F715)
-_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
-
-
-def _hash_consts(init: int, mult: int, count: int) -> np.ndarray:
-    """The running hash constant init * mult^i mod 2^32, for i < count."""
-    return np.array([init * pow(mult, i, 1 << 32) & _MASK32 for i in range(count)], np.uint32)
-
-
-_HASH_A_RUN = _hash_consts(0x43B0D7E5, 0x931E8875, 17)  # pool: 4 + 12 hashmix calls
-_HASH_B_RUN = _hash_consts(0x8B51F9DD, 0x58F38DED, 9)  # generate_state: 8 words
-
-
-def _seed_words(seeds: np.ndarray) -> np.ndarray:
-    """SeedSequence(seed).generate_state(8) for each uint64 seed, as (8, rows) uint32.
-
-    A seed below 2^32 is one word of entropy and a larger one two, but
-    SeedSequence pads the pool with zero words, so both hash alike.
+    Word k of the stream is the splitmix64 output _splitmix64(base + k gamma)
+    mod 2^64 (Steele, Lea & Flood, OOPSLA 2014), with base a hash of the seed
+    and the stream number: h is stream 0, omega stream 1, and verify_be's
+    harmonic half takes 2 and 3.  Trial i takes words [2(d+1) i, 2(d+1)(i+1)),
+    depth + 1 moduli then depth + 1 angles, each word a uniform
+    (x >> 11) 2^-53.  A word depends on its counter alone, so a row does not
+    depend on the block it is drawn in, and (seed, stream, trial, depth)
+    replays it.
     """
-    calls = iter(range(16))
-    mix_l, mix_r = (np.uint32(m) for m in _MIX)
-    shift = np.uint32(16)
-
-    def hashmix(value):
-        i = next(calls)
-        value = (value ^ _HASH_A_RUN[i]) * _HASH_A_RUN[i + 1]
-        return value ^ (value >> shift)
-
-    low = (seeds & np.uint64(_MASK32)).astype(np.uint32)
-    high = (seeds >> np.uint64(32)).astype(np.uint32)
-    zero = np.zeros_like(low)
-    pool = [hashmix(word) for word in (low, high, zero, zero)]
-    for src in range(4):
-        for dst in range(4):
-            if src != dst:
-                mixed = mix_l * pool[dst] - mix_r * hashmix(pool[src])
-                pool[dst] = mixed ^ (mixed >> shift)
-    out = np.empty((8, len(seeds)), dtype=np.uint32)
-    for i in range(8):
-        value = (pool[i % 4] ^ _HASH_B_RUN[i]) * _HASH_B_RUN[i + 1]
-        out[i] = value ^ (value >> shift)
-    return out
-
-
-@functools.lru_cache(maxsize=8)
-def _jump_table(n: int) -> np.ndarray:
-    """(8, 8, n) float array whose slice q takes the 32-bit limbs of a row's
-    [initstate | inc] to the 16-bit digit q of its n PCG64 states.
-
-    Seeding steps the LCG s -> M s + inc once from 0, adds initstate and steps
-    once more, and every draw steps first, so draw k (from 0) outputs
-    M^(k+2) initstate + (1 + M + ... + M^(k+2)) inc mod 2^128 (Brown's
-    arbitrary-stride form).  Column k of slice q collects the products of limbs
-    and 16-bit digits of these two constants that land on digit q of state k:
-    each is below 2^48 and their sum below 2^51, so the float product is exact.
-    """
-    mask = (1 << 128) - 1
-    table = np.zeros((8, 8, n))
-    a, c = _PCG_MULT, 1 + _PCG_MULT
-    for k in range(n):
-        a, c = a * _PCG_MULT & mask, (c * _PCG_MULT + 1) & mask
-        for first, const in ((0, a), (4, c)):
-            for limb in range(4):
-                for digit in range(8 - 2 * limb):
-                    table[2 * limb + digit, first + limb, k] = (const >> 16 * digit) & 0xFFFF
-    table.setflags(write=False)  # shared by every caller through the cache
-    return table
-
-
-def _uniform_rows(seeds: np.ndarray, n: int) -> np.ndarray:
-    """Generator(PCG64(seed)).random(n) for each uint64 seed: (rows, n).
-
-    Each state's 128 bits are formed digit by digit from exact 16-bit digit
-    columns, carrying as they go, and then PCG64's XSL-RR output and
-    (x >> 11) 2^-53 applied.
-    """
-    w = _seed_words(seeds).astype(np.int64)
-    # the eight words are four 64-bit ones, low half first: initstate is
-    # W0 2^64 + W1 and inc is ((W2 2^64 + W3) << 1) | 1, in 32-bit limbs
-    # from the least significant
-    carried = np.concatenate((np.ones_like(w[:1]), w[[6, 7, 4]] >> 31))
-    inc = ((w[[6, 7, 4, 5]] << 1) & _MASK32) | carried
-    limbs = np.concatenate((w[[2, 3, 0, 1]], inc)).T.astype(float)
-    table = _jump_table(n)
-    carry, words = 0, []
-    for first in (0, 4):
-        word = 0
-        for q in range(first, first + 4):
-            column = (limbs @ table[q]).astype(np.int64) + carry
-            word = word | ((column & 0xFFFF) << 16 * (q - first))
-            carry = column >> 16
-        words.append(word.view(np.uint64))
-    low, high = words
-    x = high ^ low
-    rot = high >> np.uint64(58)
-    x = (x >> rot) | (x << ((np.uint64(64) - rot) & np.uint64(63)))
-    return (x >> np.uint64(11)).astype(float) * 2.0**-53
+    n = 2 * (depth + 1)
+    base = _splitmix64(_splitmix64(seed & _MASK64) ^ stream)
+    first = (base + start * n * _GAMMA) & _MASK64
+    counters = np.uint64(first) + np.arange((stop - start) * n, dtype=np.uint64) * np.uint64(_GAMMA)
+    words = _splitmix64(counters)
+    return _disk_params((words >> np.uint64(11)).astype(float).reshape(-1, n) * 2.0**-53)
 
 
 def _order_and_depth(
@@ -252,23 +154,24 @@ def _harmonic(enclose: Callable) -> Callable:
 # their speed from the division's k outputs a step (series._BLOCK_OUTPUTS),
 # not from the block size.
 _BLOCK_COEFFS = 1 << 14
-# Fewest trials sampled in one call: the array sampler costs ~0.3 ms a call
-# on top of a few microseconds a row, and blocks at high orders hold 4-18 rows.
+# Fewest trials sampled in one call: the sampler costs ~0.05 ms a call on top
+# of ~1.5 us a row, blocks at high orders hold 4-18 rows, and the ladder's
+# upper rungs synthesize the unsettled rows of one draw together.
 _SAMPLE_TRIALS = 256
 
 
 def _collect_slacks(
-    slack: Callable, streams: tuple, trials: int, seed: int, first: int, full: int, r: float
+    slack: Callable, streams: tuple, trials: int, first: int, full: int, r: float
 ) -> np.ndarray:
     """Slack of every trial's sample, in trial order, a block of trials at a time.
 
-    Each stream maps trial seeds to one (rows, length) array of Schur
-    parameters: one stream for a unit-ball series, two (h, omega) for a
-    harmonic pair.  Parameters are drawn for whole blocks of the first order,
-    at least _SAMPLE_TRIALS trials at once; each block's arrays are
-    synthesized in one call each, and slack(..., sides=True) maps the
-    coefficient blocks to each row's [lo, hi]: bound minus the upper and the
-    lower side of its enclosure.
+    Each stream maps a range of trials (start, stop) to one (rows, length)
+    array of Schur parameters: one stream for a unit-ball series, two
+    (h, omega) for a harmonic pair.  Parameters are drawn for whole blocks of
+    the first order, at least _SAMPLE_TRIALS trials at once; each block's
+    arrays are synthesized in one call each, and slack(..., sides=True) maps
+    the coefficient blocks to each row's [lo, hi]: bound minus the upper and
+    the lower side of its enclosure.
 
     Every trial is scored first at order first, then if need be on the
     ladder 2 first, 4 first, ... below full, and at full.  A rung N below full
@@ -315,10 +218,10 @@ def _collect_slacks(
     slacks = np.empty(trials)
     least_hi = np.inf
     for start in range(0, trials, per_draw):
-        seeds = _trial_seeds(seed, start, min(trials, start + per_draw))
-        params = [draw(seeds) for draw in streams]
-        out = slacks[start : start + len(seeds)]
-        target = np.zeros(len(seeds), dtype=int)  # next rung of each row; -1 once settled
+        stop = min(trials, start + per_draw)
+        params = [draw(start, stop) for draw in streams]
+        out = slacks[start:stop]
+        target = np.zeros(stop - start, dtype=int)  # next rung of each row; -1 once settled
         for rung, order in enumerate(rungs):
             rows = np.flatnonzero(target == rung)
             if not len(rows):
@@ -357,9 +260,6 @@ def _reduce(claim_id, slacks, witness_slacks, seed, params, witness_abs_tol=None
     if len(slacks):
         worst_idx = int(np.argmin(slacks))
         params = dict(params, worst_trial=worst_idx)
-        if failures:
-            # regenerates the offending sample through sample_schur for replay
-            params["worst_trial_seed"] = trial_seed(seed, worst_idx)
     if len(witness_slacks):
         warr = np.asarray(witness_slacks)
         if witness_abs_tol is not None:
@@ -400,8 +300,8 @@ def verify_theorem1(
     r, p, seed = _check_r(r), _check_p(p), _check_seed(seed)
     first, order, depth = _order_and_depth(order, depth, r)
     slack = _dominance(mp_theorem1(p, r).value, functools.partial(_powered_rows, p=p, r=r))
-    sample = lambda seeds: _sample_rows(seeds, depth)
-    slacks = _collect_slacks(slack, (sample,), trials, seed, first, order, r)
+    sample = functools.partial(_sample_rows, seed, 0, depth=depth)
+    slacks = _collect_slacks(slack, (sample,), trials, first, order, r)
     witness_a = [0.2, 0.5, 0.8, min(maximize_envelope(p, r).argmax, 1.0 - 1e-8)]
     witness = slack(np.array([mobius_automorphism_coeffs(a, order).coeffs for a in witness_a]))
     params = {"p": p, "r": r, "depth": depth, "order": order}
@@ -432,8 +332,8 @@ def verify_lemma_quadratic(
         lo = rhs - (partial + tail)
         return (lo, rhs - partial) if sides else lo
 
-    sample = lambda seeds: _sample_rows(seeds, depth)
-    slacks = _collect_slacks(slack, (sample,), trials, seed, first, order, big_r)
+    sample = functools.partial(_sample_rows, seed, 0, depth=depth)
+    slacks = _collect_slacks(slack, (sample,), trials, first, order, big_r)
     automorphisms = [mobius_automorphism_coeffs(a, max(order, 400)).coeffs for a in (0.2, 0.5, 0.8)]
     witness = slack(np.array(automorphisms))
     params = {"R": big_r, "depth": depth, "order": order}
@@ -459,9 +359,8 @@ def verify_theorem2(
     first, order, depth = _order_and_depth(order, depth, r, tail_factor=2.0)
     enclose = _harmonic(functools.partial(_harmonic_rows, p=p, r=r))
     slack = _dominance(bound.value, enclose)
-    sample = lambda seeds: _sample_rows(seeds, depth)
-    omega = lambda seeds: _sample_rows(_splitmix64(seeds), depth)
-    slacks = _collect_slacks(slack, (sample, omega), trials, seed, first, order, r)
+    h, omega = (functools.partial(_sample_rows, seed, stream, depth=depth) for stream in (0, 1))
+    slacks = _collect_slacks(slack, (h, omega), trials, first, order, r)
     h_witnesses = [SchurFunction([0.0, 1.0])]
     if p <= 2.0:
         # phi_a has Schur parameters [a, -1]; omega = 1 doubles every term
@@ -495,13 +394,12 @@ def verify_be(
     slack_a = _dominance(bound_a, functools.partial(_powered_rows, p=1.0, r=r))
     slack_h = _dominance(bound_h, _harmonic(functools.partial(_lp_combination_rows, p=p, r=r)))
 
-    def shifted(seeds: np.ndarray) -> np.ndarray:
+    def shifted(stream: int) -> Callable:
         # a leading zero parameter synthesizes z * g
-        params = _sample_rows(seeds, depth)
-        return np.concatenate((np.zeros((len(params), 1)), params), axis=1)
+        draw = functools.partial(_sample_rows, seed, stream, depth=depth)
+        return lambda start, stop: np.pad(draw(start, stop), ((0, 0), (1, 0)))
 
-    omega = lambda seeds: _sample_rows(_splitmix64(seeds), depth)
-    slacks_a = _collect_slacks(slack_a, (shifted,), trials, seed, first, order, r)
+    slacks_a = _collect_slacks(slack_a, (shifted(0),), trials, first, order, r)
     sums_a = bound_a - slacks_a
     # the extremal z(a-z)/(1-az) at a = 1/sqrt(2) attains the bound at the radius
     ext = SchurFunction([0.0, 1.0 / np.sqrt(2.0), -1.0])
@@ -511,9 +409,9 @@ def verify_be(
     params_a = {"r": r, "depth": depth, "order": order, "max_sum": max_sum}
     report_a = _reduce("be_analytic", slacks_a, witness_a, seed, params_a)
 
-    # distinct deterministic stream for the harmonic half
-    seed_h = trial_seed(seed, 0x5EED)
-    slacks_h = _collect_slacks(slack_h, (shifted, omega), trials, seed_h, first, order, r)
+    # the harmonic half draws h and omega from streams of its own
+    omega = functools.partial(_sample_rows, seed, 3, depth=depth)
+    slacks_h = _collect_slacks(slack_h, (shifted(2), omega), trials, first, order, r)
     witness_h = slack_h(ext_rows, one_rows)
     params_h = {"p": p, "r": r, "depth": depth, "order": order}
     report_h = _reduce("be_harmonic", slacks_h, witness_h, seed, params_h)

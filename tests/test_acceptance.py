@@ -209,7 +209,7 @@ def test_criterion_11_schur_roundtrip():
     worst_coeff = 0.0
     worst_param = 0.0
     for i in range(1000):
-        params = sample_schur(10_000 + i, depth)
+        params = sample_schur(10_000, i, depth)
         series = schur_synthesis(params, order)
         recovered = schur_analysis(series, depth)
         resynth = schur_synthesis(recovered, order)

@@ -8,7 +8,8 @@ points without a ranged parameter are not listed: be_radius,
 harmonic_radius_p1, and psymmetric_root_equation, which evaluates its
 polynomial anywhere.  The last tests pin the set of public names, check
 that importing the package and its CLI loads none of the heavy optional
-modules, and that no module keeps an unread import or private name.
+modules, that sampling and a verify run load no numpy.random, and that no
+module keeps an unread import or private name.
 """
 
 import ast
@@ -88,8 +89,11 @@ ENTRY_POINTS = [
     ("schur_synthesis", dict(s=SCHUR, order=4), dict(order=COUNTS)),
     ("schur_synthesis_rows", dict(schurs=[SCHUR], order=4), dict(order=COUNTS)),
     ("schur_analysis", dict(c=SERIES, depth=2), dict(depth=COUNTS + (SERIES.order + 1,))),
-    ("sample_schur", dict(seed=1, depth=3), dict(seed=SEEDS, depth=COUNTS)),
-    ("trial_seed", dict(seed=1, index=3), dict(seed=SEEDS, index=(2.5, -1))),
+    (
+        "sample_schur",
+        dict(seed=1, index=3, depth=3),
+        dict(seed=SEEDS, index=(2.5, -1), depth=COUNTS),
+    ),
     (
         "verify_theorem1",
         dict(p=1.0, r=0.5, **MC),
@@ -165,7 +169,7 @@ PUBLIC_NAMES = {
     "powered_radius_rp", "powered_sum", "psymmetric_extremal_a",
     "psymmetric_extremal_coeffs", "psymmetric_radius", "psymmetric_root_equation",
     "rp_via_envelope_bisection", "rp_via_infimum", "sample_schur", "schur_analysis",
-    "schur_synthesis", "schur_synthesis_rows", "trial_seed", "verify_be",
+    "schur_synthesis", "schur_synthesis_rows", "verify_be",
     "verify_lemma_quadratic", "verify_theorem1", "verify_theorem2",
     "verify_theoremB_ratio",
 }
@@ -194,6 +198,28 @@ def test_import_loads_no_heavy_module():
     ).stdout.split()
     heavy = [m for m in loaded if m.split(".")[0] in ("scipy", "mpmath", "hypothesis")]
     assert "bohrlab.cli" in loaded and heavy == []
+
+
+def test_sampling_and_verify_load_no_numpy_random():
+    # trials are splitmix64 counter streams on uint64 arrays; numpy loads
+    # numpy.random lazily, so drawing a sample or running a verify command
+    # must not pay for its import
+    runs = [
+        ["verify", claim, "--p", "1", "--r", "0.5", "--trials", "3", "--seed", "1"]
+        for claim in ("theorem2", "be")
+    ]
+    code = (
+        "import sys, bohrlab, bohrlab.cli\n"
+        "bohrlab.sample_schur(1, 2, 3)\n"
+        f"for argv in {runs!r}: bohrlab.cli.main(argv)\n"
+        "print(*sorted(sys.modules), file=sys.stderr)"
+    )
+    env = dict(os.environ, PYTHONPATH=str(SRC.parent))
+    loaded = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    ).stderr.split()
+    assert "bohrlab.cli" in loaded
+    assert [m for m in loaded if m.startswith("numpy.random")] == []
 
 
 def test_no_unused_import_or_private_name():

@@ -17,7 +17,6 @@ from bohrlab import (
     powered_sum,
     sample_schur,
     schur_synthesis,
-    trial_seed,
 )
 from bohrlab.majorant import _lp_combination_rows
 from pair_rows import pair_rows
@@ -44,10 +43,10 @@ def class_check(c):
     return sum_sq, ok
 
 
-def class_sample(seed, order):
+def class_sample(seed, index, order):
     """z g for a sampled unit-ball g, synthesized as verify_be samples the
     class: a leading zero Schur parameter."""
-    g = sample_schur(seed, 12)
+    g = sample_schur(seed, index, 12)
     return schur_synthesis(SchurFunction(np.concatenate(([0.0], g.params))), order)
 
 
@@ -91,7 +90,7 @@ class TestBeCoefficientCheck:
 
     def test_shifted_samples(self):
         for i in range(100):
-            f = class_sample(trial_seed(77, i), 64)
+            f = class_sample(77, i, 64)
             assert f.coeffs[0] == 0.0
             assert class_check(f)[1]
 
@@ -100,7 +99,7 @@ class TestBeCoefficientCheck:
         # radius) across the admissible range
         radius = 1.0 / math.sqrt(2.0) - 1e-6
         for i in range(100):
-            f = class_sample(trial_seed(31, i), 400)
+            f = class_sample(31, i, 400)
             for r in (0.2, 0.5, 0.65, radius):
                 total = powered_sum(f, 1.0, r)
                 assert total.upper <= be_bound(r) + 1e-9
@@ -151,9 +150,9 @@ class TestLpCombinationSum:
     Schur parameter gives a_0 = 0, as in verify_be."""
 
     def _pair(self, seed, order=64):
-        g = sample_schur(trial_seed(seed, 0), 10)
+        g = sample_schur(seed, 0, 10)
         h_params = SchurFunction(np.concatenate(([0.0], g.params)))
-        a, b = pair_rows(h_params, sample_schur(trial_seed(seed, 1), 10), order)
+        a, b = pair_rows(h_params, sample_schur(seed, 1, 10), order)
         assert a[0] == 0.0
         return a[None], b[None]
 

@@ -21,7 +21,7 @@ from bohrlab import (
 )
 from bohrlab import majorant
 from bohrlab.majorant import _harmonic_rows, _lp_combination_rows, _powered_rows, _quadratic_rows
-from bohrlab.montecarlo import _sample_rows, _trial_seeds
+from bohrlab.montecarlo import _sample_rows
 from bohrlab.series import _coanalytic_rows
 from pair_rows import pair_rows
 
@@ -70,14 +70,14 @@ class TestPoweredSum:
 
     def test_upper_monotone_in_r(self):
         for seed in range(5):
-            c = schur_synthesis(sample_schur(seed, 12), 64)
+            c = schur_synthesis(sample_schur(seed, 0, 12), 64)
             for p in (0.5, 1.0, 1.5, 2.0):
                 uppers = [powered_sum(c, p, r).upper for r in np.arange(0.1, 0.95, 0.1)]
                 assert all(b >= a for a, b in zip(uppers, uppers[1:]))
 
     def test_parseval_bound(self):
         for seed in range(20):
-            c = schur_synthesis(sample_schur(seed, 12), 64)
+            c = schur_synthesis(sample_schur(seed, 0, 12), 64)
             assert np.sum(np.abs(c.coeffs) ** 2) <= 1.0 + 1e-12
 
 
@@ -135,7 +135,7 @@ class TestQuadraticSumCheck:
 
     def test_random_samples_at_r_one(self):
         for seed in range(50):
-            c = schur_synthesis(sample_schur(seed, 8), 64)
+            c = schur_synthesis(sample_schur(seed, 0, 8), 64)
             lhs, rhs = quadratic_sides(c, 1.0)
             assert lhs <= rhs + 1e-10
 
@@ -204,14 +204,13 @@ class TestRowEnclosures:
     def schurs(self):
         # samples, automorphisms with a_0 near 1, and a snapped unimodular
         # parameter that leaves |a_0| = 1 + 1 ulp
-        seeds = _trial_seeds(5, 0, 40)
         extra = [
             SchurFunction([0.97, -1.0]),
             SchurFunction([0.2, -1.0]),
             SchurFunction([0.9946128276123087 + 0.1036596505350456j]),
         ]
-        h = [SchurFunction(row) for row in _sample_rows(seeds, 12)] + extra
-        omega = [SchurFunction(row) for row in _sample_rows(seeds ^ np.uint64(1), 12)] + extra
+        h = [SchurFunction(row) for row in _sample_rows(5, 0, 0, 40, 12)] + extra
+        omega = [SchurFunction(row) for row in _sample_rows(5, 1, 0, 40, 12)] + extra
         return h, omega
 
     @pytest.fixture(scope="class")
@@ -291,14 +290,14 @@ class TestHolderTails:
 
     @pytest.fixture(scope="class")
     def series(self):
-        params = _sample_rows(_trial_seeds(11, 0, 80), 12)
+        params = _sample_rows(11, 0, 0, 80, 12)
         for i, row in enumerate(params[40:]):
             row[i % 13] *= (1.0 if i >= 20 else 1.0 - 1e-6) / abs(row[i % 13])
         c = schur_synthesis_rows([SchurFunction(row) for row in params], self.ORDER)
         # harmonic pairs of two rows of each kind; the l^p class takes the
         # same rows behind a leading zero parameter
         h = params[[0, 1, 41, 42, 61, 62]]
-        omegas = [SchurFunction(w) for w in _sample_rows(_trial_seeds(12, 0, 6), 12)]
+        omegas = [SchurFunction(w) for w in _sample_rows(12, 0, 0, 6, 12)]
         pairs, lp_pairs = (
             np.array([pair_rows(SchurFunction(f), w, self.ORDER) for f, w in zip(rows, omegas)])
             for rows in (h, np.concatenate((np.zeros((len(h), 1)), h), axis=1))

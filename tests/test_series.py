@@ -24,7 +24,7 @@ from bohrlab import (
     schur_synthesis_rows,
 )
 from bohrlab import series
-from bohrlab.montecarlo import sample_schur, trial_seed
+from bohrlab.montecarlo import sample_schur
 from bohrlab.series import _BLOCK_FROM_ORDER, _divide_trunc
 from pair_rows import pair_rows
 
@@ -151,7 +151,7 @@ class TestTruncatedArithmetic:
         # arithmetic: the refined block result stays at the loop's rounding level
         mpmath = pytest.importorskip("mpmath")
         order = 1000
-        schurs = [sample_schur(trial_seed(2027, i), 12) for i in range(4)]
+        schurs = [sample_schur(2027, i, 12) for i in range(4)]
         with mpmath.workprec(200):
             for s, row in zip(schurs, schur_synthesis_rows(schurs, order)):
                 p, q = [mpmath.mpc(0)], [mpmath.mpc(1)]
