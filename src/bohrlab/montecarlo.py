@@ -120,7 +120,8 @@ def _order_and_depth(
     keeps the tail ignorable at every radius.  tail_factor is the multiple of
     the generic tail that the claim's enclosure adds: 2 for the harmonic sum
     (both parts), 2^(1/p) for the l^p combination.  Random trials are scored
-    first at the requested order and then on a ladder of orders up to N*
+    on a ladder of orders up to N*: first, where it pays, at a screening
+    order below the requested one, then at the requested order and above
     (see _collect_slacks).
     """
     order, depth = _check_count(order, "order"), _check_count(depth, "depth")
@@ -158,6 +159,11 @@ _BLOCK_COEFFS = 1 << 14
 # of ~1.5 us a row, blocks at high orders hold 4-18 rows, and the ladder's
 # upper rungs synthesize the unsettled rows of one draw together.
 _SAMPLE_TRIALS = 256
+# The screening rung below the requested order (see _collect_slacks): at order
+# 64 and r <= 0.9 the settle tail settles nearly every trial at 16 already (8
+# settles too few near r = 0.9, 32 costs more).  It is not the ladder's entry:
+# from 16, _next_rungs' r^(N - first) model sends high-r rows to 128-512.
+_SCREEN_ORDER = 16
 
 
 def _collect_slacks(
@@ -173,8 +179,13 @@ def _collect_slacks(
     the coefficient blocks to each row's [lo, hi]: bound minus the upper and
     the lower side of its enclosure.
 
-    Every trial is scored first at order first, then if need be on the
-    ladder 2 first, 4 first, ... below full, and at full.  A rung N below full
+    Where 0 < r < 1, first > _SCREEN_ORDER and trials >= _SAMPLE_TRIALS,
+    every trial is scored first at the screening rung _SCREEN_ORDER and the
+    rows it leaves unsettled go on to first; otherwise all start at first.
+    At R = 1 lemma21's Parseval fold is exact, so no rung could settle a row,
+    and a short loop does not repay the screen's extra synthesis call, whose
+    cost is per step more than per row.  From first, rows go if need be on
+    to 2 first, 4 first, ... below full, and to full.  A rung N below full
     scores rows with slack(..., full=full), whose tail is the settle tail
     min(t_N, T_N + t_N r^(full - N)) (majorant._settle_tails): t_N is the
     enclosure's own tail, and T_N a Parseval-Hölder bound on the terms past N
@@ -183,7 +194,7 @@ def _collect_slacks(
     bounds the full-order slack from below.  With U the least hi so far,
     which bounds the least full-order slack from above, a row whose lo
     exceeds max(U, -SLACK_TOL) + SLACK_TOL is settled: it can neither fail nor
-    be the worst trial.  Its entry is lo.  After the first rung, every other
+    be the worst trial.  Its entry is lo.  After rung first, every other
     row is rescored at the least rung whose tail, shrunk like r^(N - first),
     comes within half its margin, and at full if it is still unsettled there.
     So every failing row and every row that could be the least is scored at
@@ -200,6 +211,8 @@ def _collect_slacks(
         rungs.append(max(2 * rungs[-1], 1))  # 0 would double to 0
     if full > first:
         rungs.append(full)
+    entry = int(0.0 < r < 1.0 and first > _SCREEN_ORDER and trials >= _SAMPLE_TRIALS)
+    rungs[:0] = [_SCREEN_ORDER] * entry  # rungs[entry] is first
     last = len(rungs) - 1
 
     def per_block(order: int) -> int:
@@ -234,7 +247,9 @@ def _collect_slacks(
             threshold = max(least_hi, -SLACK_TOL) + SLACK_TOL
             settled = lo > threshold
             out[rows[settled]] = lo[settled]
-            step = _next_rungs(hi - lo, 0.5 * (hi - threshold), r, rungs) if rung == 0 else last
+            step = entry if rung < entry else last
+            if rung == entry:
+                step = entry + _next_rungs(hi - lo, 0.5 * (hi - threshold), r, rungs[entry:])
             target[rows] = np.where(settled, -1, step)
     return slacks
 

@@ -53,10 +53,18 @@ def trial_loops(monkeypatch, call):
     return loops
 
 
-def flat_slacks(loop):
-    """The slacks of a trial loop with every trial scored at its full order."""
+def flat_slacks(loop, step=None):
+    """The slacks of a trial loop with every trial scored at its full order
+    directly, step trials to a synthesis block (all of them by default).  Not
+    through _collect_slacks: its screening rung can score trials below the
+    full order first, whatever order the ladder is asked to start at."""
     slack, streams, trials, _, full, r = loop
-    return montecarlo._collect_slacks(slack, streams, trials, full, full, r)
+    step = step or max(trials, 1)
+    blocks = [
+        slack(*(_synthesize_params(draw(start, min(start + step, trials)), full) for draw in streams))
+        for start in range(0, trials, step)
+    ]
+    return np.concatenate(blocks) if blocks else np.empty(0)
 
 
 class TestSampler:
@@ -353,8 +361,7 @@ class TestBlocking:
         # r near 1 lifts the full order to 894 and 2,750, where the division
         # runs k outputs a step.  On the order ladder only the worst trials
         # and the witnesses reach it, so each trial loop is also scored flat
-        # at its full order: at the default budget the 7 trials then share
-        # one block at order 894 and fill blocks of 5 and 2 at order 2,750
+        # at its full order, the 7 trials in one block and then one by one
         def reports():
             return [
                 verify_theorem1(1.5, 0.99, 7, seed=5),
@@ -363,15 +370,13 @@ class TestBlocking:
             ]
 
         loops = trial_loops(monkeypatch, reports)
-        blocked, flat = reports(), [flat_slacks(loop) for loop in loops]
+        blocked = reports()
         assert {r.params["order"] for r in blocked} == {894, 2750}
         assert [loop[4] for loop in loops] == [2750, 894, 894, 894]
-        assert montecarlo._BLOCK_COEFFS // 2751 == 5
-        assert montecarlo._BLOCK_COEFFS // (2 * 895) >= 7
+        for loop in loops:
+            assert np.array_equal(bits(flat_slacks(loop, 1)), bits(flat_slacks(loop)))
         monkeypatch.setattr(montecarlo, "_BLOCK_COEFFS", 1)
         assert reports() == blocked
-        for loop, expected in zip(loops, flat):
-            assert np.array_equal(bits(flat_slacks(loop)), bits(expected))
 
 
 class TestReportPins:
@@ -526,18 +531,53 @@ class TestOrderLadder:
         # (2,750 or 894), one row a stream
         assert self.coefficients(monkeypatch, call) <= share * flat
 
+    @pytest.mark.parametrize(
+        "call, streams",
+        [
+            pytest.param(lambda: verify_theorem1(1.0, 0.5, 1000, seed=7), 1, id="theorem1"),
+            pytest.param(lambda: verify_theorem2(1.0, 0.3, 1000, seed=7), 2, id="theorem2-p1"),
+            pytest.param(lambda: verify_theorem2(3.0, 0.6, 1000, seed=7), 2, id="theorem2-p3"),
+            pytest.param(lambda: verify_be(0.65, 1.0, 1000, seed=7), 3, id="be-p1"),
+            pytest.param(lambda: verify_be(3**-0.5, 2.0, 1000, seed=7), 3, id="be-p2"),
+        ],
+    )
+    def test_acceptance_claims_settle_on_the_screen(self, monkeypatch, call, streams):
+        # at N* = 64 nearly every trial settles on the screening rung, 17
+        # coefficients a row against 65, and few go on to 64
+        assert self.coefficients(monkeypatch, call) <= 0.3 * streams * 1000 * 65
+
+    @pytest.mark.parametrize(
+        "call, trials",
+        [
+            # the Parseval fold is exact at R = 1, so no order settles a row
+            pytest.param(lambda: verify_lemma_quadratic(1000, 1.0, seed=7), 1000, id="lemma21-R1"),
+            # a loop shorter than one draw does not repay the screen's call
+            pytest.param(lambda: verify_theorem1(1.0, 0.5, 255, seed=7), 255, id="short-loop"),
+        ],
+    )
+    def test_claims_the_screen_skips(self, monkeypatch, call, trials):
+        # every trial is scored once, at 64
+        assert montecarlo._SAMPLE_TRIALS == 256
+        assert self.coefficients(monkeypatch, call) == trials * 65
+
     def test_order_cap_claim_keeps_its_work(self, monkeypatch):
         # B's defect: every trial fails at the order cap, so nearly all climb
         # from order 64 straight to 4,000, as 406,600 coefficients did before
-        # the settle tail; it neither adds nor saves work there
+        # the settle tail; it neither adds nor saves work there, and the
+        # screening rung at 16 does not run for a loop of 100 trials
         call = lambda: verify_theorem1(2.0, 0.999, 100, seed=1)
         assert abs(self.coefficients(monkeypatch, call) - 406_600) <= 0.02 * 406_600
 
     def test_entries_bound_the_full_order_slacks(self, monkeypatch):
         # every entry is the row's full-order slack or a lower bound on it
         # that clears the least slack by SLACK_TOL, on every enclosure the
-        # settle tail settles, at the order cap and on a failing claim
+        # settle tail settles, at the order cap, on a failing claim and on
+        # claims whose trials settle on the screening rung at order 16
         calls = [
+            (lambda: verify_theorem1(1.0, 0.5, 300, seed=3), False),
+            (lambda: verify_theorem1(1.5, 0.9, 300, seed=3), False),
+            (lambda: verify_theorem2(1.0, 0.3, 300, seed=3), False),
+            (lambda: verify_be(0.65, 1.0, 300, seed=3), False),  # both halves
             (lambda: verify_theorem1(1.5, 0.99, 300, seed=3), False),
             (lambda: verify_theorem1(1.5, 0.995, 300, seed=3), False),  # N* = 4,000
             (lambda: verify_theorem2(3.0, 0.97, 300, seed=3), False),
@@ -555,3 +595,23 @@ class TestOrderLadder:
                 failures = (flat < -SLACK_TOL).sum()
                 assert (ladder < -SLACK_TOL).sum() == failures
                 assert (failures > 0) == failing
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            pytest.param(lambda: verify_theorem1(1.5, 0.99, 300, seed=3), id="theorem1"),
+            pytest.param(lambda: verify_theorem2(1.0, 0.3, 300, seed=3), id="theorem2"),
+            pytest.param(lambda: verify_be(0.65, 1.0, 300, seed=3), id="be"),
+        ],
+    )
+    def test_low_rungs_bound_the_full_order_upper_side(self, monkeypatch, call):
+        # lower + settle tail at each rung N from 8 to 64 is at least the
+        # upper side at N*, row by row, so lo there bounds the N* slack
+        for loop in trial_loops(monkeypatch, call):
+            slack, streams, trials, _, full, _ = loop
+            params = [draw(0, trials) for draw in streams]
+            flat = flat_slacks(loop)
+            for n in (8, 16, 32, 64):
+                if n < full:
+                    lo = slack(*(_synthesize_params(g, n) for g in params), full=full)
+                    assert (lo <= flat).all(), (n, full)
