@@ -120,9 +120,8 @@ def _order_and_depth(
     keeps the tail ignorable at every radius.  tail_factor is the multiple of
     the generic tail that the claim's enclosure adds: 2 for the harmonic sum
     (both parts), 2^(1/p) for the l^p combination.  Random trials are scored
-    on a ladder of orders up to N*: first, where it pays, at a screening
-    order below the requested one, then at the requested order and above
-    (see _collect_slacks).
+    on a ladder of orders up to N*, screened first at a lower order where
+    that pays (see _collect_slacks).
     """
     order, depth = _check_count(order, "order"), _check_count(depth, "depth")
     if not 0.0 < r < 1.0:
@@ -159,11 +158,9 @@ _BLOCK_COEFFS = 1 << 14
 # of ~1.5 us a row, blocks at high orders hold 4-18 rows, and the ladder's
 # upper rungs synthesize the unsettled rows of one draw together.
 _SAMPLE_TRIALS = 256
-# The screening rung below the requested order (see _collect_slacks): at order
-# 64 and r <= 0.9 the settle tail settles nearly every trial at 16 already (8
-# settles too few near r = 0.9, 32 costs more).  It is not the ladder's entry:
-# from 16, _next_rungs' r^(N - first) model sends high-r rows to 128-512.
-_SCREEN_ORDER = 16
+# The screen of _collect_slacks (order 8 settles too few rows near r = 0.9, 32
+# costs more), and the fewest rows it pays on: 100 rows gained nothing, 150 did.
+_SCREEN_ORDER, _SCREEN_ROWS = 16, 128
 
 
 def _collect_slacks(
@@ -179,41 +176,39 @@ def _collect_slacks(
     the coefficient blocks to each row's [lo, hi]: bound minus the upper and
     the lower side of its enclosure.
 
-    Where 0 < r < 1, first > _SCREEN_ORDER and trials >= _SAMPLE_TRIALS,
-    every trial is scored first at the screening rung _SCREEN_ORDER and the
-    rows it leaves unsettled go on to first; otherwise all start at first.
-    At R = 1 lemma21's Parseval fold is exact, so no rung could settle a row,
-    and a short loop does not repay the screen's extra synthesis call, whose
-    cost is per step more than per row.  From first, rows go if need be on
-    to 2 first, 4 first, ... below full, and to full.  A rung N below full
-    scores rows with slack(..., full=full), whose tail is the settle tail
-    min(t_N, T_N + t_N r^(full - N)) (majorant._settle_tails): t_N is the
-    enclosure's own tail, and T_N a Parseval-Hölder bound on the terms past N
-    from the row's coefficients, two to four decades below t_N at the low
-    rungs.  Either way lower + tail at N bounds the upper side at full, so lo
-    bounds the full-order slack from below.  With U the least hi so far,
-    which bounds the least full-order slack from above, a row whose lo
-    exceeds max(U, -SLACK_TOL) + SLACK_TOL is settled: it can neither fail nor
-    be the worst trial.  Its entry is lo.  After rung first, every other
-    row is rescored at the least rung whose tail, shrunk like r^(N - first),
-    comes within half its margin, and at full if it is still unsettled there.
-    So every failing row and every row that could be the least is scored at
-    full, and, as a row's result does not depend on its block, the counts,
-    the least slack and its index come out as if every row had been scored
-    at full.  The full order keeps the enclosure's tail alone, since every
-    reported number is read there, as in flat scoring at full.  Nor would
-    T_N mend the order cap near r = 1: its remainder tends to 1 - |f|_2^2,
-    not to 0, so at order 4,000 and r = 0.999 it stays far above SLACK_TOL.
+    Where 0 < r < 1 and first > _SCREEN_ORDER (at R = 1 lemma21's fold is
+    exact, so no rung settles a row), a draw of _SCREEN_ROWS trials or more is
+    scored at _SCREEN_ORDER first, while the screen would settle most rows of
+    the last screened draw at the U (below) known after it.  Rows it leaves go
+    to order first, then if need be to 2 first, 4 first, ... below full, and
+    to full.  A rung N below full scores rows with slack(..., full=full), whose
+    tail is the settle tail min(t_N, T_N + t_N r^(full - N))
+    (majorant._settle_tails): t_N is the enclosure's own tail, and T_N a
+    Parseval-Hölder bound on the terms past N from the row's coefficients, two
+    to four decades below t_N at the low rungs.  Either way lower + tail at N
+    bounds the upper side at full, so lo bounds the full-order slack from
+    below.  With U the least hi so far, which bounds the least full-order
+    slack from above, a row whose lo exceeds max(U, -SLACK_TOL) + SLACK_TOL is
+    settled: it can neither fail nor be the worst trial.  Its entry is lo.
+    After rung first, every other row is rescored at the least rung whose
+    tail, shrunk like r^(N - first), comes within half its margin, and at full
+    if it is still unsettled there.  So every failing row and every row that
+    could be the least is scored at full, and, as a row's result does not
+    depend on its block, the counts, the least slack and its index come out as
+    if every row had been scored at full.  The full order keeps the
+    enclosure's tail alone, since every reported number is read there, as in
+    flat scoring at full.  Nor would T_N mend the order cap near r = 1: its
+    remainder tends to 1 - |f|_2^2, not to 0, so at order 4,000 and r = 0.999
+    it stays far above SLACK_TOL.
     """
     trials = _check_count(trials, "trials")
-    rungs = [first]
+    rungs = [_SCREEN_ORDER, first]
     while 2 * rungs[-1] < full:
         rungs.append(max(2 * rungs[-1], 1))  # 0 would double to 0
     if full > first:
         rungs.append(full)
-    entry = int(0.0 < r < 1.0 and first > _SCREEN_ORDER and trials >= _SAMPLE_TRIALS)
-    rungs[:0] = [_SCREEN_ORDER] * entry  # rungs[entry] is first
     last = len(rungs) - 1
+    screen = 0.0 < r < 1.0 and first > _SCREEN_ORDER
 
     def per_block(order: int) -> int:
         return max(1, _BLOCK_COEFFS // (len(streams) * (order + 1)))
@@ -234,7 +229,8 @@ def _collect_slacks(
         stop = min(trials, start + per_draw)
         params = [draw(start, stop) for draw in streams]
         out = slacks[start:stop]
-        target = np.zeros(stop - start, dtype=int)  # next rung of each row; -1 once settled
+        entry = 0 if screen and stop - start >= _SCREEN_ROWS else 1  # rung 0 is the screen
+        target = np.full(stop - start, entry)  # next rung of each row; -1 once settled
         for rung, order in enumerate(rungs):
             rows = np.flatnonzero(target == rung)
             if not len(rows):
@@ -247,10 +243,14 @@ def _collect_slacks(
             threshold = max(least_hi, -SLACK_TOL) + SLACK_TOL
             settled = lo > threshold
             out[rows[settled]] = lo[settled]
-            step = entry if rung < entry else last
-            if rung == entry:
-                step = entry + _next_rungs(hi - lo, 0.5 * (hi - threshold), r, rungs[entry:])
+            if rung == 0:
+                screened, step = lo, 1  # lo of every row of the draw
+            else:
+                margins = 0.5 * (hi - threshold)
+                step = 1 + _next_rungs(hi - lo, margins, r, rungs[1:]) if rung == 1 else last
             target[rows] = np.where(settled, -1, step)
+        if entry == 0:
+            screen = (screened > max(least_hi, -SLACK_TOL) + SLACK_TOL).mean() > 0.5
     return slacks
 
 

@@ -361,7 +361,10 @@ class TestBlocking:
         # r near 1 lifts the full order to 894 and 2,750, where the division
         # runs k outputs a step.  On the order ladder only the worst trials
         # and the witnesses reach it, so each trial loop is also scored flat
-        # at its full order, the 7 trials in one block and then one by one
+        # at its full order, by _collect_slacks (7 trials are too few for the
+        # screen) and by the oracle flat_slacks: at the default budget the 7
+        # trials then share one block at order 894 and fill blocks of 5 and 2
+        # at order 2,750
         def reports():
             return [
                 verify_theorem1(1.5, 0.99, 7, seed=5),
@@ -369,14 +372,24 @@ class TestBlocking:
                 *verify_be(0.97, 1.0, 7, seed=5),
             ]
 
+        def at_full(loop):
+            slack, streams, trials, _, full, r = loop
+            return montecarlo._collect_slacks(slack, streams, trials, full, full, r)
+
         loops = trial_loops(monkeypatch, reports)
-        blocked = reports()
+        blocked, flat = reports(), [at_full(loop) for loop in loops]
         assert {r.params["order"] for r in blocked} == {894, 2750}
         assert [loop[4] for loop in loops] == [2750, 894, 894, 894]
-        for loop in loops:
-            assert np.array_equal(bits(flat_slacks(loop, 1)), bits(flat_slacks(loop)))
+        assert 7 < montecarlo._SCREEN_ROWS
+        assert montecarlo._BLOCK_COEFFS // 2751 == 5
+        assert montecarlo._BLOCK_COEFFS // (2 * 895) >= 7
+        for loop, expected in zip(loops, flat):
+            assert np.array_equal(bits(flat_slacks(loop)), bits(expected))
+            assert np.array_equal(bits(flat_slacks(loop, 1)), bits(expected))
         monkeypatch.setattr(montecarlo, "_BLOCK_COEFFS", 1)
         assert reports() == blocked
+        for loop, expected in zip(loops, flat):
+            assert np.array_equal(bits(at_full(loop)), bits(expected))
 
 
 class TestReportPins:
@@ -498,18 +511,23 @@ class TestOrderLadder:
     report stays as if each trial had been scored at the full order."""
 
     @staticmethod
-    def coefficients(monkeypatch, call):
-        """Coefficients, rows x (order + 1), synthesized for the trials of a call."""
-        count = [0]
+    def rows(monkeypatch, call):
+        """Rows synthesized at each order for the trials of a call, by order."""
+        count = {}
         synthesize = montecarlo._synthesize_params
 
         def counted(g, order):
-            count[0] += len(g) * (order + 1)
+            count[order] = count.get(order, 0) + len(g)
             return synthesize(g, order)
 
         monkeypatch.setattr(montecarlo, "_synthesize_params", counted)
         call()
-        return count[0]
+        return count
+
+    @classmethod
+    def coefficients(cls, monkeypatch, call):
+        """Coefficients, rows x (order + 1), synthesized for the trials of a call."""
+        return sum(n * (order + 1) for order, n in cls.rows(monkeypatch, call).items())
 
     @pytest.mark.parametrize(
         "call, flat, share",
@@ -551,20 +569,34 @@ class TestOrderLadder:
         [
             # the Parseval fold is exact at R = 1, so no order settles a row
             pytest.param(lambda: verify_lemma_quadratic(1000, 1.0, seed=7), 1000, id="lemma21-R1"),
-            # a loop shorter than one draw does not repay the screen's call
-            pytest.param(lambda: verify_theorem1(1.0, 0.5, 255, seed=7), 255, id="short-loop"),
+            # a draw of 100 rows does not repay the screen's call
+            pytest.param(lambda: verify_theorem1(1.0, 0.5, 100, seed=7), 100, id="short-draw"),
         ],
     )
     def test_claims_the_screen_skips(self, monkeypatch, call, trials):
         # every trial is scored once, at 64
-        assert montecarlo._SAMPLE_TRIALS == 256
+        assert 100 < montecarlo._SCREEN_ROWS
         assert self.coefficients(monkeypatch, call) == trials * 65
+
+    @pytest.mark.parametrize(
+        "call, screened",
+        [
+            # draws of 504 and 96 rows: the second is too short to screen
+            pytest.param(lambda: verify_theorem1(1.0, 0.5, 600, seed=7), 504, id="short-last-draw"),
+            # be's analytic half screens both of its draws; its harmonic half
+            # (h and omega, 378 rows a draw) would settle about a quarter of
+            # its first draw on the screen, so it screens no other draw
+            pytest.param(lambda: verify_be(0.97, 1.0, 1000, seed=7), 1000 + 2 * 378, id="be-high-r"),
+        ],
+    )
+    def test_draws_the_screen_scores(self, monkeypatch, call, screened):
+        assert self.rows(monkeypatch, call)[montecarlo._SCREEN_ORDER] == screened
 
     def test_order_cap_claim_keeps_its_work(self, monkeypatch):
         # B's defect: every trial fails at the order cap, so nearly all climb
         # from order 64 straight to 4,000, as 406,600 coefficients did before
-        # the settle tail; it neither adds nor saves work there, and the
-        # screening rung at 16 does not run for a loop of 100 trials
+        # the settle tail; it neither adds nor saves work there, and a draw
+        # of 100 trials is too short for the screening rung at order 16
         call = lambda: verify_theorem1(2.0, 0.999, 100, seed=1)
         assert abs(self.coefficients(monkeypatch, call) - 406_600) <= 0.02 * 406_600
 
