@@ -381,8 +381,9 @@ def verify_theorem2(
         # phi_a has Schur parameters [a, -1]; omega = 1 doubles every term
         a_w = min(maximize_envelope(p, r, doubled=True).argmax, 1.0 - 1e-8)
         h_witnesses.append(SchurFunction([a_w, -1.0]))
-    omegas = [SchurFunction([1.0])] * len(h_witnesses)
-    witness = slack(schur_synthesis_rows(h_witnesses, order), schur_synthesis_rows(omegas, order))
+    # omega = 1 synthesizes to the row e_0 at every order
+    omegas = np.eye(1, order + 1, dtype=complex).repeat(len(h_witnesses), axis=0)
+    witness = slack(schur_synthesis_rows(h_witnesses, order), omegas)
     params = {"p": p, "r": r, "depth": depth, "order": order}
     return _reduce("theorem2", slacks, witness, seed, params)
 
@@ -418,7 +419,7 @@ def verify_be(
     sums_a = bound_a - slacks_a
     # the extremal z(a-z)/(1-az) at a = 1/sqrt(2) attains the bound at the radius
     ext = SchurFunction([0.0, 1.0 / np.sqrt(2.0), -1.0])
-    ext_rows, one_rows = schur_synthesis_rows([ext, SchurFunction([1.0])], order)[:, None]
+    ext_rows = schur_synthesis_rows([ext], order)
     witness_a = slack_a(ext_rows)
     max_sum = float(sums_a.max()) if len(sums_a) else 0.0
     params_a = {"r": r, "depth": depth, "order": order, "max_sum": max_sum}
@@ -427,7 +428,7 @@ def verify_be(
     # the harmonic half draws h and omega from streams of its own
     omega = functools.partial(_sample_rows, seed, 3, depth=depth)
     slacks_h = _collect_slacks(slack_h, (shifted(2), omega), trials, first, order, r)
-    witness_h = slack_h(ext_rows, one_rows)
+    witness_h = slack_h(ext_rows, np.eye(1, order + 1, dtype=complex))  # omega = 1
     params_h = {"p": p, "r": r, "depth": depth, "order": order}
     report_h = _reduce("be_harmonic", slacks_h, witness_h, seed, params_h)
     return report_a, report_h

@@ -351,14 +351,23 @@ def _coanalytic_rows(a: np.ndarray, w: np.ndarray) -> np.ndarray:
     of h and w of omega: b_k = (1/k) sum_{j<k} w_j (k-j) a_(k-j), b_0 = 0.
 
     Since |omega| <= 1 forces sum |b_k|^2 <= sum |a_k|^2 <= 1 for unit-ball h,
-    every |b_k| <= 1, and both parts carry the unit-ball certificate.  One
-    convolution per row."""
-    order = a.shape[1] - 1
+    every |b_k| <= 1, and both parts carry the unit-ball certificate.
+
+    A block with more rows than outputs is formed one output at a time, any
+    other one convolution per row: the fewer numpy calls, with the same bits.
+    For output n both sum w_0 h'_n, ..., w_n h'_0 in that order, np.convolve
+    by BLAS zdotu and np.vecdot by zdotc of conj(w), which undoes conj exactly."""
+    rows, order = a.shape[0], a.shape[1] - 1
     b = np.zeros_like(a)
     if order >= 1:
         k = np.arange(1, order + 1)
         hp = k * a[:, 1:]  # coefficients of h'
-        for b_row, w_row, hp_row in zip(b, w, hp):
-            b_row[1:] = np.convolve(w_row[:order], hp_row)[:order]  # omega h'
+        if rows > order:
+            w_bar, hp_rev = np.conj(w[:, :order]), np.ascontiguousarray(hp[:, ::-1])
+            for n in range(order):
+                b[:, n + 1] = np.vecdot(w_bar[:, : n + 1], hp_rev[:, order - 1 - n:])
+        else:
+            for b_row, w_row, hp_row in zip(b, w, hp):
+                b_row[1:] = np.convolve(w_row[:order], hp_row)[:order]  # omega h'
         b[:, 1:] /= k
     return b

@@ -267,15 +267,23 @@ class TestRowEnclosures:
         one = [tuple(side[0] for side in _quadratic_rows(row[None], big_r)) for row in c]
         self.check(_quadratic_rows(c, big_r), one, [reference_quadratic(row, big_r) for row in c])
 
-    def test_coanalytic_rows(self, schurs, block):
-        c, w, _ = block
-        b = _coanalytic_rows(c, w)
-        assert (b[:, 0] == 0).all()
-        for i, (h, omega) in enumerate(zip(*schurs)):
-            a_i, b_i = pair_rows(h, omega, self.ORDER)
-            assert np.array_equal(a_i, c[i])
-            assert b_i.tobytes() == b[i].tobytes(), i
-            assert reference_coanalytic(c[i], w[i]).tobytes() == b[i].tobytes(), i
+    def test_coanalytic_rows(self, schurs):
+        # the 43 rows outnumber the outputs at orders 16 and 40, where the
+        # block is formed one output at a time, and not at 80, where it is
+        # formed one convolution per row; the shifted rows are be's, a_0 = 0
+        for order in (16, 40, self.ORDER):
+            c, w = (schur_synthesis_rows(s, order) for s in schurs)
+            assert 40 < len(c) < self.ORDER
+            shifted = np.concatenate((np.zeros((len(c), 1)), c[:, :-1]), axis=1)
+            b, b_shifted = (_coanalytic_rows(a, w) for a in (c, shifted))
+            for a, rows in ((c, b), (shifted, b_shifted)):
+                assert (rows[:, 0] == 0).all()
+                for i in range(len(a)):
+                    assert reference_coanalytic(a[i], w[i]).tobytes() == rows[i].tobytes(), (order, i)
+            for i, (h, omega) in enumerate(zip(*schurs)):
+                a_i, b_i = pair_rows(h, omega, order)
+                assert np.array_equal(a_i, c[i])
+                assert b_i.tobytes() == b[i].tobytes(), (order, i)
 
 
 class TestHolderTails:

@@ -357,6 +357,23 @@ class TestBlocking:
             for n, expected in zip(counts, blocked):
                 assert self.reports(n) == expected, (n, sample_trials)
 
+    def test_coanalytic_forms_give_identical_slacks(self, monkeypatch):
+        # blocks of 126 two-row trials at order 64 outnumber the outputs, so
+        # their co-analytic rows are formed one output at a time; one-trial
+        # blocks form them one convolution per row
+        def calls():
+            verify_theorem2(1.0, 0.3, 253, seed=5)
+            verify_be(0.65, 1.0, 253, seed=5)
+
+        loops = [loop for loop in trial_loops(monkeypatch, calls) if len(loop[1]) == 2]
+        per_block = montecarlo._BLOCK_COEFFS // (2 * (DEFAULT_ORDER + 1))
+        assert len(loops) == 2 and per_block == 126
+        for loop in loops:
+            assert loop[4] == DEFAULT_ORDER
+            one_row = bits(flat_slacks(loop, 1))
+            assert np.array_equal(bits(flat_slacks(loop)), one_row)
+            assert np.array_equal(bits(flat_slacks(loop, per_block)), one_row)
+
     def test_one_row_blocks_give_identical_reports_at_high_order(self, monkeypatch):
         # r near 1 lifts the full order to 894 and 2,750, where the division
         # runs k outputs a step.  On the order ladder only the worst trials

@@ -293,6 +293,12 @@ class TestSchurRecursion:
         out = schur_synthesis(SchurFunction([0.3 + 0.1j]), 4)
         np.testing.assert_allclose(out.coeffs, [0.3 + 0.1j, 0, 0, 0, 0], atol=1e-15)
 
+    @pytest.mark.parametrize("order", [0, 1, 16, 64, _BLOCK_FROM_ORDER - 1, _BLOCK_FROM_ORDER, 894, 4000])
+    def test_unit_constant_synthesizes_to_e0(self, order):
+        # the harmonic verifiers take omega = 1 as the row e_0 without synthesis
+        out = schur_synthesis_rows([SchurFunction([1.0])], order)
+        assert out.tobytes() == np.eye(1, order + 1, dtype=complex).tobytes()
+
     def test_zero_synthesis(self):
         out = schur_synthesis(SchurFunction([0.0, 0.0, 0.0]), 5)
         np.testing.assert_array_equal(out.coeffs, np.zeros(6))
