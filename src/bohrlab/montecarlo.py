@@ -155,11 +155,11 @@ def _harmonic(enclose: Callable) -> Callable:
 # not from the block size.
 _BLOCK_COEFFS = 1 << 14
 # Fewest trials sampled in one call: the sampler costs ~0.05 ms a call on top
-# of ~1.5 us a row, blocks at high orders hold 4-18 rows, and the ladder's
-# upper rungs synthesize the unsettled rows of one draw together.
+# of ~1.5 us a row, and blocks at high orders hold 4-18 rows.  It also bounds
+# the pool of rows the screen leaves, which climb the ladder together.
 _SAMPLE_TRIALS = 256
 # The screen of _collect_slacks (order 8 settles too few rows near r = 0.9, 32
-# costs more), and the fewest rows it pays on: 100 rows gained nothing, 150 did.
+# costs more), and the fewest rows of a draw it screens: 100 gained nothing, 150 did.
 _SCREEN_ORDER, _SCREEN_ROWS = 16, 128
 
 
@@ -177,32 +177,34 @@ def _collect_slacks(
     the lower side of its enclosure.
 
     Where 0 < r < 1 and first > _SCREEN_ORDER (at R = 1 lemma21's fold is
-    exact, so no rung settles a row), a draw of _SCREEN_ROWS trials or more is
-    scored at _SCREEN_ORDER first, while the screen would settle most rows of
-    the last screened draw at the U (below) known after it.  Rows it leaves go
-    to order first, then if need be to 2 first, 4 first, ... below full, and
-    to full.  A rung N below full scores rows with slack(..., full=full), whose
-    tail is the settle tail min(t_N, T_N + t_N r^(full - N))
-    (majorant._settle_tails): t_N is the enclosure's own tail, and T_N a
-    Parseval-Hölder bound on the terms past N from the row's coefficients, two
-    to four decades below t_N at the low rungs.  Either way lower + tail at N
-    bounds the upper side at full, so lo bounds the full-order slack from
-    below.  With U the least hi so far, which bounds the least full-order
-    slack from above, a row whose lo exceeds max(U, -SLACK_TOL) + SLACK_TOL is
-    settled: it can neither fail nor be the worst trial.  Its entry is lo.
-    After rung first, every other row is rescored at the least rung whose
-    tail, shrunk like r^(N - first), comes within half its margin, and at full
-    if it is still unsettled there.  So every failing row and every row that
-    could be the least is scored at full, and, as a row's result does not
-    depend on its block, the counts, the least slack and its index come out as
-    if every row had been scored at full.  The full order keeps the
-    enclosure's tail alone, since every reported number is read there, as in
-    flat scoring at full.  Nor would T_N mend the order cap near r = 1: its
-    remainder tends to 1 - |f|_2^2, not to 0, so at order 4,000 and r = 0.999
-    it stays far above SLACK_TOL.
+    exact, so no rung settles a row), every draw of _SCREEN_ROWS trials or
+    more is scored at _SCREEN_ORDER first.  The rows it leaves, and draws it
+    does not screen, join a pool, which goes up the ladder once it holds a
+    draw's worth of rows and after the last draw: to order first, then if
+    need be to 2 first, 4 first, ... below full, and to full.  A rung N below
+    full scores rows with slack(..., full=full), whose tail is the settle tail
+    min(t_N, T_N + t_N r^(full - N)) (majorant._settle_tails): t_N is the
+    enclosure's own tail, and T_N a Parseval-Hölder bound on the terms past N
+    from the row's coefficients, two to four decades below t_N at the low
+    rungs.  Either way lower + tail at N bounds the upper side at full, so lo
+    bounds the full-order slack from below.  With U the least hi so far,
+    which bounds the least full-order slack from above, a row whose lo exceeds
+    max(U, -SLACK_TOL) + SLACK_TOL is settled: it can neither fail nor be the
+    worst trial.  Its entry is lo.  U only falls, so this holds whenever the
+    row is scored, and pooling cannot move a report.  After rung first, every
+    other row is rescored at the least rung whose tail, shrunk like
+    r^(N - first), comes within half its margin, and at full if it is still
+    unsettled there.  So every failing row and every row that could be the
+    least is scored at full, and, as a row's result does not depend on its
+    block, the counts, the least slack and its index come out as if every row
+    had been scored at full.  The full order keeps the enclosure's tail
+    alone, since every reported number is read there, as in flat scoring at
+    full.  Nor would T_N mend the order cap near r = 1: its remainder tends
+    to 1 - |f|_2^2, not to 0, so at order 4,000 and r = 0.999 it stays far
+    above SLACK_TOL.
     """
     trials = _check_count(trials, "trials")
-    rungs = [_SCREEN_ORDER, first]
+    rungs = [first]
     while 2 * rungs[-1] < full:
         rungs.append(max(2 * rungs[-1], 1))  # 0 would double to 0
     if full > first:
@@ -225,12 +227,23 @@ def _collect_slacks(
     per_draw = per_block(first) * -(-_SAMPLE_TRIALS // per_block(first))  # whole blocks
     slacks = np.empty(trials)
     least_hi = np.inf
+    pool = []  # (trial indices, parameter arrays) not yet scored above the screen
     for start in range(0, trials, per_draw):
         stop = min(trials, start + per_draw)
-        params = [draw(start, stop) for draw in streams]
-        out = slacks[start:stop]
-        entry = 0 if screen and stop - start >= _SCREEN_ROWS else 1  # rung 0 is the screen
-        target = np.full(stop - start, entry)  # next rung of each row; -1 once settled
+        index, params = np.arange(start, stop), [draw(start, stop) for draw in streams]
+        if screen and stop - start >= _SCREEN_ROWS:
+            lo, hi = score(params, _SCREEN_ORDER)
+            least_hi = min(least_hi, hi.min())
+            settled = lo > max(least_hi, -SLACK_TOL) + SLACK_TOL
+            slacks[index[settled]] = lo[settled]
+            index, params = index[~settled], [g[~settled] for g in params]
+        pool.append((index, params))
+        if sum(len(i) for i, _ in pool) < per_draw and stop < trials:
+            continue
+        index = np.concatenate([i for i, _ in pool])
+        params = [np.concatenate(g) for g in zip(*(p for _, p in pool))]
+        pool = []
+        target = np.zeros(len(index), dtype=int)  # next rung of each row; -1 once settled
         for rung, order in enumerate(rungs):
             rows = np.flatnonzero(target == rung)
             if not len(rows):
@@ -238,19 +251,13 @@ def _collect_slacks(
             lo, hi = score([g[rows] for g in params], order)
             least_hi = min(least_hi, hi.min())
             if rung == last:
-                out[rows] = lo
+                slacks[index[rows]] = lo
                 continue
             threshold = max(least_hi, -SLACK_TOL) + SLACK_TOL
             settled = lo > threshold
-            out[rows[settled]] = lo[settled]
-            if rung == 0:
-                screened, step = lo, 1  # lo of every row of the draw
-            else:
-                margins = 0.5 * (hi - threshold)
-                step = 1 + _next_rungs(hi - lo, margins, r, rungs[1:]) if rung == 1 else last
+            slacks[index[rows[settled]]] = lo[settled]
+            step = _next_rungs(hi - lo, 0.5 * (hi - threshold), r, rungs) if rung == 0 else last
             target[rows] = np.where(settled, -1, step)
-        if entry == 0:
-            screen = (screened > max(least_hi, -SLACK_TOL) + SLACK_TOL).mean() > 0.5
     return slacks
 
 

@@ -9,6 +9,7 @@ harmonic verifiers build from blocks of synthesized h and omega rows.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -93,48 +94,49 @@ _BLOCK_MAX_GAIN = 256.0
 def _divide_trunc(num: np.ndarray, den: np.ndarray, order: int) -> np.ndarray:
     """Coefficients of num/den through the given order, for each row of a block.
 
-    num and den are (rows, .) arrays with den_0 != 0; returns (rows, order + 1).
-    Short orders, denominators too long for a block and rows with a steep
-    1/den run the forward recurrence d_0 y_n = b_n - sum_j d_j y_(n-j), one
-    numpy step per n.  From _BLOCK_FROM_ORDER on, a short denominator makes
-    the recurrence a fixed linear map from the previous dmax outputs and the
-    next k right-hand sides to the next k outputs (the look-ahead form of a
-    recursive filter), so each step yields k = _BLOCK_OUTPUTS outputs.  The
-    map's entries grow with 1/den's coefficients and cancel against each
+    num and den are coefficient-major, (., rows), with den_0 != 0; returns
+    contiguous rows (rows, order + 1).  Short orders, denominators too long
+    for a block and rows with a steep 1/den run the forward recurrence
+    d_0 y_n = b_n - sum_j d_j y_(n-j), one numpy step per n across the block.
+    From _BLOCK_FROM_ORDER on, a short denominator makes the recurrence a
+    fixed linear map from the previous dmax outputs and the next k right-hand
+    sides to the next k outputs (the look-ahead form of a recursive filter),
+    so each step of this row-major path yields k = _BLOCK_OUTPUTS outputs.
+    The map's entries grow with 1/den's coefficients and cancel against each
     other, so the block result is refined once: the residual num - den * y is
     divided by the same map and added.  Rows whose 1/den exceeds
     _BLOCK_MAX_GAIN in its first k coefficients keep the recurrence.  Every
     reduction runs within a row, and the path depends only on the order and
     the row's own den, so a row's result does not depend on its block.
     """
-    rows, dmax = den.shape[0], den.shape[1] - 1
+    dmax, rows = den.shape[0] - 1, den.shape[1]
     if order < _BLOCK_FROM_ORDER or dmax >= _BLOCK_OUTPUTS:
         return _divide_loop(num, den, order)
-    h = np.zeros((rows, _BLOCK_OUTPUTS), dtype=complex)  # first k coefficients of 1/den
-    h[:, 0] = 1.0
+    h = np.zeros((_BLOCK_OUTPUTS, rows), dtype=complex)  # first k coefficients of 1/den
+    h[0] = 1.0
     _recur(h, den, _BLOCK_OUTPUTS)
-    steep = np.abs(h).max(axis=1) > _BLOCK_MAX_GAIN
+    steep = np.abs(h).max(axis=0) > _BLOCK_MAX_GAIN
     if not steep.any():
-        return _divide_blocks(num, den, h, order)
+        return _divide_blocks(*(np.ascontiguousarray(a.T) for a in (num, den, h)), order)
     out = np.empty((rows, order + 1), dtype=complex)
-    out[steep] = _divide_loop(num[steep], den[steep], order)
+    out[steep] = _divide_loop(num[:, steep], den[:, steep], order)
     if not steep.all():
         flat = ~steep
-        out[flat] = _divide_blocks(num[flat], den[flat], h[flat], order)
+        out[flat] = _divide_blocks(*(np.ascontiguousarray(a[:, flat].T) for a in (num, den, h)), order)
     return out
 
 
 def _divide_loop(num: np.ndarray, den: np.ndarray, order: int) -> np.ndarray:
     """The division by the forward recurrence, one output a step."""
-    y = np.zeros((den.shape[0], order + 1), dtype=complex)
-    width = min(num.shape[1], order + 1)
-    y[:, :width] = num[:, :width]
-    return _recur(y, den, order + 1)
+    y = np.zeros((order + 1, den.shape[1]), dtype=complex)
+    width = min(num.shape[0], order + 1)
+    y[:width] = num[:width]
+    return np.ascontiguousarray(_recur(y, den, order + 1).T)
 
 
 def _divide_blocks(num: np.ndarray, den: np.ndarray, h: np.ndarray, order: int) -> np.ndarray:
-    """The division k outputs a step, refined once by the residual; h holds
-    the first k coefficients of 1/den."""
+    """The division k outputs a step, refined once by the residual, on (rows, .)
+    arrays; h holds the first k coefficients of 1/den."""
     dmax = den.shape[1] - 1
     width = min(num.shape[1], order + 1)
     # dmax leading zeros stand for y_n = 0 at n < 0, so every block has a window
@@ -163,19 +165,63 @@ def _solve_blocks(y: np.ndarray, block_map: np.ndarray) -> np.ndarray:
     return y
 
 
+# Fewest rows for which _recur sums a step's products across the block; a narrower
+# block sums each row's by numpy, one call a step (crossover: BENCH_montecarlo.json).
+_WIDE_ROWS = 48
+
+
 def _recur(y: np.ndarray, den: np.ndarray, stop: int) -> np.ndarray:
-    """Forward recurrence in place: y[:, :stop] holds the right-hand side on
-    entry and the quotient's coefficients on return.  Each step sums along
-    the contiguous inner axis."""
-    dmax = den.shape[1] - 1
-    rev_den = np.ascontiguousarray(den[:, :0:-1])  # den_dmax .. den_1
-    d0 = den[:, 0]
+    """Forward recurrence in place on coefficient-major arrays: y[:stop], of
+    shape (stop, rows), holds the right-hand side on entry and the quotient's
+    coefficients on return; den is (dmax + 1, rows).
+
+    Step n forms the t = min(n, dmax) products den_t y_(n-t), ..., den_1 y_(n-1)
+    in one multiply and sums each row's in numpy's pairwise order, across the
+    block (_pairwise_sum) or along a row-major copy, with views set up once
+    per t.  So every coefficient has the bits of the recurrence run row by
+    row with .sum(axis=1), whatever the block."""
+    dmax, rows = den.shape[0] - 1, den.shape[1]
+    rev_den = np.ascontiguousarray(den[:0:-1])  # den_dmax .. den_1; a reversed view multiplies slower
+    tops, wide = max(min(dmax, stop - 1), 0), rows >= _WIDE_ROWS
+    prod = np.empty((tops, rows) if wide else (rows, tops), dtype=complex)
+    total, scratch = np.empty(rows, dtype=complex), np.empty((6, rows), dtype=complex)
+    steps = [(prod[:t], _pairwise_sum(prod[:t], total, scratch)) if wide else
+             (prod[:, :t].T, [functools.partial(np.add.reduce, prod[:, :t], 1, None, total)])
+             for t in range(tops + 1)]
     for n in range(stop):
         t = min(n, dmax)
+        y_n = y[n]
         if t:
-            y[:, n] -= (rev_den[:, dmax - t:] * y[:, n - t:n]).sum(axis=1)
-        y[:, n] /= d0
+            prods, sums = steps[t]
+            np.multiply(rev_den[dmax - t:], y[n - t:n], prods)
+            for call in sums:
+                call()
+            np.subtract(y_n, total, y_n)
+        np.divide(y_n, den[0], y_n)
     return y
+
+
+def _pairwise_sum(p: np.ndarray, out: np.ndarray, scratch: np.ndarray) -> list:
+    """Calls that leave in out the sum of p's rows in the order of numpy's
+    complex pairwise sum along a contiguous axis: in sequence below 4 terms;
+    up to 64, four partial sums over groups of 4, taken as (s0 + s1) + (s2 + s3),
+    then the rest in sequence; above 64, the sum of two halves split at
+    t//2 - (t//2) % 4.  numpy's sum ends by adding to +0, so an all -0 sum is
+    +0; the pairs come from np.add.reduce, which starts from +0 too.
+    scratch holds six rows of partial sums."""
+    t = len(p)
+    if t < 4:
+        return [functools.partial(np.add.reduce, p, 0, None, out)]
+    if t > 64:
+        half, left = t // 2 - (t // 2) % 4, np.empty_like(out)
+        return [*_pairwise_sum(p[:half], left, scratch), *_pairwise_sum(p[half:], out, scratch),
+                functools.partial(np.add, left, out, out)]
+    acc, pair = (p[:4] if t < 8 else scratch[:4]), scratch[4:]
+    calls = [functools.partial(np.add, acc if k > 1 else p[:4], p[4 * k : 4 * k + 4], acc)
+             for k in range(1, t // 4)]
+    calls += [functools.partial(np.add.reduce, acc.reshape(2, 2, len(out)), 1, None, pair),
+              functools.partial(np.add, pair[0], pair[1], out)]
+    return calls + [functools.partial(np.add, out, row, out) for row in p[t - t % 4:]]
 
 
 def _block_map(den: np.ndarray, h: np.ndarray) -> np.ndarray:
@@ -252,10 +298,10 @@ def schur_synthesis_rows(schurs, order: int) -> np.ndarray:
 
     Runs the backward recursion f_j = (g_j + z f_{j+1}) / (1 + conj(g_j) z f_{j+1})
     in accumulated linear-fractional form: f_0 = P/Q with polynomials P, Q
-    built exactly, one parameter index at a time for every row, followed by
-    one truncated division.  Rows are grouped by the length of their active
-    parameters (a unimodular parameter cuts a row short), so every row comes
-    out bit for bit as it would alone.
+    built one parameter index at a time across the block, then one truncated
+    division summing each step in numpy's pairwise order (_pairwise_sum).
+    Rows are grouped by the length of their active parameters (a unimodular
+    parameter cuts a row short), so every row comes out bit for bit as alone.
 
     The coefficients are float results, and their rounding is not bounded by
     any enclosure downstream: the verifiers' SLACK_TOL = 1e-9 margin is what
@@ -296,15 +342,22 @@ def _synthesize_groups(actives: list, order: int) -> np.ndarray:
 
 
 def _synthesize(g: np.ndarray, order: int) -> np.ndarray:
-    """Coefficient rows for a (rows, length) array of active Schur parameters."""
-    zero = np.zeros((len(g), 1), dtype=complex)
-    P, Q = zero, np.ones_like(zero)
-    for j in range(g.shape[1] - 1, -1, -1):
-        zP = np.concatenate((zero, P), axis=1)
-        Q = np.concatenate((Q, zero), axis=1)
-        P = g[:, j:j + 1] * Q + zP
-        Q += np.conj(g[:, j:j + 1]) * zP
-    return _divide_trunc(P[:, : order + 1], Q[:, : order + 1], order)
+    """Coefficient rows for a (rows, length) array of active Schur parameters.
+    P and Q are built coefficient-major, one numpy step per parameter across
+    the block: P <- g_j Q + zP and Q <- Q + conj(g_j) zP, g_j a row vector.
+    zP reads P's buffer one index lower; the new P goes to the other buffer."""
+    rows, length = g.shape
+    gt = np.ascontiguousarray(g.T)
+    gt_bar = np.conj(gt)
+    zp, zp_next = np.zeros((2, length + 2, rows), dtype=complex)  # P sits at [1:]
+    q, term = np.zeros((2, length + 1, rows), dtype=complex)
+    q[0] = 1.0
+    for m, j in enumerate(range(length - 1, -1, -1), start=2):  # m coefficients after step j
+        np.multiply(gt[j], q[:m], out=zp_next[1 : m + 1])
+        zp_next[1 : m + 1] += zp[:m]
+        q[:m] += np.multiply(gt_bar[j], zp[:m], out=term[:m])
+        zp, zp_next = zp_next, zp
+    return _divide_trunc(zp[1 : order + 2], q[: order + 1], order)
 
 
 def schur_synthesis(s: SchurFunction, order: int) -> CoefficientSeries:
@@ -342,7 +395,7 @@ def schur_analysis(c: CoefficientSeries, depth: int) -> SchurFunction:
         num = f[1:]
         den = -np.conj(g) * f
         den[0] += 1.0
-        f = _divide_trunc(num[None, :], den[None, : len(num)], len(num) - 1)[0]
+        f = _divide_trunc(num[:, None], den[: len(num), None], len(num) - 1)[0]
     return SchurFunction(np.array(params, dtype=complex))
 
 

@@ -600,14 +600,40 @@ class TestOrderLadder:
         [
             # draws of 504 and 96 rows: the second is too short to screen
             pytest.param(lambda: verify_theorem1(1.0, 0.5, 600, seed=7), 504, id="short-last-draw"),
-            # be's analytic half screens both of its draws; its harmonic half
-            # (h and omega, 378 rows a draw) would settle about a quarter of
-            # its first draw on the screen, so it screens no other draw
-            pytest.param(lambda: verify_be(0.97, 1.0, 1000, seed=7), 1000 + 2 * 378, id="be-high-r"),
+            # every draw of _SCREEN_ROWS rows or more is screened, also where
+            # the screen settles few of them: be's analytic half (draws of 504
+            # and 496 rows) and both streams of its harmonic half (378, 378, 244)
+            pytest.param(lambda: verify_be(0.97, 1.0, 1000, seed=7), 3 * 1000, id="be-high-r"),
         ],
     )
     def test_draws_the_screen_scores(self, monkeypatch, call, screened):
         assert self.rows(monkeypatch, call)[montecarlo._SCREEN_ORDER] == screened
+
+    @pytest.mark.parametrize(
+        "call, loops",
+        [
+            pytest.param(lambda: verify_theorem1(1.0, 0.5, 1000, seed=7), (1,), id="theorem1"),
+            pytest.param(lambda: verify_theorem2(1.0, 0.3, 1000, seed=7), (2,), id="theorem2-p1"),
+            pytest.param(lambda: verify_theorem2(3.0, 0.6, 1000, seed=7), (2,), id="theorem2-p3"),
+            pytest.param(lambda: verify_be(0.65, 1.0, 1000, seed=7), (1, 2), id="be-p1"),
+            pytest.param(lambda: verify_be(3**-0.5, 2.0, 1000, seed=7), (1, 2), id="be-p2"),
+        ],
+    )
+    def test_screen_survivors_climb_once_per_loop(self, monkeypatch, call, loops):
+        # the rows each screened draw leaves are pooled across draws, so a
+        # loop synthesizes each stream once at every rung above the screen
+        calls = {}
+        synthesize = montecarlo._synthesize_params
+
+        def counted(g, order):
+            calls[order] = calls.get(order, 0) + 1
+            return synthesize(g, order)
+
+        monkeypatch.setattr(montecarlo, "_synthesize_params", counted)
+        call()
+        screened = calls.pop(montecarlo._SCREEN_ORDER)
+        assert screened >= 2 * sum(loops)  # at least two draws a loop
+        assert calls == {DEFAULT_ORDER: sum(loops)}
 
     def test_order_cap_claim_keeps_its_work(self, monkeypatch):
         # B's defect: every trial fails at the order cap, so nearly all climb

@@ -64,7 +64,7 @@ block_row = st.one_of(
 def reciprocal(coeffs, order):
     """1/f through the given order, by the division kernel on a one-row block."""
     one = np.ones((1, 1), dtype=complex)
-    return _divide_trunc(one, np.array([coeffs], dtype=complex), order)[0]
+    return _divide_trunc(one, np.array([coeffs], dtype=complex).T, order)[0]
 
 
 def divide_loop(num, den, order):
@@ -81,7 +81,7 @@ def divide_loop(num, den, order):
 
 def reciprocal_rows(den, order):
     """1/den through the given order for each row, by the recurrence."""
-    return series._divide_loop(np.ones((len(den), 1), dtype=complex), den, order)
+    return series._divide_loop(np.ones((1, len(den)), dtype=complex), den.T, order)
 
 
 def schur_pq(params):
@@ -122,7 +122,7 @@ class TestTruncatedArithmetic:
             # sum_j |den_j| < 1 for j >= 1 keeps den free of zeros in the disk
             den = (rng.normal(size=(rows, dlen)) + 1j * rng.normal(size=(rows, dlen))) * 0.04
             den[:, 0] = 1.0
-            block = _divide_trunc(num, den, order)
+            block = _divide_trunc(num.T, den.T, order)
             assert block.shape == (rows, order + 1)
             for row, n, d in zip(block, num, den):
                 np.testing.assert_allclose(row, divide_loop(n, d, order), rtol=0, atol=1e-14)
@@ -184,8 +184,8 @@ class TestTruncatedArithmetic:
         steep = np.array([False] * 7 + [True] * 3)
         assert list(np.abs(reciprocal_rows(den, series._BLOCK_OUTPUTS - 1)).max(axis=1)
                     > series._BLOCK_MAX_GAIN) == list(steep)
-        block = _divide_trunc(num, den, order)
-        loop = series._divide_loop(num, den, order)
+        block = _divide_trunc(num.T, den.T, order)
+        loop = series._divide_loop(num.T, den.T, order)
         np.testing.assert_array_equal(block[steep], loop[steep])
         with mpmath.workprec(200):
             refs = [divide_mpmath(mpmath, n, d, order) for n, d in zip(num, den)]
@@ -199,11 +199,135 @@ class TestTruncatedArithmetic:
         num = rng.normal(size=(40, 5)) + 1j * rng.normal(size=(40, 5))
         den = rng.normal(size=(40, 9)) + 1j * rng.normal(size=(40, 9))
         den[:, 0] += 4.0
-        block = _divide_trunc(num, den, 30)
+        block = _divide_trunc(num.T, den.T, 30)
         assert block.shape == (40, 31)
         for i in range(40):
-            alone = _divide_trunc(num[i:i + 1], den[i:i + 1], 30)[0]
+            alone = _divide_trunc(num[i:i + 1].T, den[i:i + 1].T, 30)[0]
             np.testing.assert_array_equal(block[i], alone)
+
+
+def rowwise_recur(y, den, stop):
+    """Reference: the forward recurrence on (rows, .) arrays, each step
+    summing its products along the row with .sum(axis=1)."""
+    dmax = den.shape[1] - 1
+    rev_den = np.ascontiguousarray(den[:, :0:-1])
+    for n in range(stop):
+        t = min(n, dmax)
+        if t:
+            y[:, n] -= (rev_den[:, dmax - t:] * y[:, n - t:n]).sum(axis=1)
+        y[:, n] /= den[:, 0]
+    return y
+
+
+def rowwise_divide(num, den, order):
+    """Reference: the division on (rows, .) arrays, with the row-wise
+    recurrence wherever the kernel runs its coefficient-major one."""
+    rows, dmax = den.shape[0], den.shape[1] - 1
+
+    def loop(num, den):
+        y = np.zeros((len(den), order + 1), dtype=complex)
+        width = min(num.shape[1], order + 1)
+        y[:, :width] = num[:, :width]
+        return rowwise_recur(y, den, order + 1)
+
+    if order < _BLOCK_FROM_ORDER or dmax >= series._BLOCK_OUTPUTS:
+        return loop(num, den)
+    h = np.zeros((rows, series._BLOCK_OUTPUTS), dtype=complex)
+    h[:, 0] = 1.0
+    rowwise_recur(h, den, series._BLOCK_OUTPUTS)
+    steep = np.abs(h).max(axis=1) > series._BLOCK_MAX_GAIN
+    out = np.empty((rows, order + 1), dtype=complex)
+    out[steep] = loop(num[steep], den[steep])
+    if not steep.all():
+        out[~steep] = series._divide_blocks(num[~steep], den[~steep], h[~steep], order)
+    return out
+
+
+def rowwise_rows(schurs, order):
+    """Reference: schur_synthesis_rows with P and Q built on rows and divided
+    by rowwise_divide, one block per active length."""
+    actives = [series._active_params(s.params) for s in schurs]
+    out = np.empty((len(actives), order + 1), dtype=complex)
+    for length in {len(a) for a in actives}:
+        rows = [i for i, a in enumerate(actives) if len(a) == length]
+        g = np.array([actives[i] for i in rows])
+        zero = np.zeros((len(g), 1), dtype=complex)
+        p, q = zero, np.ones_like(zero)
+        for j in range(length - 1, -1, -1):
+            zp, q = np.concatenate((zero, p), axis=1), np.concatenate((q, zero), axis=1)
+            p = g[:, j:j + 1] * q + zp
+            q += np.conj(g[:, j:j + 1]) * zp
+        out[rows] = rowwise_divide(p[:, : order + 1], q[:, : order + 1], order)
+    return out
+
+
+def bits(x):
+    return np.ascontiguousarray(x).view(np.uint64)
+
+
+class TestCoefficientMajorKernel:
+    """The coefficient-major synthesis and division give the bits of the
+    row-wise recurrence, whose steps sum by numpy's pairwise order."""
+
+    @staticmethod
+    def schurs(rng, rows, depth, shifted=False, cut=False):
+        params = np.sqrt(rng.random((rows, depth + 1))) * np.exp(2j * np.pi * rng.random((rows, depth + 1)))
+        if shifted:  # be's rows: a leading zero parameter synthesizes z * g
+            params = np.pad(params, ((0, 0), (1, 0)))
+        if cut:  # every third row stops at a unimodular (or snapped) parameter
+            for i in range(0, rows, 3):
+                params[i, rng.integers(len(params[i]))] = (1.0 - 5e-15 * (i % 2)) * np.exp(1j * i)
+        return [SchurFunction(row) for row in params]
+
+    @pytest.mark.parametrize("rows", [1, 7, 130])
+    def test_synthesis_matches_rowwise_reference(self, rows):
+        # depths 0-100 put t = min(n, dmax) in every branch of the pairwise
+        # order, and orders on both sides of _BLOCK_FROM_ORDER
+        rng = np.random.default_rng(rows)
+        depths = (0, 3, 4, 12, 13, 16, 64, 65, 100) if rows < 100 else (3, 13, 100)
+        orders = (0, 1, 16, 241, _BLOCK_FROM_ORDER - 1, _BLOCK_FROM_ORDER, 1000)
+        for depth in depths:
+            for order in orders if rows < 100 else (16, _BLOCK_FROM_ORDER - 1, 1000):
+                for shifted, cut in ((False, False), (True, False), (False, True)):
+                    schurs = self.schurs(rng, rows, depth, shifted, cut)
+                    got = schur_synthesis_rows(schurs, order)
+                    assert (bits(got) == bits(rowwise_rows(schurs, order))).all(), (depth, order)
+
+    @pytest.mark.parametrize("order", [16, 64, 600])
+    def test_screen_sized_blocks_match_rowwise_reference(self, order):
+        rng = np.random.default_rng(order)
+        for shifted in (False, True):
+            schurs = self.schurs(rng, 963, 12, shifted)
+            got = schur_synthesis_rows(schurs, order)
+            assert (bits(got) == bits(rowwise_rows(schurs, order))).all()
+
+    def test_division_matches_rowwise_reference(self):
+        # denominators short and long, steep rows inside a block-path block
+        rng = np.random.default_rng(12)
+        for rows, dlen, order in ((1, 14, 60), (7, 40, 700), (130, 3, 80), (130, 14, 600), (64, 90, 200)):
+            num = rng.normal(size=(rows, 6)) + 1j * rng.normal(size=(rows, 6))
+            den = (rng.normal(size=(rows, dlen)) + 1j * rng.normal(size=(rows, dlen))) * 0.04
+            den[:, 0] = 1.0
+            den[::5, 1] = -1.9  # a double zero near 1: 1/den is steep
+            den[::5, 2] = 0.9
+            got = _divide_trunc(num.T, den.T, order)
+            assert got.strides[1] == got.itemsize  # contiguous rows, as np.vecdot reads them
+            assert (bits(got) == bits(rowwise_divide(num, den, order))).all(), (rows, dlen, order)
+
+    @pytest.mark.parametrize("rows", [1, 3, 64])
+    def test_pairwise_sum_matches_numpy(self, rows):
+        rng = np.random.default_rng(rows)
+        out, scratch = np.empty(rows, dtype=complex), np.empty((6, rows), dtype=complex)
+        for t in range(1, 201):
+            prod = rng.normal(size=(rows, t)) + 1j * rng.normal(size=(rows, t))
+            prod *= 10.0 ** rng.integers(-8, 9, size=(rows, t))  # so the order shows
+            prod[rng.random((rows, t)) < 0.2] = 0.0
+            prod[rng.random((rows, t)) < 0.2] = complex(-0.0, -0.0)
+            prod[0] = complex(-0.0, -0.0) if t % 2 else 0.0  # numpy's sum of -0s is +0
+            prod[0, :: 1 + t % 3] = complex(-0.0, 0.0)
+            for call in series._pairwise_sum(np.ascontiguousarray(prod.T), out, scratch):
+                call()
+            assert (bits(out) == bits(np.add.reduce(prod, axis=1))).all(), t
 
 
 class TestCoefficientFamilies:
