@@ -3,7 +3,9 @@ blocks of coefficient rows: the powered, harmonic and l^p-combination sums,
 and the quadratic coefficient inequality.
 
 Every enclosure is an interval [truncated, truncated + tail]: inequality
-checks downstream always compare the conservative side.
+checks downstream always compare the conservative side.  The row forms of the
+sums also give a Parseval-Hölder tail T_N of unit-ball rows beside the
+geometric tail t_N; montecarlo's order ladder combines the two.
 """
 
 from __future__ import annotations
@@ -33,7 +35,7 @@ class CertifiedSum:
 def powered_sum(c: CoefficientSeries, p: float, r: float) -> CertifiedSum:
     """Certified enclosure of sum_{k>=0} |a_k|^p r^k."""
     p, r = _check_positive_p(p), _check_r(r)
-    lower, tail = _powered_rows(c.coeffs[None], p, r, c.certified)
+    lower, tail, _ = _powered_rows(c.coeffs[None], p, r, c.certified)
     return CertifiedSum(float(lower[0]), float(tail[0]))
 
 
@@ -85,71 +87,51 @@ def _holder_tails(rho: np.ndarray, q: float, r: float, n: int) -> np.ndarray:
     return rho**q * (r ** (n + 1) * (1.0 - r) ** (q - 1.0))
 
 
-def _settle_tails(tail: np.ndarray, holder: np.ndarray, r: float, n: int, full: int) -> np.ndarray:
-    """The tail min(t_N, T_N + t_N r^(full - N)) that a rung N < full of
-    montecarlo's order ladder settles rows with, from the geometric tail t_N
-    and a Hölder tail T_N at N.  The terms N < k <= full sum to at most T_N
-    and t_N r^(full - N) is the geometric tail at full, so lower + tail here
-    bounds the full-order upper side of the row, even where the full order is
-    capped short of a negligible tail."""
-    return np.minimum(tail, holder + tail * r ** (full - n))
-
-
-def _powered_rows(
-    c: np.ndarray, p: float, r: float, certified: bool = True, full: int | None = None
-):
-    """(lower, tail_bound) of powered_sum for each row.  With full set (above
-    the rows' order N) the tail is the settle tail at N, whose Hölder part
+def _powered_rows(c: np.ndarray, p: float, r: float, certified: bool = True):
+    """(lower, tail, holder) of powered_sum for each row: the truncated sum,
+    the geometric tail t_N, and the Hölder tail T_N of a unit-ball row, which
     takes q = min(p, 2)/2: for p > 2, |a_k| <= 1 gives |a_k|^p <= |a_k|^2."""
-    mods = np.abs(c)
-    lower = np.vecdot(mods**p, r ** np.arange(c.shape[1]))
-    tail = _geometric_tails(c, p, r, certified)
-    if full is None:
-        return lower, tail
     n = c.shape[1] - 1
+    mods = np.abs(c)
+    lower = np.vecdot(mods**p, r ** np.arange(n + 1))
     holder = _holder_tails(_remainders(mods), min(p, 2.0) / 2.0, r, n)
-    return lower, _settle_tails(tail, holder, r, n, full)
+    return lower, _geometric_tails(c, p, r, certified), holder
 
 
-def _harmonic_rows(a: np.ndarray, b: np.ndarray, p: float, r: float, full: int | None = None):
-    """(lower, tail_bound) of |a_0|^p + sum_{k>=1} (|a_k|^p + |b_k|^p) r^k for
-    analytic rows a and co-analytic rows b (b_0 = 0) of one length.
+def _harmonic_rows(a: np.ndarray, b: np.ndarray, p: float, r: float):
+    """(lower, tail, holder) of |a_0|^p + sum_{k>=1} (|a_k|^p + |b_k|^p) r^k
+    for analytic rows a and co-analytic rows b (b_0 = 0) of one length.
     |g'| <= |h'| and the Littlewood-Paley identity give
     sum_{k>=1} |b_k|^2 <= sum_{k>=1} |a_k|^2 <= 1 - |a_0|^2, so |b_k| <= 1 as
-    |a_k| is, and the tail of both parts together is 2 r^(N+1)/(1-r).  With
-    full set, the tail is the settle tail at N, whose Hölder part adds the
-    bounds of _powered_rows for a and for b."""
+    |a_k| is, and the tail t_N of both parts together is 2 r^(N+1)/(1-r).
+    The Hölder tail T_N adds the bounds of _powered_rows for a and for b."""
     n = a.shape[1] - 1
     amods, bmods = np.abs(a), np.abs(b)
     powers = r ** np.arange(n + 1)
     head = np.array([m**p for m in amods[:, 0].tolist()])
     lower = head + np.vecdot(amods[:, 1:] ** p + bmods[:, 1:] ** p, powers[1:])
     tail = np.full(len(a), 2.0 * r ** (n + 1) / (1.0 - r))
-    if full is None:
-        return lower, tail
     q = min(p, 2.0) / 2.0
     rho_b = _remainders(bmods, amods[:, 0] ** 2)
     holder = _holder_tails(_remainders(amods), q, r, n) + _holder_tails(rho_b, q, r, n)
-    return lower, _settle_tails(tail, holder, r, n, full)
+    return lower, tail, holder
 
 
-def _lp_combination_rows(a: np.ndarray, b: np.ndarray, p: float, r: float, full: int | None = None):
-    """(lower, tail_bound) of sum_{k>=1} (|a_k|^p + |b_k|^p)^(1/p) r^k, p >= 1,
-    the l^p combination of the vanishing-at-0 class, for rows a and b as in
-    _harmonic_rows.  Each term is at most 2^(1/p), giving the tail
+def _lp_combination_rows(a: np.ndarray, b: np.ndarray, p: float, r: float):
+    """(lower, tail, holder) of sum_{k>=1} (|a_k|^p + |b_k|^p)^(1/p) r^k,
+    p >= 1, the l^p combination of the vanishing-at-0 class, for rows a and b
+    as in _harmonic_rows.  Each term is at most 2^(1/p), giving the tail t_N
     2^(1/p) r^(N+1)/(1-r).  The rows must have a_0 = 0: verify_be's samples
     and witness meet that by construction, through a leading zero Schur
-    parameter.  With full set, the tail is the settle tail at N, whose Hölder
-    part bounds each term by 2^max(1/p - 1/2, 0) (|a_k|^2 + |b_k|^2)^(1/2)."""
+    parameter.  The Hölder tail T_N bounds each term by
+    2^max(1/p - 1/2, 0) (|a_k|^2 + |b_k|^2)^(1/2)."""
     n = a.shape[1] - 1
     terms = (np.abs(a[:, 1:]) ** p + np.abs(b[:, 1:]) ** p) ** (1.0 / p)
     lower = np.vecdot(terms, r ** np.arange(1, n + 1))
     tail = np.full(len(a), 2.0 ** (1.0 / p) * r ** (n + 1) / (1.0 - r))
-    if full is None:
-        return lower, tail
     rho = _remainders(a) + _remainders(b, np.abs(a[:, 0]) ** 2)
     holder = 2.0 ** max(1.0 / p - 0.5, 0.0) * _holder_tails(rho, 0.5, r, n)
-    return lower, _settle_tails(tail, holder, r, n, full)
+    return lower, tail, holder
 
 
 def _quadratic_rows(c: np.ndarray, big_r: float):

@@ -130,22 +130,24 @@ def _order_and_depth(
     return order, max(order, min(int(need) + 1, 4000)), depth
 
 
-def _dominance(bound: float, enclose: Callable) -> Callable:
-    """Slack of a dominance claim for each row of a block: bound minus the
-    certified upper enclosure, and with sides set also bound minus the lower
-    side.  full is passed on to the enclosure (see _collect_slacks)."""
+def _dominance(bound: float, enclose: Callable, r: float) -> Callable:
+    """Slack (lo, hi) of a dominance claim for each row of a block: bound
+    minus the upper and the lower side of the enclosure.  With full set above
+    the rows' order N, the upper side takes the ladder's settle tail (see
+    _collect_slacks) from the enclosure's geometric and Hölder tails."""
 
-    def slack(*rows: np.ndarray, sides: bool = False, full: int | None = None):
-        lower, tail = enclose(*rows, full=full)
-        lo = bound - (lower + tail)
-        return (lo, bound - lower) if sides else lo
+    def slack(*rows: np.ndarray, full: int | None = None):
+        lower, tail, holder = enclose(*rows)
+        if full is not None:
+            tail = np.minimum(tail, holder + tail * r ** (full - (rows[0].shape[1] - 1)))
+        return bound - (lower + tail), bound - lower
 
     return slack
 
 
 def _harmonic(enclose: Callable) -> Callable:
     """An enclosure of (h, g) rows as a function of the rows of h and omega."""
-    return lambda a, w, full=None: enclose(a, _coanalytic_rows(a, w), full=full)
+    return lambda a, w: enclose(a, _coanalytic_rows(a, w))
 
 
 # Most coefficients, rows x (order + 1), synthesized in one block of trials.
@@ -172,9 +174,9 @@ def _collect_slacks(
     array of Schur parameters: one stream for a unit-ball series, two
     (h, omega) for a harmonic pair.  Parameters are drawn for whole blocks of
     the first order, at least _SAMPLE_TRIALS trials at once; each block's
-    arrays are synthesized in one call each, and slack(..., sides=True) maps
-    the coefficient blocks to each row's [lo, hi]: bound minus the upper and
-    the lower side of its enclosure.
+    arrays are synthesized in one call each, and slack maps the coefficient
+    blocks to each row's [lo, hi]: bound minus the upper and the lower side
+    of its enclosure.
 
     Where 0 < r < 1 and first > _SCREEN_ORDER (at R = 1 lemma21's fold is
     exact, so no rung settles a row), every draw of _SCREEN_ROWS trials or
@@ -183,13 +185,14 @@ def _collect_slacks(
     draw's worth of rows and after the last draw: to order first, then if
     need be to 2 first, 4 first, ... below full, and to full.  A rung N below
     full scores rows with slack(..., full=full), whose tail is the settle tail
-    min(t_N, T_N + t_N r^(full - N)) (majorant._settle_tails): t_N is the
-    enclosure's own tail, and T_N a Parseval-Hölder bound on the terms past N
+    min(t_N, T_N + t_N r^(full - N)) of _dominance: t_N is the enclosure's
+    geometric tail, and T_N its Parseval-Hölder bound on the terms past N
     from the row's coefficients, two to four decades below t_N at the low
-    rungs.  Either way lower + tail at N bounds the upper side at full, so lo
-    bounds the full-order slack from below.  With U the least hi so far,
-    which bounds the least full-order slack from above, a row whose lo exceeds
-    max(U, -SLACK_TOL) + SLACK_TOL is settled: it can neither fail nor be the
+    rungs.  The terms N < k <= full sum to at most T_N, and t_N r^(full - N)
+    is the geometric tail at full, so either way lower + tail at N bounds the
+    upper side at full, and lo bounds the full-order slack from below.  With
+    U the least hi so far, which bounds the least full-order slack from
+    above, a row whose lo exceeds max(U, -SLACK_TOL) + SLACK_TOL is settled: it can neither fail nor be the
     worst trial.  Its entry is lo.  U only falls, so this holds whenever the
     row is scored, and pooling cannot move a report.  After rung first, every
     other row is rescored at the least rung whose tail, shrunk like
@@ -197,7 +200,7 @@ def _collect_slacks(
     unsettled there.  So every failing row and every row that could be the
     least is scored at full, and, as a row's result does not depend on its
     block, the counts, the least slack and its index come out as if every row
-    had been scored at full.  The full order keeps the enclosure's tail
+    had been scored at full.  The full order keeps the geometric tail
     alone, since every reported number is read there, as in flat scoring at
     full.  Nor would T_N mend the order cap near r = 1: its remainder tends
     to 1 - |f|_2^2, not to 0, so at order 4,000 and r = 0.999 it stays far
@@ -221,7 +224,7 @@ def _collect_slacks(
         for start in range(0, len(lo), step):
             rows = slice(start, start + step)
             coeffs = (_synthesize_params(g[rows], order) for g in params)
-            lo[rows], hi[rows] = slack(*coeffs, sides=True, full=None if order == full else full)
+            lo[rows], hi[rows] = slack(*coeffs, full=None if order == full else full)
         return lo, hi
 
     per_draw = per_block(first) * -(-_SAMPLE_TRIALS // per_block(first))  # whole blocks
@@ -321,11 +324,11 @@ def verify_theorem1(
     """
     r, p, seed = _check_r(r), _check_p(p), _check_seed(seed)
     first, order, depth = _order_and_depth(order, depth, r)
-    slack = _dominance(mp_theorem1(p, r).value, functools.partial(_powered_rows, p=p, r=r))
+    slack = _dominance(mp_theorem1(p, r).value, functools.partial(_powered_rows, p=p, r=r), r)
     sample = functools.partial(_sample_rows, seed, 0, depth=depth)
     slacks = _collect_slacks(slack, (sample,), trials, first, order, r)
     witness_a = [0.2, 0.5, 0.8, min(maximize_envelope(p, r).argmax, 1.0 - 1e-8)]
-    witness = slack(np.array([mobius_automorphism_coeffs(a, order).coeffs for a in witness_a]))
+    witness = slack(np.array([mobius_automorphism_coeffs(a, order).coeffs for a in witness_a]))[0]
     params = {"p": p, "r": r, "depth": depth, "order": order}
     return _reduce("theorem1", slacks, witness, seed, params)
 
@@ -347,17 +350,16 @@ def verify_lemma_quadratic(
     big_r, seed = _check_big_r(big_r), _check_seed(seed)
     first, order, depth = _order_and_depth(order, depth, big_r)
 
-    def slack(c: np.ndarray, sides: bool = False, full: int | None = None):
+    def slack(c: np.ndarray, full: int | None = None):
         # the tail's Parseval remainder already bounds every higher order's
         # terms, so the ladder's rungs need no other tail (full is unused)
         partial, tail, rhs = _quadratic_rows(c, big_r)
-        lo = rhs - (partial + tail)
-        return (lo, rhs - partial) if sides else lo
+        return rhs - (partial + tail), rhs - partial
 
     sample = functools.partial(_sample_rows, seed, 0, depth=depth)
     slacks = _collect_slacks(slack, (sample,), trials, first, order, big_r)
     automorphisms = [mobius_automorphism_coeffs(a, max(order, 400)).coeffs for a in (0.2, 0.5, 0.8)]
-    witness = slack(np.array(automorphisms))
+    witness = slack(np.array(automorphisms))[0]
     params = {"R": big_r, "depth": depth, "order": order}
     return _reduce("lemma21", slacks, witness, seed, params, witness_abs_tol=WITNESS_TOL)
 
@@ -379,8 +381,7 @@ def verify_theorem2(
             f"r={r} exceeds the validity threshold {harmonic_threshold(p)} for p={p}"
         )
     first, order, depth = _order_and_depth(order, depth, r, tail_factor=2.0)
-    enclose = _harmonic(functools.partial(_harmonic_rows, p=p, r=r))
-    slack = _dominance(bound.value, enclose)
+    slack = _dominance(bound.value, _harmonic(functools.partial(_harmonic_rows, p=p, r=r)), r)
     h, omega = (functools.partial(_sample_rows, seed, stream, depth=depth) for stream in (0, 1))
     slacks = _collect_slacks(slack, (h, omega), trials, first, order, r)
     h_witnesses = [SchurFunction([0.0, 1.0])]
@@ -390,7 +391,7 @@ def verify_theorem2(
         h_witnesses.append(SchurFunction([a_w, -1.0]))
     # omega = 1 synthesizes to the row e_0 at every order
     omegas = np.eye(1, order + 1, dtype=complex).repeat(len(h_witnesses), axis=0)
-    witness = slack(schur_synthesis_rows(h_witnesses, order), omegas)
+    witness = slack(schur_synthesis_rows(h_witnesses, order), omegas)[0]
     params = {"p": p, "r": r, "depth": depth, "order": order}
     return _reduce("theorem2", slacks, witness, seed, params)
 
@@ -414,8 +415,8 @@ def verify_be(
     bound_a, bound_h = be_bound(r), be_harmonic_bound(p, r)
     # the halves share one order, sized for the larger tail
     first, order, depth = _order_and_depth(order, depth, r, tail_factor=2.0 ** (1.0 / p))
-    slack_a = _dominance(bound_a, functools.partial(_powered_rows, p=1.0, r=r))
-    slack_h = _dominance(bound_h, _harmonic(functools.partial(_lp_combination_rows, p=p, r=r)))
+    slack_a = _dominance(bound_a, functools.partial(_powered_rows, p=1.0, r=r), r)
+    slack_h = _dominance(bound_h, _harmonic(functools.partial(_lp_combination_rows, p=p, r=r)), r)
 
     def shifted(stream: int) -> Callable:
         # a leading zero parameter synthesizes z * g
@@ -427,7 +428,7 @@ def verify_be(
     # the extremal z(a-z)/(1-az) at a = 1/sqrt(2) attains the bound at the radius
     ext = SchurFunction([0.0, 1.0 / np.sqrt(2.0), -1.0])
     ext_rows = schur_synthesis_rows([ext], order)
-    witness_a = slack_a(ext_rows)
+    witness_a = slack_a(ext_rows)[0]
     max_sum = float(sums_a.max()) if len(sums_a) else 0.0
     params_a = {"r": r, "depth": depth, "order": order, "max_sum": max_sum}
     report_a = _reduce("be_analytic", slacks_a, witness_a, seed, params_a)
@@ -435,7 +436,7 @@ def verify_be(
     # the harmonic half draws h and omega from streams of its own
     omega = functools.partial(_sample_rows, seed, 3, depth=depth)
     slacks_h = _collect_slacks(slack_h, (shifted(2), omega), trials, first, order, r)
-    witness_h = slack_h(ext_rows, np.eye(1, order + 1, dtype=complex))  # omega = 1
+    witness_h = slack_h(ext_rows, np.eye(1, order + 1, dtype=complex))[0]  # omega = 1
     params_h = {"p": p, "r": r, "depth": depth, "order": order}
     report_h = _reduce("be_harmonic", slacks_h, witness_h, seed, params_h)
     return report_a, report_h

@@ -158,7 +158,7 @@ class TestLpCombinationSum:
 
     def test_p_one_splits_into_two_sums(self):
         a, b = self._pair(5)
-        lower, _ = _lp_combination_rows(a, b, 1.0, 0.4)
+        lower, _, _ = _lp_combination_rows(a, b, 1.0, 0.4)
         direct = np.dot(np.abs(a[0, 1:]) + np.abs(b[0, 1:]), 0.4 ** np.arange(1, 65))
         assert abs(lower[0] - direct) < 1e-13
 
@@ -167,10 +167,10 @@ class TestLpCombinationSum:
             for i in range(25):
                 a, b = self._pair(1000 + i)
                 for r in (0.3, 0.5, 0.57):
-                    lower, tail = _lp_combination_rows(a, b, p, r)
+                    lower, tail, _ = _lp_combination_rows(a, b, p, r)
                     assert lower[0] + tail[0] <= be_harmonic_bound(p, r) + 1e-9
 
     def test_tail_envelope(self):
         a, b = self._pair(9, order=16)
-        _, tail = _lp_combination_rows(a, b, 2.0, 0.5)
+        _, tail, _ = _lp_combination_rows(a, b, 2.0, 0.5)
         assert math.isclose(tail[0], math.sqrt(2.0) * 0.5**17 / 0.5, rel_tol=1e-15)

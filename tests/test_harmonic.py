@@ -200,7 +200,7 @@ class TestDominanceRange:
                     sample_schur(80, i, 12),
                     300,
                 )
-                lower, tail = _harmonic_rows(a[None], b[None], p, supported)
+                lower, tail, _ = _harmonic_rows(a[None], b[None], p, supported)
                 assert lower[0] + tail[0] <= bound + 1e-9
 
     # frozen counterexample: Schur parameters (real, imaginary) of h and omega,
@@ -248,7 +248,7 @@ class TestDominanceRange:
         r = 0.81
         assert r < harmonic_threshold(1.0)
         a, b = pair_rows(self.schur(self.H), self.schur(self.OMEGA), 400)
-        lower, _ = _harmonic_rows(a[None], b[None], 1.0, r)
+        lower, _, _ = _harmonic_rows(a[None], b[None], 1.0, r)
         bound = harmonic_bound(1.0, r).value
         assert lower[0] > bound + 0.01
 
@@ -260,7 +260,7 @@ class TestLargePExtremalProbe:
         assert abs(a[1] - 1.0) < 1e-15
         assert abs(b[1] - 1.0) < 1e-15
         for p in (3.0, 5.0, 10.0):
-            lower, _ = _harmonic_rows(a[None], b[None], p, 0.6)
+            lower, _, _ = _harmonic_rows(a[None], b[None], p, 0.6)
             assert abs(lower[0] - 1.2) < 1e-12
             bound = harmonic_bound(p, 0.6).value
             assert lower[0] <= bound + 1e-12

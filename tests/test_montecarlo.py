@@ -1,6 +1,7 @@
 """Seeded sampling, claim verification and determinism."""
 
 import math
+from functools import partial
 
 import numpy as np
 import pytest
@@ -61,7 +62,7 @@ def flat_slacks(loop, step=None):
     slack, streams, trials, _, full, r = loop
     step = step or max(trials, 1)
     blocks = [
-        slack(*(_synthesize_params(draw(start, min(start + step, trials)), full) for draw in streams))
+        slack(*(_synthesize_params(draw(start, min(start + step, trials)), full) for draw in streams))[0]
         for start in range(0, trials, step)
     ]
     return np.concatenate(blocks) if blocks else np.empty(0)
@@ -501,7 +502,7 @@ class TestReplay:
 
     def test_theorem1(self):
         report = verify_theorem1(1.5, 0.99, 100, seed=7)
-        lower, tail = _powered_rows(self.rows(report, 0), 1.5, 0.99)
+        lower, tail, _ = _powered_rows(self.rows(report, 0), 1.5, 0.99)
         self.check(report, mp_theorem1(1.5, 0.99).value, lower, tail)
 
     def test_theorem2_over_claim(self):
@@ -509,18 +510,69 @@ class TestReplay:
         report = verify_theorem2(1.0, 0.8, 300, seed=7)
         a = self.rows(report, 0)
         b = _coanalytic_rows(a, self.rows(report, 1))
-        lower, tail = _harmonic_rows(a, b, 1.0, 0.8)
+        lower, tail, _ = _harmonic_rows(a, b, 1.0, 0.8)
         self.check(report, harmonic_bound(1.0, 0.8).value, lower, tail)
 
     def test_be_halves(self):
         # the analytic half draws stream 0; the harmonic half h on 2, omega on 3
         analytic, harmonic = verify_be(0.97, 1.0, 100, seed=7)
-        lower, tail = _powered_rows(self.rows(analytic, 0, shifted=True), 1.0, 0.97)
+        lower, tail, _ = _powered_rows(self.rows(analytic, 0, shifted=True), 1.0, 0.97)
         self.check(analytic, be_bound(0.97), lower, tail)
         a = self.rows(harmonic, 2, shifted=True)
         b = _coanalytic_rows(a, self.rows(harmonic, 3))
-        lower, tail = _lp_combination_rows(a, b, 1.0, 0.97)
+        lower, tail, _ = _lp_combination_rows(a, b, 1.0, 0.97)
         self.check(harmonic, be_harmonic_bound(1.0, 0.97), lower, tail)
+
+
+class TestSettleRule:
+    """A dominance slack at rung N below full is bound minus (lower +
+    min(t, T + t r^(full - N))), from the enclosure's own (lower, t, T), bit
+    for bit; with full unset it is bound minus (lower + t).  The lower side
+    hi is bound minus lower either way."""
+
+    R = 0.6
+
+    @classmethod
+    def kinds(cls):
+        # (bound, enclosure of the trial rows, shift of the first stream)
+        r = cls.R
+        return {
+            "powered": (mp_theorem1(1.5, r).value, partial(_powered_rows, p=1.5, r=r), (0,)),
+            "harmonic": (
+                harmonic_bound(1.0, r).value,
+                montecarlo._harmonic(partial(_harmonic_rows, p=1.0, r=r)),
+                (0, 0),
+            ),
+            "lp": (
+                be_harmonic_bound(1.5, r),
+                montecarlo._harmonic(partial(_lp_combination_rows, p=1.5, r=r)),
+                (1, 0),  # a leading zero parameter, as verify_be draws h
+            ),
+        }
+
+    @pytest.mark.parametrize("kind", ["powered", "harmonic", "lp"])
+    def test_slack_is_the_settle_formula(self, kind):
+        bound, enclose, shifts = self.kinds()[kind]
+        r = self.R
+        params = [
+            np.pad(_sample_rows(3, stream, 0, 200, 12), ((0, 0), (shift, 0)))
+            for stream, shift in enumerate(shifts)
+        ]
+        sides = set()
+        # one rung above its rung and a ladder's rungs 16 below 64: both
+        # sides of the min win on some rows
+        for n, full in ((2, 3), (16, 64)):
+            rows = [_synthesize_params(g, n) for g in params]
+            lower, t, holder = enclose(*rows)
+            slack = montecarlo._dominance(bound, enclose, r)
+            for at, (lo, hi) in ((full, slack(*rows, full=full)), (None, slack(*rows))):
+                for i in range(len(lo)):
+                    tail = t[i] if at is None else min(t[i], holder[i] + t[i] * r ** (full - n))
+                    assert float.hex(lo[i]) == float.hex(bound - (lower[i] + tail)), (n, at, i)
+                    assert float.hex(hi[i]) == float.hex(bound - lower[i]), (n, at, i)
+                    if at is not None:
+                        sides.add(tail == t[i])
+        assert sides == {True, False}
 
 
 class TestOrderLadder:
@@ -688,5 +740,5 @@ class TestOrderLadder:
             flat = flat_slacks(loop)
             for n in (8, 16, 32, 64):
                 if n < full:
-                    lo = slack(*(_synthesize_params(g, n) for g in params), full=full)
+                    lo = slack(*(_synthesize_params(g, n) for g in params), full=full)[0]
                     assert (lo <= flat).all(), (n, full)
