@@ -87,7 +87,16 @@ def _disk_params(u: np.ndarray) -> np.ndarray:
     return np.sqrt(u[..., :half]) * np.exp(1j * (2.0 * np.pi * u[..., half:]))
 
 
-def _sample_rows(seed: int, stream: int, start: int, stop: int, depth: int) -> np.ndarray:
+def _sample_rows(
+    seed: int,
+    stream: int,
+    start: int,
+    stop: int,
+    depth: int,
+    *,
+    width: int | None = None,
+    rows: np.ndarray | None = None,
+) -> np.ndarray:
     """Schur parameters of trials [start, stop) of a stream: (rows, depth + 1).
 
     Word k of the stream is the splitmix64 output _splitmix64(base + k gamma)
@@ -97,14 +106,18 @@ def _sample_rows(seed: int, stream: int, start: int, stop: int, depth: int) -> n
     depth + 1 moduli then depth + 1 angles, each word a uniform
     (x >> 11) 2^-53.  A word depends on its counter alone, so a row does not
     depend on the block it is drawn in, and (seed, stream, trial, depth)
-    replays it.
+    replays it.  width draws only the first width parameters of each row
+    (all depth + 1 by default), and rows only the trials at these offsets
+    from start (all of [start, stop) by default); each entry keeps its bits.
     """
     n = 2 * (depth + 1)
+    width = depth + 1 if width is None else min(width, depth + 1)
     base = _splitmix64(_splitmix64(seed & _MASK64) ^ stream)
     first = (base + start * n * _GAMMA) & _MASK64
-    counters = np.uint64(first) + np.arange((stop - start) * n, dtype=np.uint64) * np.uint64(_GAMMA)
-    words = _splitmix64(counters)
-    return _disk_params((words >> np.uint64(11)).astype(float).reshape(-1, n) * 2.0**-53)
+    trials = np.arange(stop - start, dtype=np.uint64) if rows is None else rows.astype(np.uint64)
+    words = np.r_[0:width, depth + 1 : depth + 1 + width].astype(np.uint64)  # moduli, angles
+    counters = np.uint64(first) + (trials[:, None] * np.uint64(n) + words) * np.uint64(_GAMMA)
+    return _disk_params((_splitmix64(counters) >> np.uint64(11)).astype(float) * 2.0**-53)
 
 
 def _order_and_depth(
@@ -120,7 +133,7 @@ def _order_and_depth(
     keeps the tail ignorable at every radius.  tail_factor is the multiple of
     the generic tail that the claim's enclosure adds: 2 for the harmonic sum
     (both parts), 2^(1/p) for the l^p combination.  Random trials are scored
-    on a ladder of orders up to N*, screened first at a lower order where
+    on a ladder of orders up to N*, screened first at lower orders where
     that pays (see _collect_slacks).
     """
     order, depth = _check_count(order, "order"), _check_count(depth, "depth")
@@ -160,9 +173,18 @@ _BLOCK_COEFFS = 1 << 14
 # of ~1.5 us a row, and blocks at high orders hold 4-18 rows.  It also bounds
 # the pool of rows the screen leaves, which climb the ladder together.
 _SAMPLE_TRIALS = 256
-# The screen of _collect_slacks (order 8 settles too few rows near r = 0.9, 32
-# costs more), and the fewest rows of a draw it screens: 100 gained nothing, 150 did.
-_SCREEN_ORDER, _SCREEN_ROWS = 16, 128
+# The orders of the screen's stages in _collect_slacks, and the fewest unsettled
+# rows of a draw a stage scores (for order 16 alone, 100 gained nothing and 150
+# did).  Share of the rows a stage scores that it settles, at 1,000 trials and
+# N* = 64 or 241, with U as the draw finds it:
+#   theorem1 (1, 0.5)  0.98 at 4      theorem2 (1, 0.3), (3, 0.6)  1.00 at 4
+#   theorem1 (1.5, 0.9)  0.33 at 4, then 0.98 of the rest at 16
+#   be (0.65, 1)  0.79-0.87 at 4      be (1/sqrt 3, 2)  0.90-0.95 at 4
+# A round of those claims took 0.64-0.67x the time of order 16 alone; order 4
+# alone left theorem1 (1.5, 0.9) 1.4x slower, (3, 16) and (2, 16) cost 1.07x
+# and 1.23x as much as (4, 16), mostly on be, and (6, 16) and (4, 8, 16) came
+# within 5% of it.
+_SCREEN_ORDERS, _SCREEN_ROWS = (4, 16), 128
 
 
 def _collect_slacks(
@@ -171,20 +193,24 @@ def _collect_slacks(
     """Slack of every trial's sample, in trial order, a block of trials at a time.
 
     Each stream maps a range of trials (start, stop) to one (rows, length)
-    array of Schur parameters: one stream for a unit-ball series, two
-    (h, omega) for a harmonic pair.  Parameters are drawn for whole blocks of
-    the first order, at least _SAMPLE_TRIALS trials at once; each block's
-    arrays are synthesized in one call each, and slack maps the coefficient
-    blocks to each row's [lo, hi]: bound minus the upper and the lower side
-    of its enclosure.
+    array of Schur parameters, and takes _sample_rows' width= and rows=: one
+    stream for a unit-ball series, two (h, omega) for a harmonic pair.
+    Parameters are drawn for whole blocks of the first order, at least
+    _SAMPLE_TRIALS trials at once; each block's arrays are synthesized in one
+    call each, and slack maps the coefficient blocks to each row's [lo, hi]:
+    bound minus the upper and the lower side of its enclosure.
 
-    Where 0 < r < 1 and first > _SCREEN_ORDER (at R = 1 lemma21's fold is
-    exact, so no rung settles a row), every draw of _SCREEN_ROWS trials or
-    more is scored at _SCREEN_ORDER first.  The rows it leaves, and draws it
-    does not screen, join a pool, which goes up the ladder once it holds a
-    draw's worth of rows and after the last draw: to order first, then if
-    need be to 2 first, 4 first, ... below full, and to full.  A rung N below
-    full scores rows with slack(..., full=full), whose tail is the settle tail
+    Where 0 < r < 1 (at R = 1 lemma21's fold is exact, so no rung settles a
+    row), each draw is screened first, by a stage at each order N of
+    _SCREEN_ORDERS below first in turn, while it has _SCREEN_ROWS unsettled
+    rows or more.  A stage draws and synthesizes only the first N + 1
+    parameters of those rows (width=N + 1 of the stream): a_0..a_N depend on
+    them alone, so it scores rung N up to rounding far below SLACK_TOL.  The
+    rows the stages leave are drawn in full and join a pool, which goes up
+    the ladder once it holds a draw's worth of rows and after the last draw:
+    to order first, then if need be to 2 first, 4 first, ... below full, and
+    to full.  A stage or rung N below full scores rows with
+    slack(..., full=full), whose tail is the settle tail
     min(t_N, T_N + t_N r^(full - N)) of _dominance: t_N is the enclosure's
     geometric tail, and T_N its Parseval-Hölder bound on the terms past N
     from the row's coefficients, two to four decades below t_N at the low
@@ -213,7 +239,7 @@ def _collect_slacks(
     if full > first:
         rungs.append(full)
     last = len(rungs) - 1
-    screen = 0.0 < r < 1.0 and first > _SCREEN_ORDER
+    stages = [n for n in _SCREEN_ORDERS if n < first] if 0.0 < r < 1.0 else []
 
     def per_block(order: int) -> int:
         return max(1, _BLOCK_COEFFS // (len(streams) * (order + 1)))
@@ -233,14 +259,17 @@ def _collect_slacks(
     pool = []  # (trial indices, parameter arrays) not yet scored above the screen
     for start in range(0, trials, per_draw):
         stop = min(trials, start + per_draw)
-        index, params = np.arange(start, stop), [draw(start, stop) for draw in streams]
-        if screen and stop - start >= _SCREEN_ROWS:
-            lo, hi = score(params, _SCREEN_ORDER)
+        rows = np.arange(stop - start)  # offsets of the draw's unsettled trials
+        for order in stages:
+            if len(rows) < _SCREEN_ROWS:
+                break
+            params = [draw(start, stop, width=order + 1, rows=rows) for draw in streams]
+            lo, hi = score(params, order)
             least_hi = min(least_hi, hi.min())
             settled = lo > max(least_hi, -SLACK_TOL) + SLACK_TOL
-            slacks[index[settled]] = lo[settled]
-            index, params = index[~settled], [g[~settled] for g in params]
-        pool.append((index, params))
+            slacks[start + rows[settled]] = lo[settled]
+            rows = rows[~settled]
+        pool.append((start + rows, [draw(start, stop, rows=rows) for draw in streams]))
         if sum(len(i) for i, _ in pool) < per_draw and stop < trials:
             continue
         index = np.concatenate([i for i, _ in pool])
@@ -420,8 +449,11 @@ def verify_be(
 
     def shifted(stream: int) -> Callable:
         # a leading zero parameter synthesizes z * g
-        draw = functools.partial(_sample_rows, seed, stream, depth=depth)
-        return lambda start, stop: np.pad(draw(start, stop), ((0, 0), (1, 0)))
+        def draw(start: int, stop: int, *, width: int = depth + 2, rows=None) -> np.ndarray:
+            g = _sample_rows(seed, stream, start, stop, depth, width=width - 1, rows=rows)
+            return np.pad(g, ((0, 0), (1, 0)))
+
+        return draw
 
     slacks_a = _collect_slacks(slack_a, (shifted(0),), trials, first, order, r)
     sums_a = bound_a - slacks_a

@@ -57,7 +57,7 @@ def trial_loops(monkeypatch, call):
 def flat_slacks(loop, step=None):
     """The slacks of a trial loop with every trial scored at its full order
     directly, step trials to a synthesis block (all of them by default).  Not
-    through _collect_slacks: its screening rung can score trials below the
+    through _collect_slacks: its screen's stages can score trials below the
     full order first, whatever order the ladder is asked to start at."""
     slack, streams, trials, _, full, r = loop
     step = step or max(trials, 1)
@@ -114,6 +114,27 @@ class TestBlockSampler:
         assert rows.shape == (size, depth + 1)
         for i in {0, size // 2, size - 1} if size else ():
             assert np.array_equal(bits(sample_schur(seed, start + i, depth).params), bits(rows[i]))
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(-(2**70), 2**70),
+        stream=st.integers(0, 3),
+        start=st.integers(0, 2**66),
+        size=st.integers(1, 40),
+        depth=st.integers(0, 13),
+        width=st.integers(0, 16),
+        data=st.data(),
+    )
+    def test_width_and_rows_pick_from_the_whole_draw(
+        self, seed, stream, start, size, depth, width, data
+    ):
+        # a screen stage draws the first width parameters of the rows a draw
+        # has left; width clips to depth + 1
+        offsets = np.array(data.draw(st.lists(st.integers(0, size - 1), max_size=size)), dtype=int)
+        whole = _sample_rows(seed, stream, start, start + size, depth)
+        rows = _sample_rows(seed, stream, start, start + size, depth, width=width, rows=offsets)
+        assert rows.shape == (len(offsets), min(width, depth + 1))
+        assert np.array_equal(bits(rows), bits(whole[offsets, :width]))
 
     def test_streams_differ(self):
         # h, omega, and verify_be's harmonic h and omega
@@ -629,8 +650,8 @@ class TestOrderLadder:
         ],
     )
     def test_acceptance_claims_settle_on_the_screen(self, monkeypatch, call, streams):
-        # at N* = 64 nearly every trial settles on the screening rung, 17
-        # coefficients a row against 65, and few go on to 64
+        # at N* = 64 nearly every trial settles on the screen's stages, 5 or
+        # 17 coefficients a row against 65, and few go on to 64
         assert self.coefficients(monkeypatch, call) <= 0.3 * streams * 1000 * 65
 
     @pytest.mark.parametrize(
@@ -652,14 +673,15 @@ class TestOrderLadder:
         [
             # draws of 504 and 96 rows: the second is too short to screen
             pytest.param(lambda: verify_theorem1(1.0, 0.5, 600, seed=7), 504, id="short-last-draw"),
-            # every draw of _SCREEN_ROWS rows or more is screened, also where
-            # the screen settles few of them: be's analytic half (draws of 504
-            # and 496 rows) and both streams of its harmonic half (378, 378, 244)
+            # the first stage scores every draw of _SCREEN_ROWS rows or more,
+            # also where it settles few of them: be's analytic half (draws of
+            # 504 and 496 rows) and both streams of its harmonic half (378,
+            # 378, 244)
             pytest.param(lambda: verify_be(0.97, 1.0, 1000, seed=7), 3 * 1000, id="be-high-r"),
         ],
     )
     def test_draws_the_screen_scores(self, monkeypatch, call, screened):
-        assert self.rows(monkeypatch, call)[montecarlo._SCREEN_ORDER] == screened
+        assert self.rows(monkeypatch, call)[montecarlo._SCREEN_ORDERS[0]] == screened
 
     @pytest.mark.parametrize(
         "call, loops",
@@ -673,7 +695,9 @@ class TestOrderLadder:
     )
     def test_screen_survivors_climb_once_per_loop(self, monkeypatch, call, loops):
         # the rows each screened draw leaves are pooled across draws, so a
-        # loop synthesizes each stream once at every rung above the screen
+        # loop synthesizes each stream once at every rung above the screen's
+        # stages; the second stage runs only on draws the first leaves
+        # _SCREEN_ROWS rows or more of
         calls = {}
         synthesize = montecarlo._synthesize_params
 
@@ -683,15 +707,17 @@ class TestOrderLadder:
 
         monkeypatch.setattr(montecarlo, "_synthesize_params", counted)
         call()
-        screened = calls.pop(montecarlo._SCREEN_ORDER)
+        first, second = montecarlo._SCREEN_ORDERS
+        screened = calls.pop(first)
         assert screened >= 2 * sum(loops)  # at least two draws a loop
+        assert calls.pop(second, 0) <= screened
         assert calls == {DEFAULT_ORDER: sum(loops)}
 
     def test_order_cap_claim_keeps_its_work(self, monkeypatch):
         # B's defect: every trial fails at the order cap, so nearly all climb
         # from order 64 straight to 4,000, as 406,600 coefficients did before
         # the settle tail; it neither adds nor saves work there, and a draw
-        # of 100 trials is too short for the screening rung at order 16
+        # of 100 trials is too short for the screen's stages at orders 4 and 16
         call = lambda: verify_theorem1(2.0, 0.999, 100, seed=1)
         assert abs(self.coefficients(monkeypatch, call) - 406_600) <= 0.02 * 406_600
 
@@ -699,7 +725,7 @@ class TestOrderLadder:
         # every entry is the row's full-order slack or a lower bound on it
         # that clears the least slack by SLACK_TOL, on every enclosure the
         # settle tail settles, at the order cap, on a failing claim and on
-        # claims whose trials settle on the screening rung at order 16
+        # claims whose trials settle on the screen's stages at orders 4 and 16
         calls = [
             (lambda: verify_theorem1(1.0, 0.5, 300, seed=3), False),
             (lambda: verify_theorem1(1.5, 0.9, 300, seed=3), False),
@@ -732,13 +758,15 @@ class TestOrderLadder:
         ],
     )
     def test_low_rungs_bound_the_full_order_upper_side(self, monkeypatch, call):
-        # lower + settle tail at each rung N from 8 to 64 is at least the
-        # upper side at N*, row by row, so lo there bounds the N* slack
+        # lower + settle tail at each rung N from 4 to 64 is at least the
+        # upper side at N*, row by row, so lo there bounds the N* slack; each
+        # rung synthesizes the first N + 1 parameters only, as the screen's
+        # stages draw them (all of them from N = 12 up)
         for loop in trial_loops(monkeypatch, call):
             slack, streams, trials, _, full, _ = loop
-            params = [draw(0, trials) for draw in streams]
             flat = flat_slacks(loop)
-            for n in (8, 16, 32, 64):
+            for n in (4, 8, 16, 32, 64):
                 if n < full:
+                    params = [draw(0, trials, width=n + 1) for draw in streams]
                     lo = slack(*(_synthesize_params(g, n) for g in params), full=full)[0]
                     assert (lo <= flat).all(), (n, full)

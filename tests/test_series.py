@@ -538,6 +538,22 @@ class TestSchurRecursion:
         b = schur_synthesis(SchurFunction([0.4, 1.0]), 16)
         np.testing.assert_allclose(a.coeffs, b.coeffs, atol=1e-15)
 
+    def test_first_coefficients_need_only_the_first_parameters(self):
+        # a_0..a_N depend on gamma_0..gamma_N alone, so the Monte-Carlo
+        # screen's stage at order N draws and synthesizes only those
+        rng = np.random.default_rng(11)
+        g = np.sqrt(rng.random((40, 13))) * np.exp(2j * np.pi * rng.random((40, 13)))
+        cut = g[:8].copy()  # a unimodular parameter at 2 or at 9: before, at and after N
+        cut[:4, 2] = np.exp(2j * np.pi * rng.random(4))
+        cut[4:, 9] = np.exp(2j * np.pi * rng.random(4))
+        zero_led = np.pad(g, ((0, 0), (1, 0)))  # z g, as verify_be draws it
+        for rows in (g, cut, zero_led):
+            full = series._synthesize_params(rows, 64)
+            for n in range(17):
+                got = series._synthesize_params(rows[:, : n + 1], n)
+                want = full[:, : n + 1]
+                np.testing.assert_allclose(got, want, rtol=0, atol=1e-13, err_msg=str(n))
+
 
 class TestHarmonicPair:
     """The pair (h, g) with g' = omega h' that the harmonic verifiers build."""
