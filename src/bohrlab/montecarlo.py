@@ -143,16 +143,16 @@ def _order_and_depth(
     return order, max(order, min(int(need) + 1, 4000)), depth
 
 
-def _dominance(bound: float, enclose: Callable, r: float) -> Callable:
-    """Slack (lo, hi) of a dominance claim for each row of a block: bound
-    minus the upper and the lower side of the enclosure.  With full set above
-    the rows' order N, the upper side takes the ladder's settle tail (see
-    _collect_slacks) from the enclosure's geometric and Hölder tails."""
+def _dominance(bound: float, enclose: Callable, r: float, full: int) -> Callable:
+    """Slack (lo, hi) of a dominance claim for each row of a block at order
+    N <= full: bound minus the upper and the lower side of the enclosure.  The
+    upper side takes the ladder's settle tail min(t, T + t r^(full - N)) (see
+    _collect_slacks) from the enclosure's geometric and Hölder tails t and T;
+    at N = full it is t bit for bit, since T >= 0."""
 
-    def slack(*rows: np.ndarray, full: int | None = None):
+    def slack(*rows: np.ndarray):
         lower, tail, holder = enclose(*rows)
-        if full is not None:
-            tail = np.minimum(tail, holder + tail * r ** (full - (rows[0].shape[1] - 1)))
+        tail = np.minimum(tail, holder + tail * r ** (full - (rows[0].shape[1] - 1)))
         return bound - (lower + tail), bound - lower
 
     return slack
@@ -163,24 +163,22 @@ def _harmonic(enclose: Callable) -> Callable:
     return lambda a, w: enclose(a, _coanalytic_rows(a, w))
 
 
-# Most coefficients, rows x (order + 1), synthesized in one block of trials.
-# Larger blocks spread the division's per-step numpy overhead over more rows
-# but hold more memory at once (peak RSS bounds the budget).  High orders get
-# their speed from the division's k outputs a step (series._BLOCK_OUTPUTS),
-# not from the block size.
+# Most coefficients, rows x (order + 1), synthesized in one block of trials;
+# each block draws its own parameters.  Larger blocks spread the division's
+# per-step numpy overhead over more rows but hold more memory at once (peak
+# RSS bounds the budget).  High orders get their speed from the division's k
+# outputs a step (series._BLOCK_OUTPUTS), not from the block size.
 _BLOCK_COEFFS = 1 << 14
-# Fewest trials sampled in one call: the sampler costs ~0.05 ms a call on top
-# of ~1.5 us a row, and blocks at high orders hold 4-18 rows.  It also bounds
-# the pool of rows the screen leaves, which climb the ladder together.
-_SAMPLE_TRIALS = 256
 # The orders of the screen's stages in _collect_slacks, and the fewest unsettled
-# rows of a draw a stage scores (for order 16 alone, 100 gained nothing and 150
-# did).  Share of the rows a stage scores that it settles, at 1,000 trials and
-# N* = 64 or 241, with U as the draw finds it:
-#   theorem1 (1, 0.5)  0.98 at 4      theorem2 (1, 0.3), (3, 0.6)  1.00 at 4
-#   theorem1 (1.5, 0.9)  0.33 at 4, then 0.98 of the rest at 16
-#   be (0.65, 1)  0.79-0.87 at 4      be (1/sqrt 3, 2)  0.90-0.95 at 4
-# A round of those claims took 0.64-0.67x the time of order 16 alone; order 4
+# rows of a loop a stage scores (for order 16 alone, 100 gained nothing and 150
+# did).  Share of the rows a stage scores that it settles, at 1,000 trials,
+# seeds 1-5 and N* = 64 or 241, with U as the loop finds it:
+#   theorem1 (1, 0.5)  0.98-0.99 at 4      theorem2 (1, 0.3), (3, 0.6)  1.00 at 4
+#   theorem1 (1.5, 0.9)  0.25-0.29 at 4, then 0.98-1.00 of the rest at 16
+#   be (0.65, 1)  analytic 0.77-0.80 at 4, then 0.99 at 16; harmonic 0.88-0.93 at 4
+#   be (1/sqrt 3, 2)  0.88-0.98 at 4
+# The timings were measured when each draw of ~500 trials was screened alone:
+# a round of those claims took 0.64-0.67x the time of order 16 alone; order 4
 # alone left theorem1 (1.5, 0.9) 1.4x slower, (3, 16) and (2, 16) cost 1.07x
 # and 1.23x as much as (4, 16), mostly on be, and (6, 16) and (4, 8, 16) came
 # within 5% of it.
@@ -190,47 +188,47 @@ _SCREEN_ORDERS, _SCREEN_ROWS = (4, 16), 128
 def _collect_slacks(
     slack: Callable, streams: tuple, trials: int, first: int, full: int, r: float
 ) -> np.ndarray:
-    """Slack of every trial's sample, in trial order, a block of trials at a time.
+    """Slack of every trial's sample, in trial order.
 
-    Each stream maps a range of trials (start, stop) to one (rows, length)
-    array of Schur parameters, and takes _sample_rows' width= and rows=: one
-    stream for a unit-ball series, two (h, omega) for a harmonic pair.
-    Parameters are drawn for whole blocks of the first order, at least
-    _SAMPLE_TRIALS trials at once; each block's arrays are synthesized in one
-    call each, and slack maps the coefficient blocks to each row's [lo, hi]:
-    bound minus the upper and the lower side of its enclosure.
+    Each stream maps trial numbers to one (rows, length) array of Schur
+    parameters, as draw(0, trials, width=w, rows=numbers) of _sample_rows:
+    one stream for a unit-ball series, two (h, omega) for a harmonic pair.
+    The loop scores arrays of trial numbers: all of them first, then the rows
+    each step leaves.  score(index, order) cuts its rows into blocks of at
+    most _BLOCK_COEFFS coefficients; each block draws the parameters of its
+    own rows, so no draw outlives its block, synthesizes each stream in one
+    call, and slack maps the coefficients to each row's [lo, hi]: bound minus
+    the upper and the lower side of its enclosure.
 
     Where 0 < r < 1 (at R = 1 lemma21's fold is exact, so no rung settles a
-    row), each draw is screened first, by a stage at each order N of
-    _SCREEN_ORDERS below first in turn, while it has _SCREEN_ROWS unsettled
-    rows or more.  A stage draws and synthesizes only the first N + 1
-    parameters of those rows (width=N + 1 of the stream): a_0..a_N depend on
-    them alone, so it scores rung N up to rounding far below SLACK_TOL.  The
-    rows the stages leave are drawn in full and join a pool, which goes up
-    the ladder once it holds a draw's worth of rows and after the last draw:
-    to order first, then if need be to 2 first, 4 first, ... below full, and
-    to full.  A stage or rung N below full scores rows with
-    slack(..., full=full), whose tail is the settle tail
-    min(t_N, T_N + t_N r^(full - N)) of _dominance: t_N is the enclosure's
-    geometric tail, and T_N its Parseval-Hölder bound on the terms past N
-    from the row's coefficients, two to four decades below t_N at the low
-    rungs.  The terms N < k <= full sum to at most T_N, and t_N r^(full - N)
-    is the geometric tail at full, so either way lower + tail at N bounds the
-    upper side at full, and lo bounds the full-order slack from below.  With
-    U the least hi so far, which bounds the least full-order slack from
-    above, a row whose lo exceeds max(U, -SLACK_TOL) + SLACK_TOL is settled: it can neither fail nor be the
-    worst trial.  Its entry is lo.  U only falls, so this holds whenever the
-    row is scored, and pooling cannot move a report.  After rung first, every
-    other row is rescored at the least rung whose tail, shrunk like
-    r^(N - first), comes within half its margin, and at full if it is still
-    unsettled there.  So every failing row and every row that could be the
-    least is scored at full, and, as a row's result does not depend on its
-    block, the counts, the least slack and its index come out as if every row
-    had been scored at full.  The full order keeps the geometric tail
-    alone, since every reported number is read there, as in flat scoring at
-    full.  Nor would T_N mend the order cap near r = 1: its remainder tends
-    to 1 - |f|_2^2, not to 0, so at order 4,000 and r = 0.999 it stays far
-    above SLACK_TOL.
+    row), the loop is screened first, by a stage at each order N of
+    _SCREEN_ORDERS below first in turn, while _SCREEN_ROWS or more of the
+    loop's rows are unsettled.  A stage draws and synthesizes only the first
+    N + 1 parameters of those rows: a_0..a_N depend on them alone, so it
+    scores rung N up to rounding far below SLACK_TOL.  The rows the stages
+    leave go up the ladder, drawn in full so that each rung keeps the bits of
+    a full draw: to order first, then if need be to 2 first, 4 first, ...
+    below full, and to full.  A stage or rung N below full scores rows with
+    _dominance's settle tail min(t_N, T_N + t_N r^(full - N)): t_N is the
+    enclosure's geometric tail, and T_N its Parseval-Hölder bound on the terms
+    past N from the row's coefficients, two to four decades below t_N at the
+    low rungs.  The terms N < k <= full sum to at most T_N, and t_N
+    r^(full - N) is the geometric tail at full, so either way lower + tail at
+    N bounds the upper side at full, and lo bounds the full-order slack from
+    below.  With U the least hi so far, which bounds the least full-order
+    slack from above, a row whose lo exceeds max(U, -SLACK_TOL) + SLACK_TOL is
+    settled: it can neither fail nor be the worst trial.  Its entry is lo.  U
+    only falls, so this holds whenever the row is scored, and the order in
+    which rows are scored cannot move a report.  After rung first, every other
+    row is rescored at the least rung whose tail, shrunk like r^(N - first),
+    comes within half its margin, and at full if it is still unsettled there.
+    So every failing row and every row that could be the least is scored at
+    full, and, as a row's result does not depend on its block, the counts, the
+    least slack and its index come out as if every row had been scored at
+    full.  At full the settle tail is the geometric tail alone, since every
+    reported number is read there, as in flat scoring at full.  Nor would T_N
+    mend the order cap near r = 1: its remainder tends to 1 - |f|_2^2, not to
+    0, so at order 4,000 and r = 0.999 it stays far above SLACK_TOL.
     """
     trials = _check_count(trials, "trials")
     rungs = [first]
@@ -238,58 +236,38 @@ def _collect_slacks(
         rungs.append(max(2 * rungs[-1], 1))  # 0 would double to 0
     if full > first:
         rungs.append(full)
-    last = len(rungs) - 1
-    stages = [n for n in _SCREEN_ORDERS if n < first] if 0.0 < r < 1.0 else []
-
-    def per_block(order: int) -> int:
-        return max(1, _BLOCK_COEFFS // (len(streams) * (order + 1)))
-
-    def score(params: list, order: int) -> tuple[np.ndarray, np.ndarray]:
-        lo, hi = np.empty(len(params[0])), np.empty(len(params[0]))
-        step = per_block(order)
-        for start in range(0, len(lo), step):
-            rows = slice(start, start + step)
-            coeffs = (_synthesize_params(g[rows], order) for g in params)
-            lo[rows], hi[rows] = slack(*coeffs, full=None if order == full else full)
-        return lo, hi
-
-    per_draw = per_block(first) * -(-_SAMPLE_TRIALS // per_block(first))  # whole blocks
     slacks = np.empty(trials)
     least_hi = np.inf
-    pool = []  # (trial indices, parameter arrays) not yet scored above the screen
-    for start in range(0, trials, per_draw):
-        stop = min(trials, start + per_draw)
-        rows = np.arange(stop - start)  # offsets of the draw's unsettled trials
-        for order in stages:
-            if len(rows) < _SCREEN_ROWS:
-                break
-            params = [draw(start, stop, width=order + 1, rows=rows) for draw in streams]
-            lo, hi = score(params, order)
-            least_hi = min(least_hi, hi.min())
-            settled = lo > max(least_hi, -SLACK_TOL) + SLACK_TOL
-            slacks[start + rows[settled]] = lo[settled]
-            rows = rows[~settled]
-        pool.append((start + rows, [draw(start, stop, rows=rows) for draw in streams]))
-        if sum(len(i) for i, _ in pool) < per_draw and stop < trials:
-            continue
-        index = np.concatenate([i for i, _ in pool])
-        params = [np.concatenate(g) for g in zip(*(p for _, p in pool))]
-        pool = []
-        target = np.zeros(len(index), dtype=int)  # next rung of each row; -1 once settled
-        for rung, order in enumerate(rungs):
-            rows = np.flatnonzero(target == rung)
-            if not len(rows):
-                continue
-            lo, hi = score([g[rows] for g in params], order)
-            least_hi = min(least_hi, hi.min())
-            if rung == last:
-                slacks[index[rows]] = lo
-                continue
-            threshold = max(least_hi, -SLACK_TOL) + SLACK_TOL
-            settled = lo > threshold
-            slacks[index[rows[settled]]] = lo[settled]
-            step = _next_rungs(hi - lo, 0.5 * (hi - threshold), r, rungs) if rung == 0 else last
-            target[rows] = np.where(settled, -1, step)
+
+    def score(index: np.ndarray, order: int) -> tuple:
+        """Score rows index at order and enter the lo of those it settles (of
+        all of them at full); return the others with their tails and margins."""
+        nonlocal least_hi
+        if not len(index):  # a rung no row was sent to
+            return index, index, index
+        width = order + 1 if order < first else None
+        step = max(1, _BLOCK_COEFFS // (len(streams) * (order + 1)))
+        lo, hi = np.empty(len(index)), np.empty(len(index))
+        for start in range(0, len(index), step):
+            block = slice(start, start + step)
+            params = (draw(0, trials, width=width, rows=index[block]) for draw in streams)
+            lo[block], hi[block] = slack(*(_synthesize_params(g, order) for g in params))
+        least_hi = min(least_hi, hi.min())
+        threshold = max(least_hi, -SLACK_TOL) + SLACK_TOL
+        settled = (lo > threshold) | (order == full)
+        slacks[index[settled]] = lo[settled]
+        rest = ~settled
+        return index[rest], (hi - lo)[rest], 0.5 * (hi - threshold)[rest]
+
+    index = np.arange(trials)
+    for order in _SCREEN_ORDERS if 0.0 < r < 1.0 else ():
+        if order < first and len(index) >= _SCREEN_ROWS:
+            index = score(index, order)[0]
+    index, tails, margins = score(index, first)
+    if full > first:
+        target = _next_rungs(tails, margins, r, rungs)
+        climbed = [score(index[target == n], order)[0] for n, order in enumerate(rungs[1:-1], 1)]
+        score(np.concatenate([index[target == len(rungs) - 1], *climbed]), full)
     return slacks
 
 
@@ -353,7 +331,8 @@ def verify_theorem1(
     """
     r, p, seed = _check_r(r), _check_p(p), _check_seed(seed)
     first, order, depth = _order_and_depth(order, depth, r)
-    slack = _dominance(mp_theorem1(p, r).value, functools.partial(_powered_rows, p=p, r=r), r)
+    enclose = functools.partial(_powered_rows, p=p, r=r)
+    slack = _dominance(mp_theorem1(p, r).value, enclose, r, order)
     sample = functools.partial(_sample_rows, seed, 0, depth=depth)
     slacks = _collect_slacks(slack, (sample,), trials, first, order, r)
     witness_a = [0.2, 0.5, 0.8, min(maximize_envelope(p, r).argmax, 1.0 - 1e-8)]
@@ -379,9 +358,9 @@ def verify_lemma_quadratic(
     big_r, seed = _check_big_r(big_r), _check_seed(seed)
     first, order, depth = _order_and_depth(order, depth, big_r)
 
-    def slack(c: np.ndarray, full: int | None = None):
+    def slack(c: np.ndarray):
         # the tail's Parseval remainder already bounds every higher order's
-        # terms, so the ladder's rungs need no other tail (full is unused)
+        # terms, so the ladder's rungs need no other tail
         partial, tail, rhs = _quadratic_rows(c, big_r)
         return rhs - (partial + tail), rhs - partial
 
@@ -410,7 +389,8 @@ def verify_theorem2(
             f"r={r} exceeds the validity threshold {harmonic_threshold(p)} for p={p}"
         )
     first, order, depth = _order_and_depth(order, depth, r, tail_factor=2.0)
-    slack = _dominance(bound.value, _harmonic(functools.partial(_harmonic_rows, p=p, r=r)), r)
+    enclose = _harmonic(functools.partial(_harmonic_rows, p=p, r=r))
+    slack = _dominance(bound.value, enclose, r, order)
     h, omega = (functools.partial(_sample_rows, seed, stream, depth=depth) for stream in (0, 1))
     slacks = _collect_slacks(slack, (h, omega), trials, first, order, r)
     h_witnesses = [SchurFunction([0.0, 1.0])]
@@ -444,14 +424,16 @@ def verify_be(
     bound_a, bound_h = be_bound(r), be_harmonic_bound(p, r)
     # the halves share one order, sized for the larger tail
     first, order, depth = _order_and_depth(order, depth, r, tail_factor=2.0 ** (1.0 / p))
-    slack_a = _dominance(bound_a, functools.partial(_powered_rows, p=1.0, r=r), r)
-    slack_h = _dominance(bound_h, _harmonic(functools.partial(_lp_combination_rows, p=p, r=r)), r)
+    slack_a = _dominance(bound_a, functools.partial(_powered_rows, p=1.0, r=r), r, order)
+    enclose_h = _harmonic(functools.partial(_lp_combination_rows, p=p, r=r))
+    slack_h = _dominance(bound_h, enclose_h, r, order)
 
     def shifted(stream: int) -> Callable:
         # a leading zero parameter synthesizes z * g
-        def draw(start: int, stop: int, *, width: int = depth + 2, rows=None) -> np.ndarray:
-            g = _sample_rows(seed, stream, start, stop, depth, width=width - 1, rows=rows)
-            return np.pad(g, ((0, 0), (1, 0)))
+        def draw(start: int, stop: int, *, width: int | None = None, rows=None) -> np.ndarray:
+            width = None if width is None else width - 1
+            g = _sample_rows(seed, stream, start, stop, depth, width=width, rows=rows)
+            return np.concatenate((np.zeros((len(g), 1)), g), axis=1)
 
         return draw
 

@@ -128,8 +128,8 @@ class TestBlockSampler:
     def test_width_and_rows_pick_from_the_whole_draw(
         self, seed, stream, start, size, depth, width, data
     ):
-        # a screen stage draws the first width parameters of the rows a draw
-        # has left; width clips to depth + 1
+        # a screen stage's synthesis block draws the first width parameters
+        # of the trials it scores; width clips to depth + 1
         offsets = np.array(data.draw(st.lists(st.integers(0, size - 1), max_size=size)), dtype=int)
         whole = _sample_rows(seed, stream, start, start + size, depth)
         rows = _sample_rows(seed, stream, start, start + size, depth, width=width, rows=offsets)
@@ -372,12 +372,36 @@ class TestBlocking:
         counts = (0, 1, per_block + 1)
         assert (per_block + 1) % (per_block // 2) == 1
         blocked = [self.reports(n) for n in counts]
+        # each block draws its own parameters, so each trial is drawn alone
         monkeypatch.setattr(montecarlo, "_BLOCK_COEFFS", 1)
-        # parameters drawn 256 trials at once, then each trial drawn alone
-        for sample_trials in (montecarlo._SAMPLE_TRIALS, 1):
-            monkeypatch.setattr(montecarlo, "_SAMPLE_TRIALS", sample_trials)
-            for n, expected in zip(counts, blocked):
-                assert self.reports(n) == expected, (n, sample_trials)
+        for n, expected in zip(counts, blocked):
+            assert self.reports(n) == expected, n
+
+    def test_a_draw_never_exceeds_one_block(self, monkeypatch):
+        # each synthesis block draws the parameters of its own rows, so no
+        # draw holds more trials than the block it feeds: lemma21 at R = 1
+        # scores 5,000 trials at order 64 alone, and theorem1 (1.5, 0.9)
+        # screens 2,000 at orders 4 and 16 before its rungs 64 to 241
+        sample, synthesize = montecarlo._sample_rows, montecarlo._synthesize_params
+        drawn, orders = [], set()
+
+        def counted(*args, **kwargs):
+            rows = sample(*args, **kwargs)
+            drawn.append(len(rows))
+            return rows
+
+        def checked(g, order):
+            # one stream each, so a block holds _BLOCK_COEFFS // (order + 1) rows
+            assert len(g) == drawn[-1] <= max(1, montecarlo._BLOCK_COEFFS // (order + 1))
+            orders.add(order)
+            return synthesize(g, order)
+
+        monkeypatch.setattr(montecarlo, "_sample_rows", counted)
+        monkeypatch.setattr(montecarlo, "_synthesize_params", checked)
+        verify_lemma_quadratic(5000, 1.0, seed=3)
+        assert orders == {DEFAULT_ORDER} and len(drawn) == -(-5000 // 252)
+        verify_theorem1(1.5, 0.9, 2000, seed=3)
+        assert {4, 16, 241} <= orders
 
     def test_coanalytic_forms_give_identical_slacks(self, monkeypatch):
         # blocks of 126 two-row trials at order 64 outnumber the outputs, so
@@ -548,8 +572,8 @@ class TestReplay:
 class TestSettleRule:
     """A dominance slack at rung N below full is bound minus (lower +
     min(t, T + t r^(full - N))), from the enclosure's own (lower, t, T), bit
-    for bit; with full unset it is bound minus (lower + t).  The lower side
-    hi is bound minus lower either way."""
+    for bit; at N = full it is bound minus (lower + t).  The lower side hi is
+    bound minus lower either way."""
 
     R = 0.6
 
@@ -581,18 +605,17 @@ class TestSettleRule:
         ]
         sides = set()
         # one rung above its rung and a ladder's rungs 16 below 64: both
-        # sides of the min win on some rows
-        for n, full in ((2, 3), (16, 64)):
+        # sides of the min win on some rows; rows at N = full take t alone
+        for n, full in ((2, 3), (16, 64), (3, 3), (64, 64)):
             rows = [_synthesize_params(g, n) for g in params]
             lower, t, holder = enclose(*rows)
-            slack = montecarlo._dominance(bound, enclose, r)
-            for at, (lo, hi) in ((full, slack(*rows, full=full)), (None, slack(*rows))):
-                for i in range(len(lo)):
-                    tail = t[i] if at is None else min(t[i], holder[i] + t[i] * r ** (full - n))
-                    assert float.hex(lo[i]) == float.hex(bound - (lower[i] + tail)), (n, at, i)
-                    assert float.hex(hi[i]) == float.hex(bound - lower[i]), (n, at, i)
-                    if at is not None:
-                        sides.add(tail == t[i])
+            lo, hi = montecarlo._dominance(bound, enclose, r, full)(*rows)
+            for i in range(len(lo)):
+                tail = t[i] if n == full else min(t[i], holder[i] + t[i] * r ** (full - n))
+                assert float.hex(lo[i]) == float.hex(bound - (lower[i] + tail)), (n, full, i)
+                assert float.hex(hi[i]) == float.hex(bound - lower[i]), (n, full, i)
+                if n < full:
+                    sides.add(tail == t[i])
         assert sides == {True, False}
 
 
@@ -659,7 +682,7 @@ class TestOrderLadder:
         [
             # the Parseval fold is exact at R = 1, so no order settles a row
             pytest.param(lambda: verify_lemma_quadratic(1000, 1.0, seed=7), 1000, id="lemma21-R1"),
-            # a draw of 100 rows does not repay the screen's call
+            # a loop of 100 rows does not repay the screen's call
             pytest.param(lambda: verify_theorem1(1.0, 0.5, 100, seed=7), 100, id="short-draw"),
         ],
     )
@@ -671,12 +694,11 @@ class TestOrderLadder:
     @pytest.mark.parametrize(
         "call, screened",
         [
-            # draws of 504 and 96 rows: the second is too short to screen
-            pytest.param(lambda: verify_theorem1(1.0, 0.5, 600, seed=7), 504, id="short-last-draw"),
-            # the first stage scores every draw of _SCREEN_ROWS rows or more,
-            # also where it settles few of them: be's analytic half (draws of
-            # 504 and 496 rows) and both streams of its harmonic half (378,
-            # 378, 244)
+            # the screen counts the loop's unsettled rows: all 600 are screened
+            pytest.param(lambda: verify_theorem1(1.0, 0.5, 600, seed=7), 600, id="short-last-draw"),
+            # the first stage scores every loop of _SCREEN_ROWS rows or more,
+            # also where it settles few of them: be's analytic half and both
+            # streams of its harmonic half
             pytest.param(lambda: verify_be(0.97, 1.0, 1000, seed=7), 3 * 1000, id="be-high-r"),
         ],
     )
@@ -694,10 +716,11 @@ class TestOrderLadder:
         ],
     )
     def test_screen_survivors_climb_once_per_loop(self, monkeypatch, call, loops):
-        # the rows each screened draw leaves are pooled across draws, so a
-        # loop synthesizes each stream once at every rung above the screen's
-        # stages; the second stage runs only on draws the first leaves
-        # _SCREEN_ROWS rows or more of
+        # a loop scores all its unsettled rows at each step, and at these
+        # sizes every step fits one synthesis block, so each stream is
+        # synthesized once per loop at the first stage and at every rung
+        # above the screen's stages; the second stage runs only where the
+        # first leaves _SCREEN_ROWS rows or more
         calls = {}
         synthesize = montecarlo._synthesize_params
 
@@ -708,15 +731,14 @@ class TestOrderLadder:
         monkeypatch.setattr(montecarlo, "_synthesize_params", counted)
         call()
         first, second = montecarlo._SCREEN_ORDERS
-        screened = calls.pop(first)
-        assert screened >= 2 * sum(loops)  # at least two draws a loop
-        assert calls.pop(second, 0) <= screened
+        assert calls.pop(first) == sum(loops)
+        assert calls.pop(second, 0) <= sum(loops)
         assert calls == {DEFAULT_ORDER: sum(loops)}
 
     def test_order_cap_claim_keeps_its_work(self, monkeypatch):
         # B's defect: every trial fails at the order cap, so nearly all climb
         # from order 64 straight to 4,000, as 406,600 coefficients did before
-        # the settle tail; it neither adds nor saves work there, and a draw
+        # the settle tail; it neither adds nor saves work there, and a loop
         # of 100 trials is too short for the screen's stages at orders 4 and 16
         call = lambda: verify_theorem1(2.0, 0.999, 100, seed=1)
         assert abs(self.coefficients(monkeypatch, call) - 406_600) <= 0.02 * 406_600
@@ -736,6 +758,9 @@ class TestOrderLadder:
             (lambda: verify_theorem2(3.0, 0.97, 300, seed=3), False),
             (lambda: verify_theorem2(1.0, 0.8, 300, seed=7), True),
             (lambda: verify_be(0.97, 1.0, 300, seed=3), False),  # both halves
+            # loops whose screen gates on all their rows at once
+            (lambda: verify_theorem1(1.0, 0.5, 600, seed=3), False),
+            (lambda: verify_theorem1(1.5, 0.9, 2000, seed=3), False),
         ]
         for call, failing in calls:
             for loop in trial_loops(monkeypatch, call):
@@ -768,5 +793,5 @@ class TestOrderLadder:
             for n in (4, 8, 16, 32, 64):
                 if n < full:
                     params = [draw(0, trials, width=n + 1) for draw in streams]
-                    lo = slack(*(_synthesize_params(g, n) for g in params), full=full)[0]
+                    lo = slack(*(_synthesize_params(g, n) for g in params))[0]
                     assert (lo <= flat).all(), (n, full)
