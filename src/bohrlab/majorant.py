@@ -44,13 +44,13 @@ def powered_sum(c: CoefficientSeries, p: float, r: float) -> CertifiedSum:
 # row, and a row's entry does not depend on the other rows of its block.
 # powered_sum is the one-row case of _powered_rows.  The row sums go through
 # np.vecdot, which reduces each row with the same kernel as np.dot on that
-# row; matmul sums in another order.  Terms formed from a scalar (a_0) go
-# through Python floats, since numpy's array power and complex modulus differ
-# from libm's in the last bit.
+# row; matmul sums in another order.  Terms formed from a_0 go through
+# np.hypot and np.float_power, which call libm's hypot and pow as CPython's abs
+# and ** do; np.abs and np.power may take SIMD loops that differ in the last bit.
 
-def _heads(c: np.ndarray) -> list:
-    """|a_0| of each row, as a float."""
-    return [abs(a0) for a0 in c[:, 0].tolist()]
+def _heads(c: np.ndarray) -> np.ndarray:
+    """|a_0| of each row, as CPython's complex abs gives it."""
+    return np.hypot(c[:, 0].real, c[:, 0].imag)
 
 
 def _geometric_tails(c: np.ndarray, p: float, r: float, certified: bool = True) -> np.ndarray:
@@ -64,7 +64,7 @@ def _geometric_tails(c: np.ndarray, p: float, r: float, certified: bool = True) 
     geo = r ** c.shape[1] / (1.0 - r)
     if not certified:
         return np.full(len(c), geo)
-    return np.array([(1.0 - min(head, 1.0) ** 2) ** p * geo for head in _heads(c)])
+    return np.float_power(1.0 - np.float_power(np.minimum(_heads(c), 1.0), 2.0), p) * geo
 
 
 # A Parseval remainder 1 - sum_{k<=N} |a_k|^2 cancels to rounding error on
@@ -108,8 +108,7 @@ def _harmonic_rows(a: np.ndarray, b: np.ndarray, p: float, r: float):
     n = a.shape[1] - 1
     amods, bmods = np.abs(a), np.abs(b)
     powers = r ** np.arange(n + 1)
-    head = np.array([m**p for m in amods[:, 0].tolist()])
-    lower = head + np.vecdot(amods[:, 1:] ** p + bmods[:, 1:] ** p, powers[1:])
+    lower = np.float_power(amods[:, 0], p) + np.vecdot(amods[:, 1:] ** p + bmods[:, 1:] ** p, powers[1:])
     tail = np.full(len(a), 2.0 * r ** (n + 1) / (1.0 - r))
     q = min(p, 2.0) / 2.0
     rho_b = _remainders(bmods, amods[:, 0] ** 2)
@@ -148,9 +147,7 @@ def _quadratic_rows(c: np.ndarray, big_r: float):
     tail = np.maximum(0.0, 1.0 - mods2.sum(axis=1)) * big_r ** c.shape[1]
     if big_r < 1.0:
         tail = np.minimum(_geometric_tails(c, 2.0, big_r), tail)
-    x = [head**2 for head in _heads(c)]
+    x = np.float_power(_heads(c), 2.0)
     if big_r == 1.0:
-        rhs = [1.0 - xi for xi in x]  # limit of R(1-x)^2/(1-xR) at R = 1
-    else:
-        rhs = [big_r * (1.0 - xi) ** 2 / (1.0 - xi * big_r) for xi in x]
-    return partial, tail, np.array(rhs)
+        return partial, tail, 1.0 - x  # limit of R(1-x)^2/(1-xR) at R = 1
+    return partial, tail, big_r * np.float_power(1.0 - x, 2.0) / (1.0 - x * big_r)

@@ -179,8 +179,11 @@ def _recur(y: np.ndarray, den: np.ndarray, stop: int) -> np.ndarray:
     in one multiply and sums each row's in numpy's pairwise order, across the
     block (_pairwise_sum) or along a row-major copy, with views set up once
     per t.  So every coefficient has the bits of the recurrence run row by
-    row with .sum(axis=1), whatever the block."""
+    row with .sum(axis=1), whatever the block.  A den_0 of all ones, as Q_0 of
+    synthesis, skips the division: numpy's x/(1+0j) is x but for the sign of a
+    zero part, and every enclosure takes |.|."""
     dmax, rows = den.shape[0] - 1, den.shape[1]
+    divide = not (den[0] == 1.0).all()
     rev_den = np.ascontiguousarray(den[:0:-1])  # den_dmax .. den_1; a reversed view multiplies slower
     tops, wide = max(min(dmax, stop - 1), 0), rows >= _WIDE_ROWS
     prod = np.empty((tops, rows) if wide else (rows, tops), dtype=complex)
@@ -197,7 +200,8 @@ def _recur(y: np.ndarray, den: np.ndarray, stop: int) -> np.ndarray:
             for call in sums:
                 call()
             np.subtract(y_n, total, y_n)
-        np.divide(y_n, den[0], y_n)
+        if divide:
+            np.divide(y_n, den[0], y_n)
     return y
 
 

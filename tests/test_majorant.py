@@ -5,6 +5,8 @@ from functools import partial
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bohrlab import (
     CertifiedSum,
@@ -284,6 +286,59 @@ class TestRowEnclosures:
                 a_i, b_i = pair_rows(h, omega, order)
                 assert np.array_equal(a_i, c[i])
                 assert b_i.tobytes() == b[i].tobytes(), (order, i)
+
+
+class TestHeadTermBits:
+    """The a_0 terms of the row forms, as numpy arrays, have the bits of the
+    per-row CPython floats they replaced: abs of a complex and ** of floats,
+    which call libm's hypot and pow.  Each example holds thousands of heads,
+    so a numpy whose np.hypot or np.float_power took a SIMD loop (np.abs and
+    np.power differ from libm on ~35% and ~0.1-6% of such heads) fails here.
+    """
+
+    ROWS = 4000
+    # |a_0| = 1 + 1 ulp: a unimodular parameter snapped to the circle
+    SNAPPED = -0.8288355951220819 + 0.5594922307401815j
+
+    @classmethod
+    def heads(cls, seed: int, n: int) -> np.ndarray:
+        """Coefficient rows (ROWS, n + 1): a_0 disk-uniform or at 0, 1, -1j and
+        the snapped parameter, the other coefficients random."""
+        rng = np.random.default_rng(seed)
+        c = np.sqrt(rng.random((cls.ROWS, n + 1))) * np.exp(2j * np.pi * rng.random((cls.ROWS, n + 1)))
+        c[:4, 0] = (0.0, 1.0, -1j, cls.SNAPPED)
+        c[4:40, 0] *= 1.0 - 10.0 ** -rng.integers(1, 16, 36)  # near the circle
+        assert abs(cls.SNAPPED) > 1.0
+        return c
+
+    @staticmethod
+    def bits_equal(got, want) -> bool:
+        return np.asarray(got, dtype=float).tobytes() == np.array(want, dtype=float).tobytes()
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(0, 80),
+        p=st.one_of(st.sampled_from([1.0, 2.0, 3.0]), st.floats(0.0, 3.0, exclude_min=True)),
+        r=st.floats(0.0, 0.999),
+        big_r=st.one_of(st.just(1.0), st.floats(0.0, 1.0, exclude_min=True)),
+    )
+    def test_head_terms_match_cpython_floats(self, seed, n, p, r, big_r):
+        c = self.heads(seed, n)
+        heads = [abs(a0) for a0 in c[:, 0].tolist()]
+        geo = r ** c.shape[1] / (1.0 - r)
+        tails = [(1.0 - min(head, 1.0) ** 2) ** p * geo for head in heads]
+        assert self.bits_equal(majorant._geometric_tails(c, p, r), tails)
+        # at order 0 the harmonic sum is its head term |a_0|^p, |a_0| by np.abs
+        zero = np.zeros((len(c), 1), dtype=complex)
+        head_terms = [m**p for m in np.abs(c[:, :1])[:, 0].tolist()]
+        assert self.bits_equal(_harmonic_rows(c[:, :1], zero, p, r)[0], head_terms)
+        x = [head**2 for head in heads]
+        if big_r == 1.0:
+            rhs = [1.0 - xi for xi in x]
+        else:
+            rhs = [big_r * (1.0 - xi) ** 2 / (1.0 - xi * big_r) for xi in x]
+        assert self.bits_equal(_quadratic_rows(c, big_r)[2], rhs)
 
 
 class TestHolderTails:

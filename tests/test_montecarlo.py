@@ -136,6 +136,31 @@ class TestBlockSampler:
         assert rows.shape == (len(offsets), min(width, depth + 1))
         assert np.array_equal(bits(rows), bits(whole[offsets, :width]))
 
+    def test_rows_are_the_stream_words_as_disk_params(self):
+        # over 10^5 parameters at depths 0-13, with random width and rows,
+        # each entry is sqrt(U) exp(2 pi i V) of its two words of the stream,
+        # hashed one by one as Python ints: the in-place array hash and the
+        # parameters' cos and sin parts keep the bits of that product
+        rng = np.random.default_rng(2024)
+        drawn = 0
+        for depth in list(range(14)) * 6:
+            seed, stream = int(rng.integers(-(2**62), 2**62)), int(rng.integers(0, 4))
+            start, size = int(rng.integers(0, 2**40)), int(rng.integers(1, 1200))
+            width = int(rng.integers(0, depth + 3)) if rng.random() < 0.7 else None
+            offsets = rng.integers(0, size, int(rng.integers(0, size + 1))) if rng.random() < 0.7 else None
+            got = _sample_rows(seed, stream, start, start + size, depth, width=width, rows=offsets)
+            n, w = 2 * (depth + 1), depth + 1 if width is None else min(width, depth + 1)
+            base = _splitmix64(_splitmix64(seed % 2**64) ^ stream)
+            trials = start + (np.arange(size) if offsets is None else offsets)
+            words = [[_splitmix64((base + (n * int(t) + k) * montecarlo._GAMMA) % 2**64) >> 11
+                      for k in (*range(w), *range(depth + 1, depth + 1 + w))] for t in trials]
+            u = np.array(words, dtype=float).reshape(len(trials), 2 * w) * 2.0**-53
+            want = np.sqrt(u[:, :w]) * np.exp(1j * (2.0 * np.pi * u[:, w:]))
+            assert got.shape == want.shape
+            assert np.array_equal(bits(got), bits(want)), (seed, stream, start, depth, width)
+            drawn += got.size
+        assert drawn >= 100_000
+
     def test_streams_differ(self):
         # h, omega, and verify_be's harmonic h and omega
         firsts = [_sample_rows(7, stream, 0, 100, 12) for stream in range(4)]

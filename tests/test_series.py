@@ -314,6 +314,36 @@ class TestCoefficientMajorKernel:
             assert got.strides[1] == got.itemsize  # contiguous rows, as np.vecdot reads them
             assert (bits(got) == bits(rowwise_divide(num, den, order))).all(), (rows, dlen, order)
 
+    def test_general_constant_term_is_divided(self):
+        # synthesis skips the division by den_0 = Q_0 = 1; any other den_0,
+        # in every row or in one row of a block, is divided as before, on
+        # the recurrence and on the block path's 1/den
+        rng = np.random.default_rng(13)
+        for rows, dlen, order in ((1, 14, 60), (7, 40, 700), (130, 3, 80), (64, 14, 600), (3, 5, 600)):
+            num = rng.normal(size=(rows, 6)) + 1j * rng.normal(size=(rows, 6))
+            den = (rng.normal(size=(rows, dlen)) + 1j * rng.normal(size=(rows, dlen))) * 0.04
+            for den0 in (rng.uniform(0.5, 3.0, rows) * np.exp(2j * np.pi * rng.random(rows)),
+                         np.where(np.arange(rows) == rows // 2, 2.0 - 0.5j, 1.0)):
+                den[:, 0] = den0
+                got = _divide_trunc(num.T, den.T, order)
+                assert (bits(got) == bits(rowwise_divide(num, den, order))).all(), (rows, dlen, order)
+
+    @pytest.mark.parametrize("order", [0, 1, 16, 64, _BLOCK_FROM_ORDER, 1000])
+    def test_exact_zeros_keep_their_signs(self, order):
+        # rows whose coefficients hold exact zeros, some of them real (their
+        # imaginary parts all zeros): the unit constant, zero parameters,
+        # be's shifted rows and real parameters keep every bit, the sign of
+        # each zero too, without the division by Q_0 = 1
+        rng = np.random.default_rng(order)
+        params = [[1.0], [0.0, 0.0], [0.0], [0.0, 1.0], [0.0, 2 ** -0.5, -1.0], [-0.4, -0.5, 0.6],
+                  [0.3j, -0.2j, 0.5], [complex(-0.0, -0.0), -0.5], [0.97, -1.0]]
+        params += [np.concatenate(([0.0], s.params)) for s in self.schurs(rng, 4, 12)]
+        params += [list(rng.uniform(-0.99, 0.99, 1 + i)) for i in range(13)]
+        schurs = [SchurFunction(g) for g in params]
+        for group in (schurs, *([s] for s in schurs)):
+            got = schur_synthesis_rows(group, order)
+            assert (bits(got) == bits(rowwise_rows(group, order))).all()
+
     @pytest.mark.parametrize("rows", [1, 3, 64])
     def test_pairwise_sum_matches_numpy(self, rows):
         rng = np.random.default_rng(rows)
