@@ -62,18 +62,12 @@ class VerificationReport:
 
 
 def _splitmix64(x):
-    """splitmix64 hash of an int, or in place of each entry of a uint64 array."""
-    if not isinstance(x, np.ndarray):
-        z = (x + _GAMMA) & _MASK64
-        z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
-        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
-        return z ^ (z >> 31)
-    x += np.uint64(_GAMMA)
-    for shift, mult in ((30, 0xBF58476D1CE4E5B9), (27, 0x94D049BB133111EB)):
-        x ^= x >> np.uint64(shift)
-        x *= np.uint64(mult)
-    x ^= x >> np.uint64(31)
-    return x
+    """splitmix64 hash of an int, or of each entry of a uint64 array."""
+    x = (x + _GAMMA) & _MASK64
+    z = x
+    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
+    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
+    return z ^ (z >> 31)
 
 
 def sample_schur(seed: int, index: int, depth: int) -> SchurFunction:
@@ -89,14 +83,9 @@ def sample_schur(seed: int, index: int, depth: int) -> SchurFunction:
 
 
 def _disk_params(u: np.ndarray) -> np.ndarray:
-    """Parameters sqrt(U) exp(2 pi i V) from uniforms [U | V] on the last axis,
-    part by part (numpy's exp(i t) is cos t + i sin t: same bits up to zero signs)."""
+    """Parameters sqrt(U) exp(2 pi i V) from uniforms [U | V] along the last axis."""
     half = u.shape[-1] // 2
-    mod, angle = np.sqrt(u[..., :half]), 2.0 * np.pi * u[..., half:]
-    out = np.empty(mod.shape, dtype=complex)
-    np.multiply(mod, np.cos(angle), out=out.real)
-    np.multiply(mod, np.sin(angle), out=out.imag)
-    return out
+    return np.sqrt(u[..., :half]) * np.exp(1j * (2.0 * np.pi * u[..., half:]))
 
 
 def _sample_rows(
@@ -127,7 +116,7 @@ def _sample_rows(
     base = _splitmix64(_splitmix64(seed & _MASK64) ^ stream)
     first = (base + start * n * _GAMMA) & _MASK64
     trials = np.arange(stop - start, dtype=np.uint64) if rows is None else rows.astype(np.uint64)
-    words = np.concatenate((np.arange(width), np.arange(depth + 1, depth + 1 + width))).astype(np.uint64)
+    words = np.r_[0:width, depth + 1 : depth + 1 + width].astype(np.uint64)  # moduli, angles
     counters = np.uint64(first) + (trials[:, None] * np.uint64(n) + words) * np.uint64(_GAMMA)
     return _disk_params((_splitmix64(counters) >> np.uint64(11)).astype(float) * 2.0**-53)
 
@@ -181,6 +170,11 @@ def _harmonic(enclose: Callable) -> Callable:
 # RSS bounds the budget).  High orders get their speed from the division's k
 # outputs a step (series._BLOCK_OUTPUTS), not from the block size.
 _BLOCK_COEFFS = 1 << 14
+# glibc gives the free top of its heap back to the system once it passes twice
+# the largest mmapped chunk freed so far, and a block frees 1-2 MiB at its end,
+# so each block would fault its pages in again (120-800 a report at 1,000 trials).
+# Freeing one chunk of four blocks' coefficients (1 MiB) lifts that bar to 2 MiB.
+np.empty(4 * _BLOCK_COEFFS, dtype=complex)
 # The orders of the screen's stages in _collect_slacks, and the fewest unsettled
 # rows of a loop a stage scores (for order 16 alone, 100 gained nothing and 150
 # did).  Share of the rows a stage scores that it settles, at 1,000 trials,
@@ -219,12 +213,14 @@ def _collect_slacks(
     N + 1 parameters of those rows: a_0..a_N depend on them alone, so it
     scores rung N up to rounding far below SLACK_TOL.  The rows the stages
     leave go up the ladder, drawn in full so that each rung keeps the bits of
-    a full draw: to order first, then if need be to a rung first 2^k below
-    full from _BLOCK_FROM_ORDER on, and to full.  A stage or rung N below full
+    a full draw: to order first, then if need be to 2 first, 4 first, ...
+    below full, and to full; where full reaches _BLOCK_FROM_ORDER, only the
+    doubled rungs from there on, at which the division runs in blocks and
+    more of the rows settle short of full.  A stage or rung N below full
     scores rows with _dominance's settle tail min(t_N, T_N + t_N r^(full - N)):
-    t_N is the enclosure's geometric tail, and T_N its Parseval-Hölder bound on
-    the terms past N from the row's coefficients, two to four decades below t_N
-    at the low rungs.  The terms N < k <= full sum to at most T_N, and t_N
+    t_N is the enclosure's geometric tail, and T_N its Parseval-Hölder bound
+    on the terms past N from the row's coefficients, two to four decades below
+    t_N at the low rungs.  The terms N < k <= full sum to at most T_N, and t_N
     r^(full - N) is the geometric tail at full, so either way lower + tail at
     N bounds the upper side at full, and lo bounds the full-order slack from
     below.  With U the least hi so far, which bounds the least full-order
@@ -246,8 +242,8 @@ def _collect_slacks(
     rungs = [first]
     while 2 * rungs[-1] < full:
         rungs.append(max(2 * rungs[-1], 1))  # 0 would double to 0
-    # below _BLOCK_FROM_ORDER a doubled rung's few rows cost more than at a rung from it
-    rungs[1:] = [n for n in rungs[1:] if n >= _BLOCK_FROM_ORDER]
+    if full >= _BLOCK_FROM_ORDER:  # below it, full itself runs one output a step
+        rungs[1:] = [n for n in rungs[1:] if n >= _BLOCK_FROM_ORDER]
     if full > first:
         rungs.append(full)
     slacks = np.empty(trials)

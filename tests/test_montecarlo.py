@@ -1,6 +1,10 @@
 """Seeded sampling, claim verification and determinism."""
 
 import math
+import os
+import platform
+import subprocess
+import sys
 from functools import partial
 
 import numpy as np
@@ -139,8 +143,8 @@ class TestBlockSampler:
     def test_rows_are_the_stream_words_as_disk_params(self):
         # over 10^5 parameters at depths 0-13, with random width and rows,
         # each entry is sqrt(U) exp(2 pi i V) of its two words of the stream,
-        # hashed one by one as Python ints: the in-place array hash and the
-        # parameters' cos and sin parts keep the bits of that product
+        # hashed one by one as Python ints: the array hash keeps the int
+        # hash's bits, and each parameter those of that product
         rng = np.random.default_rng(2024)
         drawn = 0
         for depth in list(range(14)) * 6:
@@ -479,6 +483,25 @@ class TestBlocking:
         for loop, expected in zip(loops, flat):
             assert np.array_equal(bits(at_full(loop)), bits(expected))
 
+    @pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="glibc's heap trimming")
+    def test_blocks_reuse_the_heap(self):
+        # in a fresh process, where no larger chunk was freed before, a
+        # report's blocks fault no pages in once the first report has run:
+        # without the chunk montecarlo frees at import, glibc trims the heap
+        # after a block and lemma21 at R = 1 faults ~800 pages a report
+        code = (
+            "import resource\n"
+            "from bohrlab.montecarlo import verify_lemma_quadratic\n"
+            "verify_lemma_quadratic(1000, 1.0, seed=1)\n"
+            "before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt\n"
+            "for seed in (2, 3, 4):\n"
+            "    verify_lemma_quadratic(1000, 1.0, seed=seed)\n"
+            "print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)\n"
+        )
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+        out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+        assert int(out.stdout) < 100
+
 
 class TestReportPins:
     """Whole reports pinned bit for bit, recorded when every trial was scored
@@ -759,6 +782,21 @@ class TestOrderLadder:
         assert calls.pop(first) == sum(loops)
         assert calls.pop(second, 0) <= sum(loops)
         assert calls == {DEFAULT_ORDER: sum(loops)}
+
+    @pytest.mark.parametrize(
+        "call, orders",
+        [
+            # N* = 2,796: 155 rows bound for 256 go to 512, where the division
+            # runs in blocks, and fewer of them go on to N*
+            pytest.param(lambda: verify_be(0.99, 1.5, 100, seed=1), {64, 512, 1024, 2796}, id="be-high-r"),
+            # N* = 508, below series._BLOCK_FROM_ORDER: the doubled rungs stay
+            pytest.param(
+                lambda: verify_theorem1(1.5, 0.95, 1000, seed=1), {4, 16, 64, 128, 508}, id="theorem1-r095"
+            ),
+        ],
+    )
+    def test_doubled_rungs_below_the_block_division(self, monkeypatch, call, orders):
+        assert set(self.rows(monkeypatch, call)) == orders
 
     def test_order_cap_claim_keeps_its_work(self, monkeypatch):
         # B's defect: every trial fails at the order cap, so nearly all climb
