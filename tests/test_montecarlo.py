@@ -617,6 +617,100 @@ class TestReplay:
         self.check(harmonic, be_harmonic_bound(1.0, 0.97), lower, tail)
 
 
+class TestClaimRecords:
+    """Each claim's bound, slack and witness slacks are built once per claim
+    key, (p, r or R, N*), and kept by its builder: a report from a kept record
+    is the report from a fresh one, bit for bit."""
+
+    BUILDERS = ("_theorem1_claim", "_lemma21_claim", "_theorem2_claim", "_be_claims")
+    # the claims of the benchmark's two Monte-Carlo mixes
+    CLAIMS = [
+        pytest.param(lambda n, s: verify_theorem1(1.0, 0.5, n, seed=s), id="theorem1-1-0.5"),
+        pytest.param(lambda n, s: verify_theorem1(1.5, 0.9, n, seed=s), id="theorem1-1.5-0.9"),
+        pytest.param(lambda n, s: verify_lemma_quadratic(n, 1.0, seed=s), id="lemma21-1"),
+        pytest.param(lambda n, s: verify_theorem2(1.0, 0.3, n, seed=s), id="theorem2-1-0.3"),
+        pytest.param(lambda n, s: verify_theorem2(3.0, 0.6, n, seed=s), id="theorem2-3-0.6"),
+        pytest.param(lambda n, s: verify_be(0.65, 1.0, n, seed=s), id="be-0.65-1"),
+        pytest.param(lambda n, s: verify_be(3**-0.5, 2.0, n, seed=s), id="be-0.577-2"),
+        pytest.param(lambda n, s: verify_theorem2(3.0, 0.97, n, seed=s), id="theorem2-3-0.97"),
+        pytest.param(lambda n, s: verify_theorem1(1.5, 0.99, n, seed=s), id="theorem1-1.5-0.99"),
+        pytest.param(lambda n, s: verify_theorem1(1.5, 0.995, n, seed=s), id="theorem1-1.5-0.995"),
+        pytest.param(lambda n, s: verify_lemma_quadratic(n, 0.99, seed=s), id="lemma21-0.99"),
+        pytest.param(lambda n, s: verify_be(0.97, 1.0, n, seed=s), id="be-0.97-1"),
+    ]
+
+    @classmethod
+    def clear(cls):
+        for name in cls.BUILDERS:
+            getattr(montecarlo, name).cache_clear()
+
+    @staticmethod
+    def hexed(out):
+        """Every field of every report, floats as float.hex."""
+        def enc(x):
+            return float.hex(x) if isinstance(x, float) else x
+
+        reports = out if isinstance(out, tuple) else (out,)
+        return [
+            (rep.claim_id, rep.trials, rep.failures, enc(rep.worst_margin), rep.seed,
+             {k: enc(v) for k, v in rep.params.items()})
+            for rep in reports
+        ]
+
+    def hits(self):
+        return sum(getattr(montecarlo, name).cache_info().hits for name in self.BUILDERS)
+
+    @pytest.mark.parametrize("call", CLAIMS)
+    def test_kept_record_gives_the_fresh_report(self, call):
+        for trials, seed in ((30, 1), (0, 2)):
+            self.clear()
+            fresh = self.hexed(call(trials, seed))
+            call(trials, seed + 1)  # another seed builds the record
+            hits = self.hits()
+            kept = self.hexed(call(trials, seed))
+            assert self.hits() == hits + 1
+            assert kept == fresh
+
+    def test_zero_radius_sign_is_part_of_the_key(self):
+        # -0.0 == 0.0, but at r = -0.0 be reports a worst margin of -0.0
+        for call in (
+            lambda r: verify_theorem1(1.5, r, 50, seed=5),
+            lambda r: verify_theorem2(1.0, r, 50, seed=5),
+            lambda r: verify_be(r, 1.5, 50, seed=5),
+        ):
+            for r, other in ((-0.0, 0.0), (0.0, -0.0)):
+                self.clear()
+                fresh = self.hexed(call(r))
+                self.clear()
+                call(other)  # a record of the other zero is kept
+                assert self.hexed(call(r)) == fresh
+
+    def test_invalid_radius_raises_on_every_call(self):
+        # the builder raises, and the cache keeps no exception
+        for _ in range(2):
+            with pytest.raises(DomainError, match="validity threshold"):
+                verify_theorem2(1.0, 0.9, 10)
+
+    def test_witness_slacks_are_read_only(self):
+        records = [
+            montecarlo._theorem1_claim(1.5, 0.9, 241),
+            montecarlo._lemma21_claim(1.0, 64),
+            montecarlo._theorem2_claim(3.0, 0.6, 64),
+            *montecarlo._be_claims(0.65, 1.0, 64),
+        ]
+        for record in records:
+            assert len(record.witness_slacks) and not record.witness_slacks.flags.writeable
+            with pytest.raises(ValueError):
+                record.witness_slacks[0] = 0.0
+
+    def test_records_kept_are_bounded(self):
+        kept = montecarlo._CLAIMS_KEPT
+        self.clear()
+        for i in range(kept + 3):
+            verify_theorem1(1.0, 0.1 + 0.05 * i, 0, seed=1)
+        assert montecarlo._theorem1_claim.cache_info().currsize == kept
+
+
 class TestSettleRule:
     """A dominance slack at rung N below full is bound minus (lower +
     min(t, T + t r^(full - N))), from the enclosure's own (lower, t, T), bit

@@ -394,6 +394,17 @@ class TestCoefficientFamilies:
         with pytest.raises(DomainError):
             mobius_automorphism_coeffs(0.5, -5)
 
+    @pytest.mark.parametrize("a", [0.0, 1e-300, 0.2, 0.5, 0.8, 1.0 - 2.0**-53])
+    @pytest.mark.parametrize("order", [0, 1, 400, 4000])
+    def test_mobius_powers_past_underflow_keep_their_bits(self, a, order):
+        # the reference forms every power a^k, also those that round to 0
+        want = np.empty(order + 1, dtype=complex)
+        want[0] = a
+        if order >= 1:
+            want[1:] = -(1.0 - a * a) * a ** np.arange(order)
+        got = mobius_automorphism_coeffs(a, order).coeffs
+        assert [float.hex(x) for x in got.view(float)] == [float.hex(x) for x in want.view(float)]
+
     def test_psymmetric_values(self):
         out = psymmetric_extremal_coeffs(2, 1, 0.5, 5)
         expected = np.zeros(6)
@@ -452,6 +463,15 @@ class TestSchurRecursion:
         # the harmonic verifiers take omega = 1 as the row e_0 without synthesis
         out = schur_synthesis_rows([SchurFunction([1.0])], order)
         assert out.tobytes() == np.eye(1, order + 1, dtype=complex).tobytes()
+
+    @pytest.mark.xfail(strict=True, reason="float Q has zeros inside the disk for these parameters")
+    def test_parameters_crowding_the_circle_stay_in_the_ball(self):
+        # 13 parameters at 0.999 with one phase: every |a_k| of a unit-ball
+        # member is at most 1, yet the division by the float Q diverges (|a_k|
+        # 8e5 at order 400 and 5e18 at order 1,000); once it is mended, this
+        # test passes and strict xfail reports it
+        out = schur_synthesis_rows([SchurFunction([0.999] * 13)], 1000)
+        assert np.abs(out).max() <= 1.0 + 1e-9
 
     def test_zero_synthesis(self):
         out = schur_synthesis(SchurFunction([0.0, 0.0, 0.0]), 5)
