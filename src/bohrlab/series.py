@@ -9,7 +9,6 @@ harmonic verifiers build from blocks of synthesized h and omega rows.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
@@ -166,67 +165,37 @@ def _solve_blocks(y: np.ndarray, block_map: np.ndarray) -> np.ndarray:
     return y
 
 
-# Fewest rows for which _recur sums a step's products across the block; a narrower
-# block sums each row's by numpy, one call a step (crossover: BENCH_montecarlo.json).
-_WIDE_ROWS = 48
-
-
 def _recur(y: np.ndarray, den: np.ndarray, stop: int) -> np.ndarray:
     """Forward recurrence in place on coefficient-major arrays: y[:stop], of
     shape (stop, rows), holds the right-hand side on entry and the quotient's
     coefficients on return; den is (dmax + 1, rows).
 
     Step n forms the t = min(n, dmax) products den_t y_(n-t), ..., den_1 y_(n-1)
-    in one multiply and sums each row's in numpy's pairwise order, across the
-    block (_pairwise_sum) or along a row-major copy, with views set up once
-    per t.  So every coefficient has the bits of the recurrence run row by
-    row with .sum(axis=1), whatever the block.  A den_0 of all ones, as Q_0 of
-    synthesis, skips the division: numpy's x/(1+0j) is x but for the sign of a
-    zero part, and every enclosure takes |.|."""
+    in one multiply and sums them by a fixed tree of elementwise adds, with
+    views set up once per t: p[:h] += p[t-h:t] with h = t // 2, then t -= h,
+    until one term is left.  An elementwise add acts on each row alone, so
+    every coefficient has the same bits whatever the block.  A den_0 of all
+    ones, as Q_0 of synthesis, skips the division: numpy's x/(1+0j) is x but
+    for the sign of a zero part, and every enclosure takes |.|."""
     dmax, rows = den.shape[0] - 1, den.shape[1]
     divide = not (den[0] == 1.0).all()
     rev_den = np.ascontiguousarray(den[:0:-1])  # den_dmax .. den_1; a reversed view multiplies slower
-    tops, wide = max(min(dmax, stop - 1), 0), rows >= _WIDE_ROWS
-    prod = np.empty((tops, rows) if wide else (rows, tops), dtype=complex)
-    total, scratch = np.empty(rows, dtype=complex), np.empty((6, rows), dtype=complex)
-    steps = [(prod[:t], _pairwise_sum(prod[:t], total, scratch)) if wide else
-             (prod[:, :t].T, [functools.partial(np.add.reduce, prod[:, :t], 1, None, total)])
-             for t in range(tops + 1)]
+    prod = np.empty((max(min(dmax, stop - 1), 0), rows), dtype=complex)
+    folds = [[]]  # per t: fold the last t // 2 terms onto the first, then t - t // 2's folds
+    for t in range(1, len(prod) + 1):
+        h = t // 2
+        folds.append([(prod[:h], prod[t - h:t]), *folds[t - h]] if h else [])
     for n in range(stop):
         t = min(n, dmax)
         y_n = y[n]
         if t:
-            prods, sums = steps[t]
-            np.multiply(rev_den[dmax - t:], y[n - t:n], prods)
-            for call in sums:
-                call()
-            np.subtract(y_n, total, y_n)
+            np.multiply(rev_den[dmax - t:], y[n - t:n], prod[:t])
+            for head, tail in folds[t]:
+                np.add(head, tail, head)
+            np.subtract(y_n, prod[0], y_n)
         if divide:
             np.divide(y_n, den[0], y_n)
     return y
-
-
-def _pairwise_sum(p: np.ndarray, out: np.ndarray, scratch: np.ndarray) -> list:
-    """Calls that leave in out the sum of p's rows in the order of numpy's
-    complex pairwise sum along a contiguous axis: in sequence below 4 terms;
-    up to 64, four partial sums over groups of 4, taken as (s0 + s1) + (s2 + s3),
-    then the rest in sequence; above 64, the sum of two halves split at
-    t//2 - (t//2) % 4.  numpy's sum ends by adding to +0, so an all -0 sum is
-    +0; the pairs come from np.add.reduce, which starts from +0 too.
-    scratch holds six rows of partial sums."""
-    t = len(p)
-    if t < 4:
-        return [functools.partial(np.add.reduce, p, 0, None, out)]
-    if t > 64:
-        half, left = t // 2 - (t // 2) % 4, np.empty_like(out)
-        return [*_pairwise_sum(p[:half], left, scratch), *_pairwise_sum(p[half:], out, scratch),
-                functools.partial(np.add, left, out, out)]
-    acc, pair = (p[:4] if t < 8 else scratch[:4]), scratch[4:]
-    calls = [functools.partial(np.add, acc if k > 1 else p[:4], p[4 * k : 4 * k + 4], acc)
-             for k in range(1, t // 4)]
-    calls += [functools.partial(np.add.reduce, acc.reshape(2, 2, len(out)), 1, None, pair),
-              functools.partial(np.add, pair[0], pair[1], out)]
-    return calls + [functools.partial(np.add, out, row, out) for row in p[t - t % 4:]]
 
 
 def _block_map(den: np.ndarray, h: np.ndarray) -> np.ndarray:
@@ -311,21 +280,22 @@ def schur_synthesis_rows(schurs, order: int) -> np.ndarray:
     Runs the backward recursion f_j = (g_j + z f_{j+1}) / (1 + conj(g_j) z f_{j+1})
     in accumulated linear-fractional form: f_0 = P/Q with polynomials P, Q
     built one parameter index at a time across the block, then one truncated
-    division summing each step in numpy's pairwise order (_pairwise_sum).
-    Rows are grouped by the length of their active parameters (a unimodular
-    parameter cuts a row short), so every row comes out bit for bit as alone.
+    division.  Rows are grouped by the length of their active parameters (a
+    unimodular parameter cuts a row short), and each step acts on every row
+    alone, so every row comes out bit for bit as alone.
 
     The coefficients are float results, and their rounding is not bounded by
     any enclosure downstream: the verifiers' SLACK_TOL = 1e-9 margin is what
     absorbs it.  It grows with the size of Q's coefficients, that is with
-    parameters near the circle.  Against a 200-bit reference, 200 depth-12
-    samples at order 4,000 are off by 1.7e-15 in the median and 7.2e-14 at
-    most, and by 1.4e-15 and 1.0e-13 with the one-step recurrence alone.
-    Over 2,000 depth-12 samples, summing the recurrence's products in
-    another order moves the coefficients by 1.5e-15 in the median, 8.6e-14
-    at the 99th percentile and 6.7e-12 at most, and the block division and
-    the one-step recurrence differ by 1.7e-15, 6.6e-14 and 3.7e-13 (order
-    1,000).
+    parameters near the circle.  Against a 200-bit reference, the worst
+    coefficient of each of 200 depth-12 samples at order 4,000 is off by
+    1.9e-15 in the median and 4.3e-13 at most, and by 1.8e-15 and 1.3e-13
+    with the one-step recurrence alone.  Over 2,000 depth-12 samples at
+    order 1,000, summing the recurrence's products in numpy's pairwise order
+    instead of _recur's tree moves a row's worst coefficient by 1.3e-15 in
+    the median, 6.3e-14 at the 99th percentile and 3.7e-13 at most, and the
+    block division and the one-step recurrence differ by 1.7e-15, 7.6e-14
+    and 2.8e-13.
     """
     order = _check_count(order, "order")
     return _synthesize_groups([_active_params(s.params) for s in schurs], order)

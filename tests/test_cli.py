@@ -406,13 +406,13 @@ class TestByteStability:
             (
                 ("verify", "be", "--p", "1.5", "--r", "0.6", "--trials", "20", "--seed", "3"),
                 '{"claim_id":"be_analytic","trials":20,"failures":0,'
-                '"worst_margin":0.013092599131784843,"seed":3,"params":{"depth":12,'
-                '"max_sum":0.71904158550657282,"order":64,"r":0.59999999999999998,'
-                '"witness_min_slack":0.013092599131784843,"worst_trial":18}}\n'
+                '"worst_margin":0.013092599131794391,"seed":3,"params":{"depth":12,'
+                '"max_sum":0.71904158550656383,"order":64,"r":0.59999999999999998,'
+                '"witness_min_slack":0.013092599131794391,"worst_trial":18}}\n'
                 '{"claim_id":"be_harmonic","trials":20,"failures":0,'
-                '"worst_margin":0.020783205634793411,"seed":3,"params":{"depth":12,'
+                '"worst_margin":0.02078320563480851,"seed":3,"params":{"depth":12,'
                 '"order":64,"p":1.5,"r":0.59999999999999998,'
-                '"witness_min_slack":0.020783205634793411,"worst_trial":7}}\n',
+                '"witness_min_slack":0.02078320563480851,"worst_trial":7}}\n',
             ),
             (
                 ("verify", "theoremB", "--p", "1.5", "--seed", "3"),
@@ -436,8 +436,8 @@ class TestByteStability:
         )
         assert code == 1 and out == (
             '{"claim_id":"theorem2","trials":50,"failures":1,'
-            '"worst_margin":-0.040091684242596681,"seed":2,"params":{"depth":12,"order":121,'
-            '"p":1,"r":0.81000000000000005,"witness_min_slack":-7.2019279429014205e-11,'
+            '"worst_margin":-0.040091684175830089,"seed":2,"params":{"depth":12,"order":121,'
+            '"p":1,"r":0.81000000000000005,"witness_min_slack":-8.8817841970012523e-16,'
             '"worst_trial":16}}\n'
         )
 

@@ -358,13 +358,15 @@ class TestPinnedReports:
     """Seed-7 reports pinned to recorded values, so any drift in the sampler
     stream, the synthesis or the enclosures shows up as a failure."""
 
-    # (failures, worst_trial, worst_margin) recorded for 200 trials at seed 7
+    # (failures, worst_trial, worst_margin) recorded for 200 trials at seed 7;
+    # at R = 1 every lemma21 slack is 0 up to rounding, so its worst_trial is
+    # a tie-break among rounding errors
     PINNED = {
         "theorem1": (0, 15, 0.0),
-        "lemma21": (0, 0, -4.440892098500626e-16),
+        "lemma21": (0, 10, -5.516420653606247e-16),
         "theorem2": (0, 15, -2.220446049250313e-16),
-        "be_analytic": (0, 176, 0.004789618315765964),
-        "be_harmonic": (0, 188, 0.009579236631532373),
+        "be_analytic": (0, 176, 0.004789618317739719),
+        "be_harmonic": (0, 188, 0.009579236635479882),
     }
 
     def test_reports_match_recorded_values(self):
@@ -524,15 +526,15 @@ class TestReportPins:
     HIGH_R = [
         (
             lambda: verify_theorem2(3.0, 0.97, 100, seed=7),
-            [(0, 83, "-0x1.a87e400000000p-34", 894, None)],
+            [(0, 83, "0x0.0p+0", 894, None)],
         ),
         (
             lambda: verify_theorem1(1.5, 0.99, 100, seed=7),
-            [(0, 87, "0x1.52798c35ef234p-2", 2750, None)],
+            [(0, 87, "0x1.52798c3706fa4p-2", 2750, None)],
         ),
         (
             lambda: verify_theorem1(1.5, 0.995, 100, seed=7),
-            [(0, 87, "0x1.3f7e67fb43c08p-1", 4000, None)],
+            [(0, 87, "0x1.3f7e7075412f8p-1", 4000, None)],
         ),
         (
             lambda: verify_lemma_quadratic(100, 0.99, seed=7),
@@ -541,8 +543,8 @@ class TestReportPins:
         (
             lambda: verify_be(0.97, 1.0, 100, seed=7),
             [
-                (0, 87, "0x1.2a2f1160d312cp-1", 894, "0x1.b42e167c2f244p+1"),
-                (0, 48, "0x1.b0bf2e8fd1184p+0", 894, None),
+                (0, 87, "0x1.2a2f11613c85cp-1", 894, "0x1.b42e167c14c78p+1"),
+                (0, 48, "0x1.b0bf2e9037030p+0", 894, None),
             ],
         ),
     ]
@@ -555,30 +557,38 @@ class TestReportPins:
 
     def test_acceptance_order_241(self):
         report = verify_theorem1(1.5, 0.9, 200, seed=7)
-        assert self.key(report) == (0, 171, "0x1.b4510c27be600p-6", 241, None)
+        assert self.key(report) == (0, 171, "0x1.b4510c2fb3e00p-6", 241, None)
 
     def test_harmonic_over_claim(self):
         # the nominal harmonic threshold over-claims: at p = 1, r = 0.8 (below
         # sqrt(2/3)) two random trials break the bound, the worst by ~0.065
         report = verify_theorem2(1.0, 0.8, 300, seed=7)
-        want = (2, 291, "-0x1.0b556fbf95680p-4", 114, None)
+        want = (2, 291, "-0x1.0b556fbb0df80p-4", 114, None)
         assert self.key(report) == want
 
-    def test_geometric_tail_at_the_order_cap(self):
-        # a known defect, not a property: at r = 0.999 the order stops at
-        # 4000, where the geometric tail bound still exceeds the true tail by
-        # ~8 decades, so every trial and witness of a true theorem reads as
-        # violated.  A sound, tighter tail moves this pin.
-        report = verify_theorem1(2.0, 0.999, 100, seed=1)
-        want = (102, 97, "-0x1.1c977f7f14da9p+4", 4000, None)
-        assert self.key(report) == want
+    @pytest.mark.parametrize(
+        "p, trials, seed, want",
+        [
+            (2.0, 100, 1, (0, 76, "0x1.57972d6000000p-26", 4000, None)),
+            (1.5, 300, 1, (0, 209, "0x1.d25f7cab958c8p+0", 4000, None)),
+            (1.0, 300, 5, (0, 64, "0x1.f071163a7bcf5p+3", 4000, None)),
+        ],
+        ids=["p2", "p1.5", "p1"],
+    )
+    def test_holder_tail_at_the_order_cap(self, p, trials, seed, want):
+        # at r = 0.999 the order stops at 4000, where the geometric tail
+        # still exceeds the true tail by ~8 decades; read alone, it made 102,
+        # 251 and 22 of the trials and witnesses of this true theorem fail.  The
+        # Parseval-Hölder tail bounds the same whole tail and is the smaller
+        # here, so no row fails.
+        assert self.key(verify_theorem1(p, 0.999, trials, seed=seed)) == want
 
 
 class TestReplay:
     """(seed, stream, worst_trial, depth) rebuilds a report's worst trial: its
-    slack at N*, scored alone through the majorant row form, is the report's
-    worst_margin bit for bit.  Each report here takes its worst margin from a
-    random trial, not from a witness."""
+    slack at N*, scored alone through the majorant row form with the lesser
+    of its two tails, is the report's worst_margin bit for bit.  Each report
+    here takes its worst margin from a random trial, not from a witness."""
 
     @staticmethod
     def rows(report, stream, shifted=False):
@@ -589,32 +599,29 @@ class TestReplay:
         return _synthesize_params(params, p["order"])
 
     @staticmethod
-    def check(report, bound, lower, tail):
+    def check(report, bound, lower, tail, holder):
         assert report.worst_margin < report.params["witness_min_slack"]
-        assert float.hex(bound - (lower[0] + tail[0])) == float.hex(report.worst_margin)
+        upper = lower[0] + min(tail[0], holder[0])
+        assert float.hex(bound - upper) == float.hex(report.worst_margin)
 
     def test_theorem1(self):
         report = verify_theorem1(1.5, 0.99, 100, seed=7)
-        lower, tail, _ = _powered_rows(self.rows(report, 0), 1.5, 0.99)
-        self.check(report, mp_theorem1(1.5, 0.99).value, lower, tail)
+        self.check(report, mp_theorem1(1.5, 0.99).value, *_powered_rows(self.rows(report, 0), 1.5, 0.99))
 
     def test_theorem2_over_claim(self):
         # h on stream 0, omega on stream 1
         report = verify_theorem2(1.0, 0.8, 300, seed=7)
         a = self.rows(report, 0)
         b = _coanalytic_rows(a, self.rows(report, 1))
-        lower, tail, _ = _harmonic_rows(a, b, 1.0, 0.8)
-        self.check(report, harmonic_bound(1.0, 0.8).value, lower, tail)
+        self.check(report, harmonic_bound(1.0, 0.8).value, *_harmonic_rows(a, b, 1.0, 0.8))
 
     def test_be_halves(self):
         # the analytic half draws stream 0; the harmonic half h on 2, omega on 3
         analytic, harmonic = verify_be(0.97, 1.0, 100, seed=7)
-        lower, tail, _ = _powered_rows(self.rows(analytic, 0, shifted=True), 1.0, 0.97)
-        self.check(analytic, be_bound(0.97), lower, tail)
+        self.check(analytic, be_bound(0.97), *_powered_rows(self.rows(analytic, 0, shifted=True), 1.0, 0.97))
         a = self.rows(harmonic, 2, shifted=True)
         b = _coanalytic_rows(a, self.rows(harmonic, 3))
-        lower, tail, _ = _lp_combination_rows(a, b, 1.0, 0.97)
-        self.check(harmonic, be_harmonic_bound(1.0, 0.97), lower, tail)
+        self.check(harmonic, be_harmonic_bound(1.0, 0.97), *_lp_combination_rows(a, b, 1.0, 0.97))
 
 
 class TestClaimRecords:
@@ -714,8 +721,8 @@ class TestClaimRecords:
 class TestSettleRule:
     """A dominance slack at rung N below full is bound minus (lower +
     min(t, T + t r^(full - N))), from the enclosure's own (lower, t, T), bit
-    for bit; at N = full it is bound minus (lower + t).  The lower side hi is
-    bound minus lower either way."""
+    for bit; at N = full it is bound minus (lower + min(t, T)).  The lower
+    side hi is bound minus lower either way."""
 
     R = 0.6
 
@@ -747,18 +754,17 @@ class TestSettleRule:
         ]
         sides = set()
         # one rung above its rung and a ladder's rungs 16 below 64: both
-        # sides of the min win on some rows; rows at N = full take t alone
+        # sides of the min win on some rows; at N = full T wins on some
         for n, full in ((2, 3), (16, 64), (3, 3), (64, 64)):
             rows = [_synthesize_params(g, n) for g in params]
             lower, t, holder = enclose(*rows)
             lo, hi = montecarlo._dominance(bound, enclose, r, full)(*rows)
             for i in range(len(lo)):
-                tail = t[i] if n == full else min(t[i], holder[i] + t[i] * r ** (full - n))
+                tail = min(t[i], holder[i] + t[i] * r ** (full - n) if n < full else holder[i])
                 assert float.hex(lo[i]) == float.hex(bound - (lower[i] + tail)), (n, full, i)
                 assert float.hex(hi[i]) == float.hex(bound - lower[i]), (n, full, i)
-                if n < full:
-                    sides.add(tail == t[i])
-        assert sides == {True, False}
+                sides.add((n < full, tail == t[i]))
+        assert {(True, True), (True, False), (False, False)} <= sides
 
 
 class TestOrderLadder:

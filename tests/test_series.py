@@ -208,13 +208,20 @@ class TestTruncatedArithmetic:
 
 def rowwise_recur(y, den, stop):
     """Reference: the forward recurrence on (rows, .) arrays, each step
-    summing its products along the row with .sum(axis=1)."""
+    summing its m products along the row by the kernel's tree: the last
+    m // 2 onto the first m // 2, then the m - m // 2 left the same way,
+    until one is left."""
     dmax = den.shape[1] - 1
     rev_den = np.ascontiguousarray(den[:, :0:-1])
     for n in range(stop):
-        t = min(n, dmax)
-        if t:
-            y[:, n] -= (rev_den[:, dmax - t:] * y[:, n - t:n]).sum(axis=1)
+        m = min(n, dmax)
+        if m:
+            prods = rev_den[:, dmax - m:] * y[:, n - m:n]
+            while m > 1:
+                h = m // 2
+                prods[:, :h] += prods[:, m - h:m]
+                m -= h
+            y[:, n] -= prods[:, 0]
         y[:, n] /= den[:, 0]
     return y
 
@@ -267,7 +274,7 @@ def bits(x):
 
 class TestCoefficientMajorKernel:
     """The coefficient-major synthesis and division give the bits of the
-    row-wise recurrence, whose steps sum by numpy's pairwise order."""
+    row-wise recurrence, whose steps sum by the kernel's tree of adds."""
 
     @staticmethod
     def schurs(rng, rows, depth, shifted=False, cut=False):
@@ -281,8 +288,8 @@ class TestCoefficientMajorKernel:
 
     @pytest.mark.parametrize("rows", [1, 7, 130])
     def test_synthesis_matches_rowwise_reference(self, rows):
-        # depths 0-100 put t = min(n, dmax) in every branch of the pairwise
-        # order, and orders on both sides of _BLOCK_FROM_ORDER
+        # depths 0-100 put t = min(n, dmax) at every shape of the tree of
+        # adds, odd and even, and orders on both sides of _BLOCK_FROM_ORDER
         rng = np.random.default_rng(rows)
         depths = (0, 3, 4, 12, 13, 16, 64, 65, 100) if rows < 100 else (3, 13, 100)
         orders = (0, 1, 16, 241, _BLOCK_FROM_ORDER - 1, _BLOCK_FROM_ORDER, 1000)
@@ -343,21 +350,6 @@ class TestCoefficientMajorKernel:
         for group in (schurs, *([s] for s in schurs)):
             got = schur_synthesis_rows(group, order)
             assert (bits(got) == bits(rowwise_rows(group, order))).all()
-
-    @pytest.mark.parametrize("rows", [1, 3, 64])
-    def test_pairwise_sum_matches_numpy(self, rows):
-        rng = np.random.default_rng(rows)
-        out, scratch = np.empty(rows, dtype=complex), np.empty((6, rows), dtype=complex)
-        for t in range(1, 201):
-            prod = rng.normal(size=(rows, t)) + 1j * rng.normal(size=(rows, t))
-            prod *= 10.0 ** rng.integers(-8, 9, size=(rows, t))  # so the order shows
-            prod[rng.random((rows, t)) < 0.2] = 0.0
-            prod[rng.random((rows, t)) < 0.2] = complex(-0.0, -0.0)
-            prod[0] = complex(-0.0, -0.0) if t % 2 else 0.0  # numpy's sum of -0s is +0
-            prod[0, :: 1 + t % 3] = complex(-0.0, 0.0)
-            for call in series._pairwise_sum(np.ascontiguousarray(prod.T), out, scratch):
-                call()
-            assert (bits(out) == bits(np.add.reduce(prod, axis=1))).all(), t
 
 
 class TestCoefficientFamilies:
