@@ -431,9 +431,9 @@ def verify_lemma_quadratic(
     their |slack| must stay below 1e-8; violations count as failures.  At
     R = 1 the order is not raised: the Parseval remainder fold is exact there,
     so every slack is 0 up to rounding (within 6e-16) and worst_trial is a
-    rounding tie-break: summing synthesis in numpy's pairwise order instead
-    of _recur's tree moves it in 5 of 6 reports at seeds {1, 2, 7} and 100
-    or 1,000 trials.
+    rounding tie-break: summing synthesis by a fixed tree of adds instead of
+    _recur's scatter order moves it in 5 of 6 reports at seeds {1, 2, 7}
+    and 100 or 1,000 trials.
     """
     big_r, seed = _check_big_r(big_r), _check_seed(seed)
     first, order, depth = _order_and_depth(order, depth, big_r)

@@ -112,9 +112,7 @@ def _divide_trunc(num: np.ndarray, den: np.ndarray, order: int) -> np.ndarray:
     dmax, rows = den.shape[0] - 1, den.shape[1]
     if order < _BLOCK_FROM_ORDER or dmax >= _BLOCK_OUTPUTS:
         return _divide_loop(num, den, order)
-    h = np.zeros((_BLOCK_OUTPUTS, rows), dtype=complex)  # first k coefficients of 1/den
-    h[0] = 1.0
-    _recur(h, den, _BLOCK_OUTPUTS)
+    h = _recur(np.ones((1, rows), dtype=complex), den, _BLOCK_OUTPUTS)  # first k coefficients of 1/den
     steep = np.abs(h).max(axis=0) > _BLOCK_MAX_GAIN
     if not steep.any():
         return _divide_blocks(*(np.ascontiguousarray(a.T) for a in (num, den, h)), order)
@@ -128,10 +126,7 @@ def _divide_trunc(num: np.ndarray, den: np.ndarray, order: int) -> np.ndarray:
 
 def _divide_loop(num: np.ndarray, den: np.ndarray, order: int) -> np.ndarray:
     """The division by the forward recurrence, one output a step."""
-    y = np.zeros((order + 1, den.shape[1]), dtype=complex)
-    width = min(num.shape[0], order + 1)
-    y[:width] = num[:width]
-    return np.ascontiguousarray(_recur(y, den, order + 1).T)
+    return np.ascontiguousarray(_recur(num, den, order + 1).T)
 
 
 def _divide_blocks(num: np.ndarray, den: np.ndarray, h: np.ndarray, order: int) -> np.ndarray:
@@ -165,36 +160,40 @@ def _solve_blocks(y: np.ndarray, block_map: np.ndarray) -> np.ndarray:
     return y
 
 
-def _recur(y: np.ndarray, den: np.ndarray, stop: int) -> np.ndarray:
-    """Forward recurrence in place on coefficient-major arrays: y[:stop], of
-    shape (stop, rows), holds the right-hand side on entry and the quotient's
-    coefficients on return; den is (dmax + 1, rows).
+def _recur(num: np.ndarray, den: np.ndarray, stop: int) -> np.ndarray:
+    """The quotient's first `stop` coefficients by the forward recurrence, on
+    coefficient-major arrays: num is (., rows), den (dmax + 1, rows), the
+    result (stop, rows).
 
-    Step n forms the t = min(n, dmax) products den_t y_(n-t), ..., den_1 y_(n-1)
-    in one multiply and sums them by a fixed tree of elementwise adds, with
-    views set up once per t: p[:h] += p[t-h:t] with h = t // 2, then t -= h,
-    until one term is left.  An elementwise add acts on each row alone, so
-    every coefficient has the same bits whatever the block.  A den_0 of all
-    ones, as Q_0 of synthesis, skips the division: numpy's x/(1+0j) is x but
-    for the sign of a zero part, and every enclosure takes |.|."""
+    Scatter form: once y_n is final, den_1 y_n, ..., den_t y_n are subtracted
+    from the next t = min(dmax, stop - 1 - n) right-hand sides by one multiply
+    and one subtract (the views of the full-t steps are set up once), so each
+    y_n takes its products one at a time, oldest first.  Every operation acts
+    on each row alone, so a coefficient's bits do not depend on the block.
+    y_n is a (1, rows) view, not a (rows,) one: numpy sends a one-element
+    multiply with a broadcast operand to its scalar loop, whose complex
+    product is not fused as the vector loop's is.  A den_0 of all ones, as
+    Q_0 of synthesis, skips the division: numpy's x/(1+0j) is x but for the
+    sign of a zero part, and every enclosure takes |.|."""
     dmax, rows = den.shape[0] - 1, den.shape[1]
+    y = np.zeros((stop, rows), dtype=complex)
+    y[: min(len(num), stop)] = num[:stop]
     divide = not (den[0] == 1.0).all()
-    rev_den = np.ascontiguousarray(den[:0:-1])  # den_dmax .. den_1; a reversed view multiplies slower
-    prod = np.empty((max(min(dmax, stop - 1), 0), rows), dtype=complex)
-    folds = [[]]  # per t: fold the last t // 2 terms onto the first, then t - t // 2's folds
-    for t in range(1, len(prod) + 1):
-        h = t // 2
-        folds.append([(prod[:h], prod[t - h:t]), *folds[t - h]] if h else [])
-    for n in range(stop):
-        t = min(n, dmax)
-        y_n = y[n]
-        if t:
-            np.multiply(rev_den[dmax - t:], y[n - t:n], prod[:t])
-            for head, tail in folds[t]:
-                np.add(head, tail, head)
-            np.subtract(y_n, prod[0], y_n)
+    width = max(min(dmax, stop - 1), 0)  # the t of the first stop - width steps
+    tail, prod = den[1 : width + 1], np.empty((width, rows), dtype=complex)
+    rhss = np.lib.stride_tricks.as_strided(  # rhss[n] is y[n + 1 : n + 1 + width]
+        y[1:], (stop - width, width, rows), (y.strides[0], *y.strides), writeable=True)
+    for y_n, rhs in zip(y[:, None], rhss):
         if divide:
             np.divide(y_n, den[0], y_n)
+        np.multiply(tail, y_n, prod)
+        np.subtract(rhs, prod, rhs)
+    for n in range(len(rhss), stop):  # the last width steps, t = stop - 1 - n
+        y_n, t = y[n : n + 1], stop - 1 - n
+        if divide:
+            np.divide(y_n, den[0], y_n)
+        np.multiply(tail[:t], y_n, prod[:t])
+        np.subtract(y[n + 1 :], prod[:t], y[n + 1 :])
     return y
 
 
@@ -289,13 +288,13 @@ def schur_synthesis_rows(schurs, order: int) -> np.ndarray:
     absorbs it.  It grows with the size of Q's coefficients, that is with
     parameters near the circle.  Against a 200-bit reference, the worst
     coefficient of each of 200 depth-12 samples at order 4,000 is off by
-    1.9e-15 in the median and 4.3e-13 at most, and by 1.8e-15 and 1.3e-13
+    2.0e-15 in the median and 3.5e-13 at most, and by 1.6e-15 and 1.1e-13
     with the one-step recurrence alone.  Over 2,000 depth-12 samples at
-    order 1,000, summing the recurrence's products in numpy's pairwise order
-    instead of _recur's tree moves a row's worst coefficient by 1.3e-15 in
-    the median, 6.3e-14 at the 99th percentile and 3.7e-13 at most, and the
-    block division and the one-step recurrence differ by 1.7e-15, 7.6e-14
-    and 2.8e-13.
+    order 1,000, summing each output's products by a fixed tree of adds
+    instead of _recur's scatter order moves a row's worst coefficient by
+    1.3e-15 in the median, 5.8e-14 at the 99th percentile and 4.2e-13 at
+    most, and the block division and the one-step recurrence differ by
+    1.6e-15, 7.5e-14 and 3.7e-13.
     """
     order = _check_count(order, "order")
     return _synthesize_groups([_active_params(s.params) for s in schurs], order)

@@ -407,7 +407,7 @@ class TestByteStability:
                 ("verify", "be", "--p", "1.5", "--r", "0.6", "--trials", "20", "--seed", "3"),
                 '{"claim_id":"be_analytic","trials":20,"failures":0,'
                 '"worst_margin":0.013092599131794391,"seed":3,"params":{"depth":12,'
-                '"max_sum":0.71904158550656383,"order":64,"r":0.59999999999999998,'
+                '"max_sum":0.71904158550656394,"order":64,"r":0.59999999999999998,'
                 '"witness_min_slack":0.013092599131794391,"worst_trial":18}}\n'
                 '{"claim_id":"be_harmonic","trials":20,"failures":0,'
                 '"worst_margin":0.02078320563480851,"seed":3,"params":{"depth":12,'
@@ -436,7 +436,7 @@ class TestByteStability:
         )
         assert code == 1 and out == (
             '{"claim_id":"theorem2","trials":50,"failures":1,'
-            '"worst_margin":-0.040091684175830089,"seed":2,"params":{"depth":12,"order":121,'
+            '"worst_margin":-0.040091684175830977,"seed":2,"params":{"depth":12,"order":121,'
             '"p":1,"r":0.81000000000000005,"witness_min_slack":-8.8817841970012523e-16,'
             '"worst_trial":16}}\n'
         )

@@ -205,24 +205,37 @@ class TestTruncatedArithmetic:
             alone = _divide_trunc(num[i:i + 1].T, den[i:i + 1].T, 30)[0]
             np.testing.assert_array_equal(block[i], alone)
 
+    @pytest.mark.parametrize("dmax", [1, 2, 5, 13])
+    def test_recurrence_rows_alone_match_rows_in_blocks(self, dmax):
+        """numpy sends a one-element multiply with a broadcast operand to its
+        scalar loop, whose complex product is not fused as the vector loop's
+        is: with a (rows,) view of y_n, a one-row block's steps at t = 1 give
+        the row other bits than the same row in a block.  Every stop from 1
+        to dmax + 2 puts such steps at the end, with den_0 = 1 and not."""
+        rng = np.random.default_rng(dmax)
+        num = rng.normal(size=(dmax + 2, 130)) + 1j * rng.normal(size=(dmax + 2, 130))
+        den = (rng.normal(size=(dmax + 1, 130)) + 1j * rng.normal(size=(dmax + 1, 130))) * 0.3
+        for den0 in (np.ones(130), rng.uniform(0.5, 3.0, 130) * np.exp(2j * np.pi * rng.random(130))):
+            den[0] = den0
+            for stop in range(1, dmax + 3):
+                for rows in (2, 5, 130):
+                    block = series._recur(num[:, :rows], den[:, :rows], stop)
+                    for i in range(rows):
+                        alone = series._recur(num[:, i:i + 1], den[:, i:i + 1], stop)
+                        assert (bits(alone[:, 0]) == bits(block[:, i])).all(), (stop, rows, i)
+
 
 def rowwise_recur(y, den, stop):
-    """Reference: the forward recurrence on (rows, .) arrays, each step
-    summing its m products along the row by the kernel's tree: the last
-    m // 2 onto the first m // 2, then the m - m // 2 left the same way,
-    until one is left."""
+    """Reference: the forward recurrence on (rows, .) arrays in the kernel's
+    scatter order: once y_n is divided, den_1 y_n, ..., den_t y_n are
+    subtracted from the next t right-hand sides, so each y_n takes its
+    products one at a time, oldest first."""
     dmax = den.shape[1] - 1
-    rev_den = np.ascontiguousarray(den[:, :0:-1])
     for n in range(stop):
-        m = min(n, dmax)
-        if m:
-            prods = rev_den[:, dmax - m:] * y[:, n - m:n]
-            while m > 1:
-                h = m // 2
-                prods[:, :h] += prods[:, m - h:m]
-                m -= h
-            y[:, n] -= prods[:, 0]
         y[:, n] /= den[:, 0]
+        t = min(dmax, stop - 1 - n)
+        if t:
+            y[:, n + 1 : n + 1 + t] -= den[:, 1 : t + 1] * y[:, n : n + 1]
     return y
 
 
@@ -274,7 +287,8 @@ def bits(x):
 
 class TestCoefficientMajorKernel:
     """The coefficient-major synthesis and division give the bits of the
-    row-wise recurrence, whose steps sum by the kernel's tree of adds."""
+    row-wise recurrence, which subtracts each y_n's products from the next
+    right-hand sides in the kernel's scatter order."""
 
     @staticmethod
     def schurs(rng, rows, depth, shifted=False, cut=False):
@@ -288,8 +302,9 @@ class TestCoefficientMajorKernel:
 
     @pytest.mark.parametrize("rows", [1, 7, 130])
     def test_synthesis_matches_rowwise_reference(self, rows):
-        # depths 0-100 put t = min(n, dmax) at every shape of the tree of
-        # adds, odd and even, and orders on both sides of _BLOCK_FROM_ORDER
+        # depths 0-100 put the scatter width t = min(dmax, stop - 1 - n) at
+        # every length, odd and even, and orders on both sides of
+        # _BLOCK_FROM_ORDER
         rng = np.random.default_rng(rows)
         depths = (0, 3, 4, 12, 13, 16, 64, 65, 100) if rows < 100 else (3, 13, 100)
         orders = (0, 1, 16, 241, _BLOCK_FROM_ORDER - 1, _BLOCK_FROM_ORDER, 1000)
