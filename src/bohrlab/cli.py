@@ -17,7 +17,7 @@ import sys
 import numpy as np
 
 from . import eilenberg, harmonic, montecarlo, radii
-from .errors import BohrlabError
+from .errors import BohrlabError, _check_r
 from .majorant import powered_sum
 from .series import (
     CoefficientSeries,
@@ -138,6 +138,7 @@ def _extremal_series(args) -> tuple[CoefficientSeries, float, float]:
 
 
 def _cmd_extremal(args) -> int:
+    args.r = _check_r(args.r)  # the echo and the reference read r as the library does
     series, reference, power = _extremal_series(args)
     ps = powered_sum(series, power, args.r)
     coeffs = [[c.real, c.imag] for c in np.asarray(series.coeffs)]

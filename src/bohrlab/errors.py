@@ -56,11 +56,11 @@ def _check_p_from_one(p: float) -> float:
 
 
 def _check_r(r: float) -> float:
-    """Radius r in [0, 1)."""
+    """Radius r in [0, 1); -0.0 becomes 0.0, so no radius carries a sign."""
     r = float(r)
     if not 0.0 <= r < 1.0:
         raise DomainError(f"radius r must lie in [0, 1), got {r}")
-    return r
+    return r + 0.0
 
 
 def _check_big_r(big_r: float) -> float:

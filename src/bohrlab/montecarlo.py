@@ -9,9 +9,9 @@ replays the worst trial through sample_schur.
 
 What does not depend on the seed, the bound, the slack and the witnesses'
 slacks at the full order, is one record per claim (_Claim), built once per
-claim key and kept by its builder (see _per_claim).  Only a process that
-verifies a claim again gains from it; the first call does the same work as
-building the record inline.
+claim key and kept in its builder's lru_cache.  Only a process that verifies
+a claim again gains from it; the first call does the same work as building
+the record inline.
 """
 
 from __future__ import annotations
@@ -39,7 +39,6 @@ from .majorant import _harmonic_rows, _lp_combination_rows, _powered_rows, _quad
 from .radii import maximize_envelope, mp_theorem1
 from .series import (
     SchurFunction,
-    _BLOCK_FROM_ORDER,
     _coanalytic_rows,
     _synthesize_params,
     mobius_automorphism_coeffs,
@@ -221,13 +220,11 @@ def _collect_slacks(
     scores rung N up to rounding far below SLACK_TOL.  The rows the stages
     leave go up the ladder, drawn in full so that each rung keeps the bits of
     a full draw: to order first, then if need be to 2 first, 4 first, ...
-    below full, and to full; where full reaches _BLOCK_FROM_ORDER, only the
-    doubled rungs from there on, at which the division runs in blocks and
-    more of the rows settle short of full.  A stage or rung N below full
-    scores rows with _dominance's settle tail min(t_N, T_N + t_N r^(full - N)):
-    t_N is the enclosure's geometric tail, and T_N its Parseval-Hölder bound
-    on the terms past N from the row's coefficients, two to four decades below
-    t_N at the low rungs.  The terms N < k <= full sum to at most T_N, and t_N
+    below full, and to full.  A stage or rung N below full scores rows with
+    _dominance's settle tail min(t_N, T_N + t_N r^(full - N)): t_N is the
+    enclosure's geometric tail, and T_N its Parseval-Hölder bound on the terms
+    past N from the row's coefficients, two to four decades below t_N at the
+    low rungs.  The terms N < k <= full sum to at most T_N, and t_N
     r^(full - N) is the geometric tail at full, so either way lower + tail at
     N bounds lower + t at full, hence the upper side at full, and lo bounds
     the full-order slack from below.  With U the least hi so far, which
@@ -235,9 +232,9 @@ def _collect_slacks(
     max(U, -SLACK_TOL) + SLACK_TOL is settled: it can neither fail nor be
     the worst trial.  Its entry is lo.  U only falls, so this holds whenever
     the row is scored, and the order in which rows are scored cannot move a
-    report.  After rung first, every other
-    row is rescored at the least rung whose tail, shrunk like r^(N - first),
-    comes within half its margin, and at full if it is still unsettled there.
+    report.  After rung first, every other row is rescored at the least rung
+    whose tail, shrunk like r^(N - first), comes within half its margin, and
+    at full if it is still unsettled there.
     So every failing row and every row that could be the least is scored at
     full, and, as a row's result does not depend on its block, the counts, the
     least slack and its index come out as if every row had been scored at
@@ -250,8 +247,6 @@ def _collect_slacks(
     rungs = [first]
     while 2 * rungs[-1] < full:
         rungs.append(max(2 * rungs[-1], 1))  # 0 would double to 0
-    if full >= _BLOCK_FROM_ORDER:  # below it, full itself runs one output a step
-        rungs[1:] = [n for n in rungs[1:] if n >= _BLOCK_FROM_ORDER]
     if full > first:
         rungs.append(full)
     slacks = np.empty(trials)
@@ -350,25 +345,16 @@ def _claim(bound, slack: Callable, witness_rows: tuple, witness_abs_tol=None) ->
     return _Claim(bound, slack, witness, witness_abs_tol)
 
 
-# Records each builder keeps: more than the seven claims of one benchmark mix,
-# and bounded so that a sweep over many radii cannot grow memory.
+# Records each builder keeps, keyed on the claim key (validated parameters and
+# N*): more than the seven claims of one benchmark mix, and bounded so that a
+# sweep over many radii cannot grow memory.
 _CLAIMS_KEPT = 8
-
-
-def _per_claim(build: Callable) -> Callable:
-    """build memoized in an lru_cache of _CLAIMS_KEPT records, keyed on its
-    arguments, the claim key (validated parameters and N*), and their signs:
-    -0.0 == 0.0, yet r = -0.0 gives some zeros of a report the other sign."""
-    cached = functools.lru_cache(maxsize=_CLAIMS_KEPT)(lambda signs, *key: build(*key))
-    memo = functools.wraps(build)(lambda *key: cached(tuple(math.copysign(1.0, x) for x in key), *key))
-    memo.cache_info, memo.cache_clear = cached.cache_info, cached.cache_clear
-    return memo
 
 
 # ---------------------------------------------------------------------------
 # claims
 
-@_per_claim
+@functools.lru_cache(maxsize=_CLAIMS_KEPT)
 def _theorem1_claim(p: float, r: float, full: int) -> _Claim:
     """Theorem 1's record: the extremal automorphisms at the envelope argmax
     and a spread of parameters are its witnesses."""
@@ -402,7 +388,7 @@ def verify_theorem1(
     return _reduce("theorem1", slacks, claim, seed, params)
 
 
-@_per_claim
+@functools.lru_cache(maxsize=_CLAIMS_KEPT)
 def _lemma21_claim(big_r: float, full: int) -> _Claim:
     """Lemma 2.1's record: the automorphisms at a in {0.2, 0.5, 0.8} attain
     equality, so they are its witnesses, at order 400 or more."""
@@ -431,9 +417,8 @@ def verify_lemma_quadratic(
     their |slack| must stay below 1e-8; violations count as failures.  At
     R = 1 the order is not raised: the Parseval remainder fold is exact there,
     so every slack is 0 up to rounding (within 6e-16) and worst_trial is a
-    rounding tie-break: summing synthesis by a fixed tree of adds instead of
-    _recur's scatter order moves it in 5 of 6 reports at seeds {1, 2, 7}
-    and 100 or 1,000 trials.
+    rounding tie-break: another summation order in the synthesis moves it in
+    5 of 6 reports at seeds {1, 2, 7} and 100 or 1,000 trials.
     """
     big_r, seed = _check_big_r(big_r), _check_seed(seed)
     first, order, depth = _order_and_depth(order, depth, big_r)
@@ -444,7 +429,7 @@ def verify_lemma_quadratic(
     return _reduce("lemma21", slacks, claim, seed, params)
 
 
-@_per_claim
+@functools.lru_cache(maxsize=_CLAIMS_KEPT)
 def _theorem2_claim(p: float, r: float, full: int) -> _Claim:
     """Theorem 2's record, for r within the bound's validity threshold (a
     DomainError otherwise, raised again on every call: the cache keeps no
@@ -485,7 +470,7 @@ def verify_theorem2(
     return _reduce("theorem2", slacks, claim, seed, params)
 
 
-@_per_claim
+@functools.lru_cache(maxsize=_CLAIMS_KEPT)
 def _be_claims(r: float, p: float, full: int) -> tuple[_Claim, _Claim]:
     """The records of be's analytic and harmonic halves: the extremal
     z(a-z)/(1-az) at a = 1/sqrt(2), which attains the bound at the radius, is

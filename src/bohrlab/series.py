@@ -9,7 +9,6 @@ harmonic verifiers build from blocks of synthesized h and omega rows.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -218,19 +217,12 @@ def mobius_automorphism_coeffs(a: float, order: int) -> CoefficientSeries:
 
     a_0 = a and a_k = -(1 - a^2) a^(k-1) for k >= 1; this family attains the
     powered envelope bound exactly, so it serves as the sharpness witness.
-    The powers a^k are formed up to a few past k = 1075 / -log2(a), where
-    they round to 0, and are 0 beyond, as numpy's power gives them: it takes
-    a slow path on each result that underflows (9x the time at a = 0.5 and
-    order 4,000).  a >= 0, so -(1 - a^2) 0 is -0.0 either way.
     """
     a, order = _check_a(a, allow_one=False), _check_count(order, "order")
     c = np.empty(order + 1, dtype=complex)
     c[0] = a
     if order >= 1:
-        live = min(order, 1 if a == 0.0 else int(1076.0 / -math.log2(a)) + 2)
-        powers = np.zeros(order)
-        powers[:live] = a ** np.arange(live)
-        c[1:] = -(1.0 - a * a) * powers
+        c[1:] = -(1.0 - a * a) * a ** np.arange(order)
     return CoefficientSeries(c, certified=True)
 
 
@@ -290,11 +282,11 @@ def schur_synthesis_rows(schurs, order: int) -> np.ndarray:
     coefficient of each of 200 depth-12 samples at order 4,000 is off by
     2.0e-15 in the median and 3.5e-13 at most, and by 1.6e-15 and 1.1e-13
     with the one-step recurrence alone.  Over 2,000 depth-12 samples at
-    order 1,000, summing each output's products by a fixed tree of adds
-    instead of _recur's scatter order moves a row's worst coefficient by
-    1.3e-15 in the median, 5.8e-14 at the 99th percentile and 4.2e-13 at
-    most, and the block division and the one-step recurrence differ by
-    1.6e-15, 7.5e-14 and 3.7e-13.
+    order 1,000, summing each output's products in a pairwise tree instead
+    of _recur's scatter order moves a row's worst coefficient by 1.3e-15 in
+    the median, 5.8e-14 at the 99th percentile and 4.2e-13 at most, and the
+    block division and the one-step recurrence differ by 1.6e-15, 7.5e-14
+    and 3.7e-13.
     """
     order = _check_count(order, "order")
     return _synthesize_groups([_active_params(s.params) for s in schurs], order)

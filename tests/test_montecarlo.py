@@ -1,5 +1,6 @@
 """Seeded sampling, claim verification and determinism."""
 
+import dataclasses
 import math
 import os
 import platform
@@ -16,9 +17,14 @@ from bohrlab import (
     DomainError,
     be_bound,
     be_harmonic_bound,
+    envelope_value,
     harmonic_bound,
     harmonic_threshold,
+    maximize_envelope,
+    mobius_automorphism_coeffs,
     mp_theorem1,
+    paulsen_majorant,
+    powered_sum,
     sample_schur,
     verify_be,
     verify_lemma_quadratic,
@@ -26,7 +32,8 @@ from bohrlab import (
     verify_theorem2,
     verify_theoremB_ratio,
 )
-from bohrlab import montecarlo
+from bohrlab import cli, montecarlo
+from bohrlab.errors import _check_r
 from bohrlab.majorant import _harmonic_rows, _lp_combination_rows, _powered_rows
 from bohrlab.montecarlo import (
     DEFAULT_ORDER,
@@ -651,18 +658,18 @@ class TestClaimRecords:
         for name in cls.BUILDERS:
             getattr(montecarlo, name).cache_clear()
 
-    @staticmethod
-    def hexed(out):
-        """Every field of every report, floats as float.hex."""
-        def enc(x):
-            return float.hex(x) if isinstance(x, float) else x
-
-        reports = out if isinstance(out, tuple) else (out,)
-        return [
-            (rep.claim_id, rep.trials, rep.failures, enc(rep.worst_margin), rep.seed,
-             {k: enc(v) for k, v in rep.params.items()})
-            for rep in reports
-        ]
+    @classmethod
+    def hexed(cls, out):
+        """Every field of a result or of a tuple of them, floats as float.hex."""
+        if isinstance(out, float):
+            return float.hex(out)
+        if isinstance(out, tuple):  # a NamedTuple's fields too
+            return [cls.hexed(x) for x in out]
+        if isinstance(out, dict):
+            return {k: cls.hexed(v) for k, v in out.items()}
+        if dataclasses.is_dataclass(out):
+            return [cls.hexed(getattr(out, f.name)) for f in dataclasses.fields(out)]
+        return out
 
     def hits(self):
         return sum(getattr(montecarlo, name).cache_info().hits for name in self.BUILDERS)
@@ -678,19 +685,43 @@ class TestClaimRecords:
             assert self.hits() == hits + 1
             assert kept == fresh
 
-    def test_zero_radius_sign_is_part_of_the_key(self):
-        # -0.0 == 0.0, but at r = -0.0 be reports a worst margin of -0.0
-        for call in (
+    def test_zero_radius_has_no_sign(self, capsys):
+        # a radius is read as r + 0.0, so -0.0 == 0.0 can share a kept record:
+        # every entry point taking r in [0, 1) gives at -0.0, bit for bit, what
+        # it gives at 0.0 (be_bound(-0.0) would be -0.0, and so would be's
+        # margins), whichever zero built the record, and so does the CLI
+        assert math.copysign(1.0, _check_r(-0.0)) == 1.0
+        c = mobius_automorphism_coeffs(0.5, 64)
+        calls = (
+            lambda r: envelope_value(0.5, 1.5, r),
+            lambda r: maximize_envelope(1.5, r),
+            lambda r: maximize_envelope(1.0, r, doubled=True),
+            lambda r: mp_theorem1(1.5, r),
+            lambda r: paulsen_majorant(r),
+            lambda r: harmonic_bound(1.0, r),
+            lambda r: be_bound(r),
+            lambda r: be_harmonic_bound(1.5, r),
+            lambda r: powered_sum(c, 1.5, r),
             lambda r: verify_theorem1(1.5, r, 50, seed=5),
             lambda r: verify_theorem2(1.0, r, 50, seed=5),
             lambda r: verify_be(r, 1.5, 50, seed=5),
-        ):
+        )
+        for call in calls:
             for r, other in ((-0.0, 0.0), (0.0, -0.0)):
                 self.clear()
                 fresh = self.hexed(call(r))
-                self.clear()
-                call(other)  # a record of the other zero is kept
-                assert self.hexed(call(r)) == fresh
+                assert self.hexed(call(other)) == fresh
+        for argv in (
+            ["verify", "theorem1", "--p", "1.5", "--trials", "50", "--seed", "5", "--r"],
+            ["verify", "theorem2", "--p", "1", "--trials", "50", "--seed", "5", "--r"],
+            ["verify", "be", "--p", "1.5", "--trials", "50", "--seed", "5", "--r"],
+            ["extremal", "--family", "psymmetric", "--p", "2", "--m", "1", "--a", "0.5", "--order", "6", "--r"],
+        ):
+            printed = []
+            for r in ("-0", "0"):
+                assert cli.main(argv + [r]) == 0
+                printed.append(capsys.readouterr().out)
+            assert printed[0] == printed[1]
 
     def test_invalid_radius_raises_on_every_call(self):
         # the builder raises, and the cache keeps no exception
@@ -886,16 +917,22 @@ class TestOrderLadder:
     @pytest.mark.parametrize(
         "call, orders",
         [
-            # N* = 2,796: 155 rows bound for 256 go to 512, where the division
-            # runs in blocks, and fewer of them go on to N*
-            pytest.param(lambda: verify_be(0.99, 1.5, 100, seed=1), {64, 512, 1024, 2796}, id="be-high-r"),
-            # N* = 508, below series._BLOCK_FROM_ORDER: the doubled rungs stay
+            # N* = 2,796: rows go to 256, 512 and 1,024 on their way to N*
+            pytest.param(
+                lambda: verify_be(0.99, 1.5, 100, seed=1), {64, 256, 512, 1024, 2796}, id="be-high-r"
+            ),
+            # N* = 508: the screen's stages, then 64, 128 and N*
             pytest.param(
                 lambda: verify_theorem1(1.5, 0.95, 1000, seed=1), {4, 16, 64, 128, 508}, id="theorem1-r095"
             ),
         ],
     )
-    def test_doubled_rungs_below_the_block_division(self, monkeypatch, call, orders):
+    def test_doubled_rungs(self, monkeypatch, call, orders):
+        # every doubled rung below N* is a rung, also where N* reaches the
+        # block division's order 511: skipping the rungs below 511 there read
+        # 1.01x mc_high_r's round time and 1.00x mc_acceptance's (in-process
+        # alternating A/B, 200 rounds a mix, slower in 121 of the mc_high_r
+        # rounds), so the ladder has no such skip
         assert set(self.rows(monkeypatch, call)) == orders
 
     def test_order_cap_claim_keeps_its_work(self, monkeypatch):
