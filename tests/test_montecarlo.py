@@ -1,6 +1,7 @@
 """Seeded sampling, claim verification and determinism."""
 
 import dataclasses
+import hashlib
 import math
 import os
 import platform
@@ -589,6 +590,56 @@ class TestReportPins:
         # Parseval-Hölder tail bounds the same whole tail and is the smaller
         # here, so no row fails.
         assert self.key(verify_theorem1(p, 0.999, trials, seed=seed)) == want
+
+
+class TestReportDigest:
+    """Many reports pinned at once: each case hashes the repr and the float.hex
+    of every field of its reports, seeds 1, 2 and 7 at several trial counts,
+    to 16 hex digits.  Any change to the trial path that moves a bit of a
+    report, or the order of its params, changes a digest."""
+
+    LOW_R = [(seed, trials) for seed in (1, 2, 7) for trials in (0, 1, 100, 1000)]
+    HIGH_R = [(seed, trials) for seed in (1, 2, 7) for trials in (0, 100)]
+    CALLS = [
+        # the benchmark's mc_acceptance mix, a failing claim, and orders,
+        # depths and radii at the ends of their ranges
+        (lambda n, s: verify_theorem1(1.0, 0.5, n, seed=s), LOW_R, "theorem1-1-0.5", "1176f69b428f463f"),
+        (lambda n, s: verify_theorem1(1.5, 0.9, n, seed=s), LOW_R, "theorem1-1.5-0.9", "24ce22189ba4dca2"),
+        (lambda n, s: verify_lemma_quadratic(n, 1.0, seed=s), LOW_R, "lemma21-1", "60ed703ac65b5de3"),
+        (lambda n, s: verify_theorem2(1.0, 0.3, n, seed=s), LOW_R, "theorem2-1-0.3", "9fb034cd7a67daaf"),
+        (lambda n, s: verify_theorem2(3.0, 0.6, n, seed=s), LOW_R, "theorem2-3-0.6", "c83b5d8a78fc3956"),
+        (lambda n, s: verify_be(0.65, 1.0, n, seed=s), LOW_R, "be-0.65-1", "9c9b00b58904ada6"),
+        (lambda n, s: verify_be(3**-0.5, 2.0, n, seed=s), LOW_R, "be-0.577-2", "14a2c5604b04baa1"),
+        (lambda n, s: verify_theorem2(1.0, 0.8, n, seed=s), LOW_R, "theorem2-1-0.8", "af9934953a5341ac"),
+        # N* stays 241, so a ladder from order 1 gives the reports of one from 64
+        (
+            lambda n, s: verify_theorem1(1.5, 0.9, n, seed=s, order=1),
+            LOW_R, "theorem1-order1", "24ce22189ba4dca2",
+        ),
+        (lambda n, s: verify_be(0.65, 1.0, n, seed=s, order=5), LOW_R, "be-order5", "871900ae328e3e15"),
+        (lambda n, s: verify_be(0.65, 1.0, n, seed=s, depth=0), LOW_R, "be-depth0", "e5cfe7c0f800fe65"),
+        (lambda n, s: verify_theorem2(1.0, 0.0, n, seed=s), LOW_R, "theorem2-r0", "09cfba379f74de61"),
+        # the benchmark's mc_high_r mix and the order cap
+        (lambda n, s: verify_theorem2(3.0, 0.97, n, seed=s), HIGH_R, "theorem2-3-0.97", "dfdde174a3451cdb"),
+        (lambda n, s: verify_theorem1(1.5, 0.99, n, seed=s), HIGH_R, "theorem1-1.5-0.99", "6b519ece397139c6"),
+        (
+            lambda n, s: verify_theorem1(1.5, 0.995, n, seed=s),
+            HIGH_R, "theorem1-1.5-0.995", "0a6bdf35e4c84d91",
+        ),
+        (lambda n, s: verify_lemma_quadratic(n, 0.99, seed=s), HIGH_R, "lemma21-0.99", "cd30172210e35045"),
+        (lambda n, s: verify_be(0.97, 1.0, n, seed=s), HIGH_R, "be-0.97-1", "7a57979300c06707"),
+        (lambda n, s: verify_theorem1(2.0, 0.999, n, seed=s), HIGH_R, "theorem1-2-0.999", "afd4cb237dec5be8"),
+    ]
+
+    @pytest.mark.parametrize(
+        "call, runs, want", [pytest.param(call, runs, want, id=name) for call, runs, name, want in CALLS]
+    )
+    def test_reports_keep_their_digest(self, call, runs, want):
+        digest = hashlib.sha256()
+        for seed, trials in runs:
+            out = call(trials, seed)
+            digest.update(f"{out!r} {TestClaimRecords.hexed(out)!r}\n".encode())
+        assert digest.hexdigest()[:16] == want
 
 
 class TestReplay:
