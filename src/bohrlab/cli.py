@@ -77,7 +77,7 @@ _RADII = {
 def _cmd_radius(args) -> int:
     needs, call = _RADII[args.kind]
     _require(args, *needs)
-    params = {name: getattr(args, name) for name in needs}
+    params = {name: getattr(args, name) + 0.0 for name in needs}  # zero unsigned, as the library reads it
     _emit_json([("kind", args.kind), ("params", params), *_report_pairs(call(args))])
     return 0
 
@@ -145,9 +145,9 @@ def _cmd_extremal(args) -> int:
     _emit_json(
         [
             ("family", args.family),
-            ("a", args.a),
+            ("a", args.a + 0.0),  # a and m with zero unsigned, as the library reads them
             ("p", args.p),
-            ("m", args.m if args.m is not None else 0),
+            ("m", args.m + 0.0 if args.m is not None else 0),
             ("r", args.r),
             ("order", args.order),
             ("coeffs", coeffs),

@@ -72,11 +72,11 @@ def _check_big_r(big_r: float) -> float:
 
 
 def _check_a(a: float, *, allow_one: bool) -> float:
-    """Parameter a in [0, 1], or in [0, 1) without allow_one."""
+    """Parameter a in [0, 1], or in [0, 1) without allow_one; -0.0 becomes 0.0."""
     a = float(a)
     if not (0.0 <= a < 1.0 or (allow_one and a == 1.0)):
         raise DomainError(f"parameter a must lie in {'[0, 1]' if allow_one else '[0, 1)'}, got {a}")
-    return a
+    return a + 0.0
 
 
 def _check_window(r: float, lo: float, hi: float, name: str) -> float:

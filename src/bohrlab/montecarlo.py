@@ -4,14 +4,17 @@ Each claim draws deterministic unit-ball samples (trial i of a run is words
 of a splitmix64 counter stream keyed by the run seed, see _sample_rows),
 measures the slack of the claimed bound against a certified upper enclosure
 of the sample's sum, and reports failures, worst margin and the worst trial.
-Reports are deterministic for a given seed, and (seed, worst_trial, depth)
-replays the worst trial through sample_schur.
+Reports are deterministic for a given seed.
 
-What does not depend on the seed, the bound, the slack and the witnesses'
-slacks at the full order, is one record per claim (_Claim), built once per
-claim key and kept in its builder's lru_cache.  Only a process that verifies
-a claim again gains from it; the first call does the same work as building
-the record inline.
+What does not depend on the seed is one record per claim (_Claim), built once
+per claim key and kept in its builder's lru_cache: the claim's id, its trial
+streams with their leading zero parameters, the bound, the slack and the
+witnesses' slacks at the full order.  Only a process that verifies a claim
+again gains from it; the first call does the same work as building the record
+inline.  One runner, _run, turns a record and a seed into a report; as the
+record names its streams, a report's seed, worst_trial, depth and order
+replay its worst trial through the record alone: be's rows i, for one, are
+_sample_rows(seed, stream, i, i + 1, depth, lead=1), z times a unit-ball sample.
 """
 
 from __future__ import annotations
@@ -79,9 +82,10 @@ def sample_schur(seed: int, index: int, depth: int) -> SchurFunction:
     """Trial index of run seed: depth + 1 disk-uniform Schur parameters,
     modulus sqrt(U) and uniform angle.
 
-    It is the one-row case of _sample_rows on stream 0, so it replays trial
-    index of every report of that seed and depth; theorem2's omega is the
-    same trial on stream 1 (see _sample_rows).
+    It is the one-row case of _sample_rows on stream 0 without a lead, so it
+    replays trial index of theorem1's and lemma21's reports of that seed and
+    depth.  Each claim's record names its streams (_Claim.streams); be's rows,
+    for one, are _sample_rows(seed, stream, index, index + 1, depth, lead=1).
     """
     index, depth = _check_count(index, "index"), _check_count(depth, "depth")
     return SchurFunction(_sample_rows(_check_seed(seed), 0, index, index + 1, depth)[0])
@@ -102,28 +106,32 @@ def _sample_rows(
     *,
     width: int | None = None,
     rows: np.ndarray | None = None,
+    lead: int = 0,
 ) -> np.ndarray:
     """Schur parameters of trials [start, stop) of a stream: (rows, depth + 1).
 
     Word k of the stream is the splitmix64 output _splitmix64(base + k gamma)
     mod 2^64 (Steele, Lea & Flood, OOPSLA 2014), with base a hash of the seed
-    and the stream number: h is stream 0, omega stream 1, and verify_be's
-    harmonic half takes 2 and 3.  Trial i takes words [2(d+1) i, 2(d+1)(i+1)),
+    and the stream number; each claim's record names the streams it draws
+    (_Claim.streams).  Trial i takes words [2(d+1) i, 2(d+1)(i+1)),
     depth + 1 moduli then depth + 1 angles, each word a uniform
     (x >> 11) 2^-53.  A word depends on its counter alone, so a row does not
     depend on the block it is drawn in, and (seed, stream, trial, depth)
     replays it.  width draws only the first width parameters of each row
     (all depth + 1 by default), and rows only the trials at these offsets
     from start (all of [start, stop) by default); each entry keeps its bits.
+    lead puts that many zero parameters ahead of each row, counted in width:
+    a leading zero synthesizes z times the sample.
     """
     n = 2 * (depth + 1)
-    width = depth + 1 if width is None else min(width, depth + 1)
+    width = depth + 1 if width is None else min(width - lead, depth + 1)
     base = _splitmix64(_splitmix64(seed & _MASK64) ^ stream)
     first = (base + start * n * _GAMMA) & _MASK64
     trials = np.arange(stop - start, dtype=np.uint64) if rows is None else rows.astype(np.uint64)
     words = np.r_[0:width, depth + 1 : depth + 1 + width].astype(np.uint64)  # moduli, angles
     counters = np.uint64(first) + (trials[:, None] * np.uint64(n) + words) * np.uint64(_GAMMA)
-    return _disk_params((_splitmix64(counters) >> np.uint64(11)).astype(float) * 2.0**-53)
+    params = _disk_params((_splitmix64(counters) >> np.uint64(11)).astype(float) * 2.0**-53)
+    return np.concatenate((np.zeros((len(params), lead)), params), axis=1) if lead else params
 
 
 def _order_and_depth(
@@ -294,17 +302,49 @@ def _next_rungs(tails: np.ndarray, margins: np.ndarray, r: float, rungs: list) -
     return np.minimum(np.searchsorted(rungs[:-1], need), len(rungs) - 1)
 
 
-def _reduce(claim_id, slacks, claim, seed, params):
-    """Reduction of the trial slacks and the claim's witness slacks into a report.
+@dataclass(frozen=True)
+class _Claim:
+    """What a claim's reports share whatever the seed: the id they carry, the
+    trial streams, one (stream, lead) pair per argument of the slack, drawn by
+    _sample_rows with lead leading zero parameters, the bound (None for
+    lemma21, whose right side is each row's own), the slack of a block of rows
+    at orders up to N* (see _dominance), the witnesses' slacks at N*, read-only,
+    and the tolerance on |slack| of equality witnesses (None for dominance
+    witnesses, which count as failures below -SLACK_TOL)."""
 
-    Witness slacks join the failure count: dominance witnesses at SLACK_TOL,
-    equality witnesses (the claim's witness_abs_tol set) on |slack|.
-    """
+    claim_id: str
+    streams: tuple
+    bound: float | None
+    slack: Callable
+    witness_slacks: np.ndarray
+    witness_abs_tol: float | None = None
+
+
+def _claim(claim_id, streams, bound, slack, witness_rows: tuple, witness_abs_tol=None) -> _Claim:
+    """The record of a claim, its witnesses scored by slack at N*."""
+    witness = slack(*witness_rows)[0]
+    witness.setflags(write=False)
+    return _Claim(claim_id, streams, bound, slack, witness, witness_abs_tol)
+
+
+def _run(claim: _Claim, head: dict, r: float, seed: int, trials: int, ladder: tuple, sums=False):
+    """A claim's report at seed: its trials, drawn on the record's streams and
+    scored on the ladder (first, N*, depth) of _order_and_depth at radius r,
+    reduced with the record's witness slacks.  params holds head, depth, order,
+    with sums max_sum (the largest trial sum, bound - slack), worst_trial and
+    the witnesses' nearest slack.  Witness slacks join the failure count:
+    dominance witnesses at SLACK_TOL, equality witnesses (the claim's
+    witness_abs_tol set) on |slack|."""
+    first, order, depth = ladder
+    streams = [functools.partial(_sample_rows, seed, n, depth=depth, lead=k) for n, k in claim.streams]
+    slacks = _collect_slacks(claim.slack, streams, trials, first, order, r)
+    params = {**head, "depth": depth, "order": order}
+    if sums:
+        params["max_sum"] = float((claim.bound - slacks).max()) if len(slacks) else 0.0
     failures = int(np.sum(slacks < -SLACK_TOL))
     worst = float(slacks.min()) if len(slacks) else np.inf
     if len(slacks):
-        worst_idx = int(np.argmin(slacks))
-        params = dict(params, worst_trial=worst_idx)
+        params["worst_trial"] = int(np.argmin(slacks))
     warr = claim.witness_slacks
     if len(warr):
         if claim.witness_abs_tol is not None:
@@ -315,34 +355,13 @@ def _reduce(claim_id, slacks, claim, seed, params):
             params["witness_min_slack"] = float(warr.min())
         worst = min(worst, float(warr.min()))
     return VerificationReport(
-        claim_id=claim_id,
+        claim_id=claim.claim_id,
         trials=len(slacks),
         failures=failures,
         worst_margin=worst,
         seed=seed,
         params=params,
     )
-
-
-@dataclass(frozen=True)
-class _Claim:
-    """What a claim's reports share whatever the seed: the bound (None for
-    lemma21, whose right side is each row's own), the slack of a block of rows
-    at orders up to N* (see _dominance), the witnesses' slacks at N*, read-only,
-    and the tolerance on |slack| of equality witnesses (None for dominance
-    witnesses, which count as failures below -SLACK_TOL)."""
-
-    bound: float | None
-    slack: Callable
-    witness_slacks: np.ndarray
-    witness_abs_tol: float | None = None
-
-
-def _claim(bound, slack: Callable, witness_rows: tuple, witness_abs_tol=None) -> _Claim:
-    """The record of a claim, its witnesses scored by slack at N*."""
-    witness = slack(*witness_rows)[0]
-    witness.setflags(write=False)
-    return _Claim(bound, slack, witness, witness_abs_tol)
 
 
 # Records each builder keeps, keyed on the claim key (validated parameters and
@@ -361,7 +380,8 @@ def _theorem1_claim(p: float, r: float, full: int) -> _Claim:
     bound = mp_theorem1(p, r).value
     slack = _dominance(bound, functools.partial(_powered_rows, p=p, r=r), r, full)
     witness_a = [0.2, 0.5, 0.8, min(maximize_envelope(p, r).argmax, 1.0 - 1e-8)]
-    return _claim(bound, slack, (np.array([mobius_automorphism_coeffs(a, full).coeffs for a in witness_a]),))
+    witness_rows = np.array([mobius_automorphism_coeffs(a, full).coeffs for a in witness_a])
+    return _claim("theorem1", ((0, 0),), bound, slack, (witness_rows,))
 
 
 def verify_theorem1(
@@ -380,12 +400,8 @@ def verify_theorem1(
     sampling alone need not probe the near-extremal region.
     """
     r, p, seed = _check_r(r), _check_p(p), _check_seed(seed)
-    first, order, depth = _order_and_depth(order, depth, r)
-    claim = _theorem1_claim(p, r, order)
-    sample = functools.partial(_sample_rows, seed, 0, depth=depth)
-    slacks = _collect_slacks(claim.slack, (sample,), trials, first, order, r)
-    params = {"p": p, "r": r, "depth": depth, "order": order}
-    return _reduce("theorem1", slacks, claim, seed, params)
+    ladder = _order_and_depth(order, depth, r)
+    return _run(_theorem1_claim(p, r, ladder[1]), {"p": p, "r": r}, r, seed, trials, ladder)
 
 
 @functools.lru_cache(maxsize=_CLAIMS_KEPT)
@@ -400,7 +416,7 @@ def _lemma21_claim(big_r: float, full: int) -> _Claim:
         return rhs - (partial + tail), rhs - partial
 
     automorphisms = [mobius_automorphism_coeffs(a, max(full, 400)).coeffs for a in (0.2, 0.5, 0.8)]
-    return _claim(None, slack, (np.array(automorphisms),), WITNESS_TOL)
+    return _claim("lemma21", ((0, 0),), None, slack, (np.array(automorphisms),), WITNESS_TOL)
 
 
 def verify_lemma_quadratic(
@@ -421,12 +437,8 @@ def verify_lemma_quadratic(
     5 of 6 reports at seeds {1, 2, 7} and 100 or 1,000 trials.
     """
     big_r, seed = _check_big_r(big_r), _check_seed(seed)
-    first, order, depth = _order_and_depth(order, depth, big_r)
-    claim = _lemma21_claim(big_r, order)
-    sample = functools.partial(_sample_rows, seed, 0, depth=depth)
-    slacks = _collect_slacks(claim.slack, (sample,), trials, first, order, big_r)
-    params = {"R": big_r, "depth": depth, "order": order}
-    return _reduce("lemma21", slacks, claim, seed, params)
+    ladder = _order_and_depth(order, depth, big_r)
+    return _run(_lemma21_claim(big_r, ladder[1]), {"R": big_r}, big_r, seed, trials, ladder)
 
 
 @functools.lru_cache(maxsize=_CLAIMS_KEPT)
@@ -448,7 +460,8 @@ def _theorem2_claim(p: float, r: float, full: int) -> _Claim:
         h_witnesses.append(SchurFunction([a_w, -1.0]))
     # omega = 1 synthesizes to the row e_0 at every order
     omegas = np.eye(1, full + 1, dtype=complex).repeat(len(h_witnesses), axis=0)
-    return _claim(bound.value, slack, (schur_synthesis_rows(h_witnesses, full), omegas))
+    witness_rows = (schur_synthesis_rows(h_witnesses, full), omegas)
+    return _claim("theorem2", ((0, 0), (1, 0)), bound.value, slack, witness_rows)
 
 
 def verify_theorem2(
@@ -462,12 +475,8 @@ def verify_theorem2(
 ) -> VerificationReport:
     """Dominance of the harmonic bound over random dominated-dilatation pairs."""
     r, p, seed = _check_r(r), _check_positive_p(p), _check_seed(seed)
-    first, order, depth = _order_and_depth(order, depth, r, tail_factor=2.0)
-    claim = _theorem2_claim(p, r, order)
-    h, omega = (functools.partial(_sample_rows, seed, stream, depth=depth) for stream in (0, 1))
-    slacks = _collect_slacks(claim.slack, (h, omega), trials, first, order, r)
-    params = {"p": p, "r": r, "depth": depth, "order": order}
-    return _reduce("theorem2", slacks, claim, seed, params)
+    ladder = _order_and_depth(order, depth, r, tail_factor=2.0)
+    return _run(_theorem2_claim(p, r, ladder[1]), {"p": p, "r": r}, r, seed, trials, ladder)
 
 
 @functools.lru_cache(maxsize=_CLAIMS_KEPT)
@@ -481,7 +490,8 @@ def _be_claims(r: float, p: float, full: int) -> tuple[_Claim, _Claim]:
     slack_h = _dominance(bound_h, enclose_h, r, full)
     ext_rows = schur_synthesis_rows([SchurFunction([0.0, 1.0 / np.sqrt(2.0), -1.0])], full)
     omega = np.eye(1, full + 1, dtype=complex)  # omega = 1
-    return _claim(bound_a, slack_a, (ext_rows,)), _claim(bound_h, slack_h, (ext_rows, omega))
+    analytic = _claim("be_analytic", ((0, 1),), bound_a, slack_a, (ext_rows,))
+    return analytic, _claim("be_harmonic", ((2, 1), (3, 0)), bound_h, slack_h, (ext_rows, omega))
 
 
 def verify_be(
@@ -501,30 +511,10 @@ def verify_be(
     """
     r, p, seed = _check_r(r), _check_p_from_one(p), _check_seed(seed)
     # the halves share one order, sized for the larger tail
-    first, order, depth = _order_and_depth(order, depth, r, tail_factor=2.0 ** (1.0 / p))
-    analytic, harmonic = _be_claims(r, p, order)
-
-    def shifted(stream: int) -> Callable:
-        # a leading zero parameter synthesizes z * g
-        def draw(start: int, stop: int, *, width: int | None = None, rows=None) -> np.ndarray:
-            width = None if width is None else width - 1
-            g = _sample_rows(seed, stream, start, stop, depth, width=width, rows=rows)
-            return np.concatenate((np.zeros((len(g), 1)), g), axis=1)
-
-        return draw
-
-    slacks_a = _collect_slacks(analytic.slack, (shifted(0),), trials, first, order, r)
-    sums_a = analytic.bound - slacks_a
-    max_sum = float(sums_a.max()) if len(sums_a) else 0.0
-    params_a = {"r": r, "depth": depth, "order": order, "max_sum": max_sum}
-    report_a = _reduce("be_analytic", slacks_a, analytic, seed, params_a)
-
-    # the harmonic half draws h and omega from streams of its own
-    omega = functools.partial(_sample_rows, seed, 3, depth=depth)
-    slacks_h = _collect_slacks(harmonic.slack, (shifted(2), omega), trials, first, order, r)
-    params_h = {"p": p, "r": r, "depth": depth, "order": order}
-    report_h = _reduce("be_harmonic", slacks_h, harmonic, seed, params_h)
-    return report_a, report_h
+    ladder = _order_and_depth(order, depth, r, tail_factor=2.0 ** (1.0 / p))
+    analytic, harmonic = _be_claims(r, p, ladder[1])
+    report_a = _run(analytic, {"r": r}, r, seed, trials, ladder, sums=True)
+    return report_a, _run(harmonic, {"p": p, "r": r}, r, seed, trials, ladder)
 
 
 _RATIO_GRID = (0.5, 0.9, 0.99, 0.999)

@@ -42,7 +42,7 @@ from bohrlab.montecarlo import (
     _sample_rows,
     _splitmix64,
 )
-from bohrlab.series import _coanalytic_rows, _synthesize_params
+from bohrlab.series import _synthesize_params
 
 
 def bits(x):
@@ -135,10 +135,11 @@ class TestBlockSampler:
         size=st.integers(1, 40),
         depth=st.integers(0, 13),
         width=st.integers(0, 16),
+        lead=st.integers(0, 1),
         data=st.data(),
     )
     def test_width_and_rows_pick_from_the_whole_draw(
-        self, seed, stream, start, size, depth, width, data
+        self, seed, stream, start, size, depth, width, lead, data
     ):
         # a screen stage's synthesis block draws the first width parameters
         # of the trials it scores; width clips to depth + 1
@@ -147,6 +148,11 @@ class TestBlockSampler:
         rows = _sample_rows(seed, stream, start, start + size, depth, width=width, rows=offsets)
         assert rows.shape == (len(offsets), min(width, depth + 1))
         assert np.array_equal(bits(rows), bits(whole[offsets, :width]))
+        # a lead of zero parameters is counted in width: a zero column, then
+        # the draw of the width left
+        led = _sample_rows(seed, stream, start, start + size, depth, width=width, rows=offsets, lead=lead)
+        rest = _sample_rows(seed, stream, start, start + size, depth, width=width - lead, rows=offsets)
+        assert np.array_equal(bits(led), bits(np.concatenate((np.zeros((len(offsets), lead)), rest), axis=1)))
 
     def test_rows_are_the_stream_words_as_disk_params(self):
         # over 10^5 parameters at depths 0-13, with random width and rows,
@@ -643,43 +649,42 @@ class TestReportDigest:
 
 
 class TestReplay:
-    """(seed, stream, worst_trial, depth) rebuilds a report's worst trial: its
-    slack at N*, scored alone through the majorant row form with the lesser
-    of its two tails, is the report's worst_margin bit for bit.  Each report
-    here takes its worst margin from a random trial, not from a witness."""
+    """A report's record, seed, worst_trial, depth and order rebuild its worst
+    trial: the record's streams drawn at that trial with their leads,
+    synthesized at N* and scored alone by the record's slack, give a lo whose
+    minimum with the witnesses' slacks is worst_margin bit for bit."""
 
-    @staticmethod
-    def rows(report, stream, shifted=False):
-        p, i = report.params, report.params["worst_trial"]
-        params = _sample_rows(report.seed, stream, i, i + 1, p["depth"])
-        if shifted:
-            params = np.pad(params, ((0, 0), (1, 0)))  # z times the sample, as verify_be draws it
-        return _synthesize_params(params, p["order"])
+    # the eleven reports TestReportPins pins
+    IDS = ["theorem2-3-0.97", "theorem1-1.5-0.99", "theorem1-1.5-0.995", "lemma21-0.99", "be-0.97-1"]
+    CALLS = [pytest.param(call, id=name) for (call, _), name in zip(TestReportPins.HIGH_R, IDS)] + [
+        pytest.param(lambda: verify_theorem1(1.5, 0.9, 200, seed=7), id="theorem1-1.5-0.9"),
+        pytest.param(lambda: verify_theorem2(1.0, 0.8, 300, seed=7), id="theorem2-1-0.8"),
+        pytest.param(lambda: verify_theorem1(2.0, 0.999, 100, seed=1), id="theorem1-2-0.999"),
+        pytest.param(lambda: verify_theorem1(1.5, 0.999, 300, seed=1), id="theorem1-1.5-0.999"),
+        pytest.param(lambda: verify_theorem1(1.0, 0.999, 300, seed=5), id="theorem1-1-0.999"),
+    ]
 
-    @staticmethod
-    def check(report, bound, lower, tail, holder):
-        assert report.worst_margin < report.params["witness_min_slack"]
-        upper = lower[0] + min(tail[0], holder[0])
-        assert float.hex(bound - upper) == float.hex(report.worst_margin)
+    @pytest.mark.parametrize("call", CALLS)
+    def test_worst_trial_replays_through_its_record(self, monkeypatch, call):
+        runs = []
+        run = montecarlo._run
 
-    def test_theorem1(self):
-        report = verify_theorem1(1.5, 0.99, 100, seed=7)
-        self.check(report, mp_theorem1(1.5, 0.99).value, *_powered_rows(self.rows(report, 0), 1.5, 0.99))
+        def spy(claim, *args, **kwargs):
+            runs.append((claim, run(claim, *args, **kwargs)))
+            return runs[-1][1]
 
-    def test_theorem2_over_claim(self):
-        # h on stream 0, omega on stream 1
-        report = verify_theorem2(1.0, 0.8, 300, seed=7)
-        a = self.rows(report, 0)
-        b = _coanalytic_rows(a, self.rows(report, 1))
-        self.check(report, harmonic_bound(1.0, 0.8).value, *_harmonic_rows(a, b, 1.0, 0.8))
-
-    def test_be_halves(self):
-        # the analytic half draws stream 0; the harmonic half h on 2, omega on 3
-        analytic, harmonic = verify_be(0.97, 1.0, 100, seed=7)
-        self.check(analytic, be_bound(0.97), *_powered_rows(self.rows(analytic, 0, shifted=True), 1.0, 0.97))
-        a = self.rows(harmonic, 2, shifted=True)
-        b = _coanalytic_rows(a, self.rows(harmonic, 3))
-        self.check(harmonic, be_harmonic_bound(1.0, 0.97), *_lp_combination_rows(a, b, 1.0, 0.97))
+        monkeypatch.setattr(montecarlo, "_run", spy)
+        out = call()
+        assert [report for _, report in runs] == (list(out) if isinstance(out, tuple) else [out])
+        for record, report in runs:
+            params, i = report.params, report.params["worst_trial"]
+            draws = [
+                _sample_rows(report.seed, stream, i, i + 1, params["depth"], lead=lead)
+                for stream, lead in record.streams
+            ]
+            lo = record.slack(*(_synthesize_params(g, params["order"]) for g in draws))[0]
+            worst = min(lo[0], record.witness_slacks.min())
+            assert float.hex(worst) == float.hex(report.worst_margin), report.claim_id
 
 
 class TestClaimRecords:
@@ -810,7 +815,7 @@ class TestSettleRule:
 
     @classmethod
     def kinds(cls):
-        # (bound, enclosure of the trial rows, shift of the first stream)
+        # (bound, enclosure of the trial rows, leads of the streams)
         r = cls.R
         return {
             "powered": (mp_theorem1(1.5, r).value, partial(_powered_rows, p=1.5, r=r), (0,)),
@@ -828,12 +833,9 @@ class TestSettleRule:
 
     @pytest.mark.parametrize("kind", ["powered", "harmonic", "lp"])
     def test_slack_is_the_settle_formula(self, kind):
-        bound, enclose, shifts = self.kinds()[kind]
+        bound, enclose, leads = self.kinds()[kind]
         r = self.R
-        params = [
-            np.pad(_sample_rows(3, stream, 0, 200, 12), ((0, 0), (shift, 0)))
-            for stream, shift in enumerate(shifts)
-        ]
+        params = [_sample_rows(3, stream, 0, 200, 12, lead=lead) for stream, lead in enumerate(leads)]
         sides = set()
         # one rung above its rung and a ladder's rungs 16 below 64: both
         # sides of the min win on some rows; at N = full T wins on some

@@ -16,6 +16,7 @@ from bohrlab import (
     NonSchurInput,
     SchurFunction,
     be_extremal_coeffs,
+    envelope_value,
     mobius_automorphism_coeffs,
     powered_sum,
     psymmetric_extremal_coeffs,
@@ -23,7 +24,7 @@ from bohrlab import (
     schur_synthesis,
     schur_synthesis_rows,
 )
-from bohrlab import series
+from bohrlab import cli, series
 from bohrlab.montecarlo import sample_schur
 from bohrlab.series import _BLOCK_FROM_ORDER, _divide_trunc
 from pair_rows import pair_rows
@@ -454,6 +455,32 @@ class TestCoefficientFamilies:
             be_extremal_coeffs(1.0, 4)
         with pytest.raises(DomainError):
             be_extremal_coeffs(0.5, -5)
+
+    def test_zero_parameter_has_no_sign(self, capsys):
+        # a is read as a + 0.0, so -0.0 gives every family, the envelope and
+        # the CLI's extremal and radius commands (which echo a and m as the
+        # library reads them) the bytes that 0.0 gives
+        calls = (
+            lambda a: mobius_automorphism_coeffs(a, 6).coeffs,
+            lambda a: psymmetric_extremal_coeffs(2, 1, a, 6).coeffs,
+            lambda a: be_extremal_coeffs(a, 6).coeffs,
+            lambda a: np.array([envelope_value(a, p, 0.5) for p in (0.5, 1.0, 1.5)]),
+        )
+        for call in calls:
+            assert call(-0.0).tobytes() == call(0.0).tobytes()
+        for argv in (
+            ["extremal", "--family", "mobius", "--r", "0.5", "--order", "3", "--a"],
+            ["extremal", "--family", "be", "--r", "0.5", "--order", "3", "--a"],
+            ["extremal", "--family", "psymmetric", "--p", "2", "--m", "1", "--r", "0.5", "--a"],
+            ["extremal", "--family", "psymmetric", "--p", "2", "--a", "0.5", "--r", "0.5", "--m"],
+            ["extremal", "--family", "mobius", "--a", "0.5", "--r", "0.5", "--order", "3", "--m"],
+            ["radius", "--kind", "psymmetric", "--p", "2", "--m"],
+        ):
+            printed = []
+            for zero in ("-0", "0"):
+                assert cli.main(argv + [zero]) == 0
+                printed.append(capsys.readouterr().out)
+            assert printed[0] == printed[1], argv
 
     def test_be_extremal_sharpness_sum(self):
         a = 1.0 / math.sqrt(2.0)
