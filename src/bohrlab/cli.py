@@ -255,6 +255,12 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# Counts (--trials, --order, --depth, --steps) lie below 2^56, so every array they
+# size stays under numpy's 2^63 bytes: one too large for memory ends in
+# MemoryError, not in numpy's ValueError, OverflowError or IndexError.
+_MAX_COUNT = 1 << 56
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     try:
@@ -262,6 +268,9 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code) if exc.code else 0
     try:
+        for name in ("trials", "order", "depth", "steps"):
+            if getattr(args, name, 0) >= _MAX_COUNT:
+                raise BohrlabError(f"--{name} must lie below 2^56, got {getattr(args, name)}")
         return args.func(args)
     except BohrlabError as exc:
         print(f"error: {exc}", file=sys.stderr)

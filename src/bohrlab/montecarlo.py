@@ -13,8 +13,8 @@ witnesses' slacks at the full order.  Only a process that verifies a claim
 again gains from it; the first call does the same work as building the record
 inline.  One runner, _run, turns a record and a seed into a report; as the
 record names its streams, a report's seed, worst_trial, depth and order
-replay its worst trial through the record alone: be's rows i, for one, are
-_sample_rows(seed, stream, i, i + 1, depth, lead=1), z times a unit-ball sample.
+replay its worst trial through the record alone: be's row i, for one, is
+_sample_rows(seed, stream, [i], depth, lead=1), z times a unit-ball sample.
 """
 
 from __future__ import annotations
@@ -84,11 +84,12 @@ def sample_schur(seed: int, index: int, depth: int) -> SchurFunction:
 
     It is the one-row case of _sample_rows on stream 0 without a lead, so it
     replays trial index of theorem1's and lemma21's reports of that seed and
-    depth.  Each claim's record names its streams (_Claim.streams); be's rows,
-    for one, are _sample_rows(seed, stream, index, index + 1, depth, lead=1).
+    depth.  Each claim's record names its streams (_Claim.streams); be's row,
+    for one, is _sample_rows(seed, stream, [index], depth, lead=1).  The index
+    counts mod 2^64, as the stream's counters do.
     """
     index, depth = _check_count(index, "index"), _check_count(depth, "depth")
-    return SchurFunction(_sample_rows(_check_seed(seed), 0, index, index + 1, depth)[0])
+    return SchurFunction(_sample_rows(_check_seed(seed), 0, [index & _MASK64], depth)[0])
 
 
 def _disk_params(u: np.ndarray) -> np.ndarray:
@@ -100,15 +101,14 @@ def _disk_params(u: np.ndarray) -> np.ndarray:
 def _sample_rows(
     seed: int,
     stream: int,
-    start: int,
-    stop: int,
+    trials,
     depth: int,
     *,
     width: int | None = None,
-    rows: np.ndarray | None = None,
     lead: int = 0,
 ) -> np.ndarray:
-    """Schur parameters of trials [start, stop) of a stream: (rows, depth + 1).
+    """Schur parameters of the trials numbered in an array (each below 2^64)
+    of a stream: (len(trials), depth + 1).
 
     Word k of the stream is the splitmix64 output _splitmix64(base + k gamma)
     mod 2^64 (Steele, Lea & Flood, OOPSLA 2014), with base a hash of the seed
@@ -118,18 +118,16 @@ def _sample_rows(
     (x >> 11) 2^-53.  A word depends on its counter alone, so a row does not
     depend on the block it is drawn in, and (seed, stream, trial, depth)
     replays it.  width draws only the first width parameters of each row
-    (all depth + 1 by default), and rows only the trials at these offsets
-    from start (all of [start, stop) by default); each entry keeps its bits.
+    (all depth + 1 by default); each entry keeps its bits.
     lead puts that many zero parameters ahead of each row, counted in width:
     a leading zero synthesizes z times the sample.
     """
     n = 2 * (depth + 1)
     width = depth + 1 if width is None else min(width - lead, depth + 1)
     base = _splitmix64(_splitmix64(seed & _MASK64) ^ stream)
-    first = (base + start * n * _GAMMA) & _MASK64
-    trials = np.arange(stop - start, dtype=np.uint64) if rows is None else rows.astype(np.uint64)
+    trials = np.asarray(trials, dtype=np.uint64)
     words = np.r_[0:width, depth + 1 : depth + 1 + width].astype(np.uint64)  # moduli, angles
-    counters = np.uint64(first) + (trials[:, None] * np.uint64(n) + words) * np.uint64(_GAMMA)
+    counters = np.uint64(base) + (trials[:, None] * np.uint64(n) + words) * np.uint64(_GAMMA)
     params = _disk_params((_splitmix64(counters) >> np.uint64(11)).astype(float) * 2.0**-53)
     return np.concatenate((np.zeros((len(params), lead)), params), axis=1) if lead else params
 
@@ -211,8 +209,8 @@ def _collect_slacks(
     """Slack of every trial's sample, in trial order.
 
     Each stream maps trial numbers to one (rows, length) array of Schur
-    parameters, as draw(0, trials, width=w, rows=numbers) of _sample_rows:
-    one stream for a unit-ball series, two (h, omega) for a harmonic pair.
+    parameters, as draw(numbers, width=w) of _sample_rows: one stream for a
+    unit-ball series, two (h, omega) for a harmonic pair.
     The loop scores arrays of trial numbers: all of them first, then the rows
     each step leaves.  score(index, order) cuts its rows into blocks of at
     most _BLOCK_COEFFS coefficients; each block draws the parameters of its
@@ -271,7 +269,7 @@ def _collect_slacks(
         lo, hi = np.empty(len(index)), np.empty(len(index))
         for start in range(0, len(index), step):
             block = slice(start, start + step)
-            params = (draw(0, trials, width=width, rows=index[block]) for draw in streams)
+            params = (draw(index[block], width=width) for draw in streams)
             lo[block], hi[block] = slack(*(_synthesize_params(g, order) for g in params))
         least_hi = min(least_hi, hi.min())
         threshold = max(least_hi, -SLACK_TOL) + SLACK_TOL

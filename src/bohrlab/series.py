@@ -93,10 +93,10 @@ _BLOCK_MAX_GAIN = 256.0
 def _divide_trunc(num: np.ndarray, den: np.ndarray, order: int) -> np.ndarray:
     """Coefficients of num/den through the given order, for each row of a block.
 
-    num and den are coefficient-major, (., rows), with den_0 != 0; returns
+    num and den are coefficient-major, (., rows), with den_0 = 1; returns
     contiguous rows (rows, order + 1).  Short orders, denominators too long
     for a block and rows with a steep 1/den run the forward recurrence
-    d_0 y_n = b_n - sum_j d_j y_(n-j), one numpy step per n across the block.
+    y_n = b_n - sum_{j>=1} d_j y_(n-j), one numpy step per n across the block.
     From _BLOCK_FROM_ORDER on, a short denominator makes the recurrence a
     fixed linear map from the previous dmax outputs and the next k right-hand
     sides to the next k outputs (the look-ahead form of a recursive filter),
@@ -161,8 +161,8 @@ def _solve_blocks(y: np.ndarray, block_map: np.ndarray) -> np.ndarray:
 
 def _recur(num: np.ndarray, den: np.ndarray, stop: int) -> np.ndarray:
     """The quotient's first `stop` coefficients by the forward recurrence, on
-    coefficient-major arrays: num is (., rows), den (dmax + 1, rows), the
-    result (stop, rows).
+    coefficient-major arrays: num is (., rows), den (dmax + 1, rows) with
+    den_0 = 1, the result (stop, rows).
 
     Scatter form: once y_n is final, den_1 y_n, ..., den_t y_n are subtracted
     from the next t = min(dmax, stop - 1 - n) right-hand sides by one multiply
@@ -171,26 +171,19 @@ def _recur(num: np.ndarray, den: np.ndarray, stop: int) -> np.ndarray:
     on each row alone, so a coefficient's bits do not depend on the block.
     y_n is a (1, rows) view, not a (rows,) one: numpy sends a one-element
     multiply with a broadcast operand to its scalar loop, whose complex
-    product is not fused as the vector loop's is.  A den_0 of all ones, as
-    Q_0 of synthesis, skips the division: numpy's x/(1+0j) is x but for the
-    sign of a zero part, and every enclosure takes |.|."""
+    product is not fused as the vector loop's is."""
     dmax, rows = den.shape[0] - 1, den.shape[1]
     y = np.zeros((stop, rows), dtype=complex)
     y[: min(len(num), stop)] = num[:stop]
-    divide = not (den[0] == 1.0).all()
     width = max(min(dmax, stop - 1), 0)  # the t of the first stop - width steps
     tail, prod = den[1 : width + 1], np.empty((width, rows), dtype=complex)
     rhss = np.lib.stride_tricks.as_strided(  # rhss[n] is y[n + 1 : n + 1 + width]
         y[1:], (stop - width, width, rows), (y.strides[0], *y.strides), writeable=True)
     for y_n, rhs in zip(y[:, None], rhss):
-        if divide:
-            np.divide(y_n, den[0], y_n)
         np.multiply(tail, y_n, prod)
         np.subtract(rhs, prod, rhs)
     for n in range(len(rhss), stop):  # the last width steps, t = stop - 1 - n
         y_n, t = y[n : n + 1], stop - 1 - n
-        if divide:
-            np.divide(y_n, den[0], y_n)
         np.multiply(tail[:t], y_n, prod[:t])
         np.subtract(y[n + 1 :], prod[:t], y[n + 1 :])
     return y
@@ -304,11 +297,8 @@ def _synthesize_params(g: np.ndarray, order: int) -> np.ndarray:
 def _synthesize_groups(actives: list, order: int) -> np.ndarray:
     """Coefficient rows for a list of active parameter arrays, grouped by length."""
     lengths = np.array([len(a) for a in actives], dtype=int)
-    groups = np.unique(lengths)
-    if len(groups) == 1:
-        return _synthesize(np.array(actives), order)
     out = np.empty((len(actives), order + 1), dtype=complex)
-    for length in groups:
+    for length in np.unique(lengths):
         rows = np.flatnonzero(lengths == length)
         out[rows] = _synthesize(np.array([actives[i] for i in rows]), order)
     return out
@@ -366,9 +356,11 @@ def schur_analysis(c: CoefficientSeries, depth: int) -> SchurFunction:
         if mod >= 1.0 - UNIMODULAR_TOL or j == depth:
             break
         num = f[1:]
-        den = -np.conj(g) * f
-        den[0] += 1.0
-        f = _divide_trunc(num[:, None], den[: len(num), None], len(num) - 1)[0]
+        den = -np.conj(g) * f[: len(num)]
+        den[0] += 1.0  # 1 - |gamma_j|^2, divided out once so that den_0 = 1
+        num, den = num / den[0], den / den[0]
+        den[0] = 1.0
+        f = _recur(num[:, None], den[:, None], len(num))[:, 0]
     return SchurFunction(np.array(params, dtype=complex))
 
 

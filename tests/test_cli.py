@@ -234,6 +234,25 @@ def test_out_of_memory_exits_2(capsys, monkeypatch, target, argv, exc):
     assert err == f"error: {str(exc) or 'out of memory'}\n"
 
 
+@pytest.mark.parametrize("size", [2**60, 2**63, 10**20], ids=["2^60", "2^63", "10^20"])
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("verify", "theorem1", "--p", "1", "--r", "0.5", "--seed", "1", "--trials"),
+        ("extremal", "--family", "mobius", "--a", "0.5", "--r", "0.5", "--order"),
+        ("verify", "theorem1", "--p", "1", "--r", "0.5", "--seed", "1", "--depth"),
+        ("envelope", "--p", "1", "--r-start", "0.1", "--r-end", "0.2", "--steps"),
+    ],
+    ids=["trials", "order", "depth", "steps"],
+)
+def test_count_past_numpy_sizes_exits_2(capsys, argv, size):
+    # numpy would refuse each of these sizes without allocating, but by
+    # ValueError, OverflowError or IndexError, which are not usage errors
+    code, out, err = run(capsys, *argv, str(size))
+    assert code == 2 and out == ""
+    assert err == f"error: {argv[-1]} must lie below 2^56, got {size}\n"
+
+
 @pytest.mark.parametrize(
     "argv",
     [

@@ -211,8 +211,8 @@ class TestRowEnclosures:
             SchurFunction([0.2, -1.0]),
             SchurFunction([0.9946128276123087 + 0.1036596505350456j]),
         ]
-        h = [SchurFunction(row) for row in _sample_rows(5, 0, 0, 40, 12)] + extra
-        omega = [SchurFunction(row) for row in _sample_rows(5, 1, 0, 40, 12)] + extra
+        h = [SchurFunction(row) for row in _sample_rows(5, 0, np.arange(40), 12)] + extra
+        omega = [SchurFunction(row) for row in _sample_rows(5, 1, np.arange(40), 12)] + extra
         return h, omega
 
     @pytest.fixture(scope="class")
@@ -358,14 +358,14 @@ class TestHolderTails:
 
     @pytest.fixture(scope="class")
     def series(self):
-        params = _sample_rows(11, 0, 0, 80, 12)
+        params = _sample_rows(11, 0, np.arange(80), 12)
         for i, row in enumerate(params[40:]):
             row[i % 13] *= (1.0 if i >= 20 else 1.0 - 1e-6) / abs(row[i % 13])
         c = schur_synthesis_rows([SchurFunction(row) for row in params], self.ORDER)
         # harmonic pairs of two rows of each kind; the l^p class takes the
         # same rows behind a leading zero parameter
         h = params[[0, 1, 41, 42, 61, 62]]
-        omegas = [SchurFunction(w) for w in _sample_rows(12, 0, 0, 6, 12)]
+        omegas = [SchurFunction(w) for w in _sample_rows(12, 0, np.arange(6), 12)]
         pairs, lp_pairs = (
             np.array([pair_rows(SchurFunction(f), w, self.ORDER) for f, w in zip(rows, omegas)])
             for rows in (h, np.concatenate((np.zeros((len(h), 1)), h), axis=1))

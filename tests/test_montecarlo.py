@@ -74,7 +74,8 @@ def flat_slacks(loop, step=None):
     slack, streams, trials, _, full, r = loop
     step = step or max(trials, 1)
     blocks = [
-        slack(*(_synthesize_params(draw(start, min(start + step, trials)), full) for draw in streams))[0]
+        slack(*(_synthesize_params(draw(np.arange(start, min(start + step, trials))), full)
+                for draw in streams))[0]
         for start in range(0, trials, step)
     ]
     return np.concatenate(blocks) if blocks else np.empty(0)
@@ -92,13 +93,19 @@ class TestSampler:
 
     def test_moduli_distribution(self):
         # modulus ~ sqrt(U): mean 2/3
-        mods = np.abs(_sample_rows(42, 0, 0, 10_000, 0)[:, 0])
+        mods = np.abs(_sample_rows(42, 0, np.arange(10_000), 0)[:, 0])
         assert abs(np.mean(mods) - 2.0 / 3.0) < 0.01
         assert max(mods) <= 1.0
 
     def test_trials_distinct(self):
-        rows = _sample_rows(7, 0, 0, 1000, 0)[:, 0]
+        rows = _sample_rows(7, 0, np.arange(1000), 0)[:, 0]
         assert len(set(rows.tolist())) == 1000
+
+
+def numbers(start, stop):
+    """Trial numbers start, ..., stop - 1 mod 2^64, as the stream's counters
+    read them, in the uint64 array that _sample_rows takes."""
+    return np.array([i % 2**64 for i in range(start, stop)], dtype=np.uint64)
 
 
 class TestBlockSampler:
@@ -108,11 +115,14 @@ class TestBlockSampler:
     @pytest.mark.parametrize("depth", [0, 1, 12, 13])
     def test_rows_match_sample_schur(self, depth):
         for seed in (0, 7, -1, 2**64 + 5):
-            rows = _sample_rows(seed, 0, 0, 1000, depth)
+            rows = _sample_rows(seed, 0, np.arange(1000), depth)
             assert rows.shape == (1000, depth + 1)
-            assert np.array_equal(bits(_sample_rows(seed, 0, 300, 700, depth)), bits(rows[300:700]))
+            middle = _sample_rows(seed, 0, np.arange(300, 700), depth)
+            assert np.array_equal(bits(middle), bits(rows[300:700]))
             for i in (0, 1, 299, 300, 699, 999):
                 assert np.array_equal(bits(sample_schur(seed, i, depth).params), bits(rows[i]))
+                # the index counts mod 2^64, as the counters do
+                assert np.array_equal(bits(sample_schur(seed, 2**64 + i, depth).params), bits(rows[i]))
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -122,7 +132,7 @@ class TestBlockSampler:
         depth=st.integers(0, 13),
     )
     def test_any_split_matches_one_trial_draws(self, seed, start, size, depth):
-        rows = _sample_rows(seed, 0, start, start + size, depth)
+        rows = _sample_rows(seed, 0, numbers(start, start + size), depth)
         assert rows.shape == (size, depth + 1)
         for i in {0, size // 2, size - 1} if size else ():
             assert np.array_equal(bits(sample_schur(seed, start + i, depth).params), bits(rows[i]))
@@ -142,16 +152,18 @@ class TestBlockSampler:
         self, seed, stream, start, size, depth, width, lead, data
     ):
         # a screen stage's synthesis block draws the first width parameters
-        # of the trials it scores; width clips to depth + 1
+        # of the trials it scores, any subset of a draw's; width clips to
+        # depth + 1
         offsets = np.array(data.draw(st.lists(st.integers(0, size - 1), max_size=size)), dtype=int)
-        whole = _sample_rows(seed, stream, start, start + size, depth)
-        rows = _sample_rows(seed, stream, start, start + size, depth, width=width, rows=offsets)
+        trials = numbers(start, start + size)
+        whole = _sample_rows(seed, stream, trials, depth)
+        rows = _sample_rows(seed, stream, trials[offsets], depth, width=width)
         assert rows.shape == (len(offsets), min(width, depth + 1))
         assert np.array_equal(bits(rows), bits(whole[offsets, :width]))
         # a lead of zero parameters is counted in width: a zero column, then
         # the draw of the width left
-        led = _sample_rows(seed, stream, start, start + size, depth, width=width, rows=offsets, lead=lead)
-        rest = _sample_rows(seed, stream, start, start + size, depth, width=width - lead, rows=offsets)
+        led = _sample_rows(seed, stream, trials[offsets], depth, width=width, lead=lead)
+        rest = _sample_rows(seed, stream, trials[offsets], depth, width=width - lead)
         assert np.array_equal(bits(led), bits(np.concatenate((np.zeros((len(offsets), lead)), rest), axis=1)))
 
     def test_rows_are_the_stream_words_as_disk_params(self):
@@ -166,10 +178,10 @@ class TestBlockSampler:
             start, size = int(rng.integers(0, 2**40)), int(rng.integers(1, 1200))
             width = int(rng.integers(0, depth + 3)) if rng.random() < 0.7 else None
             offsets = rng.integers(0, size, int(rng.integers(0, size + 1))) if rng.random() < 0.7 else None
-            got = _sample_rows(seed, stream, start, start + size, depth, width=width, rows=offsets)
+            trials = start + (np.arange(size) if offsets is None else offsets)
+            got = _sample_rows(seed, stream, trials, depth, width=width)
             n, w = 2 * (depth + 1), depth + 1 if width is None else min(width, depth + 1)
             base = _splitmix64(_splitmix64(seed % 2**64) ^ stream)
-            trials = start + (np.arange(size) if offsets is None else offsets)
             words = [[_splitmix64((base + (n * int(t) + k) * montecarlo._GAMMA) % 2**64) >> 11
                       for k in (*range(w), *range(depth + 1, depth + 1 + w))] for t in trials]
             u = np.array(words, dtype=float).reshape(len(trials), 2 * w) * 2.0**-53
@@ -181,7 +193,7 @@ class TestBlockSampler:
 
     def test_streams_differ(self):
         # h, omega, and verify_be's harmonic h and omega
-        firsts = [_sample_rows(7, stream, 0, 100, 12) for stream in range(4)]
+        firsts = [_sample_rows(7, stream, np.arange(100), 12) for stream in range(4)]
         for i, a in enumerate(firsts):
             for b in firsts[i + 1 :]:
                 assert not np.isin(a, b).any()
@@ -679,7 +691,7 @@ class TestReplay:
         for record, report in runs:
             params, i = report.params, report.params["worst_trial"]
             draws = [
-                _sample_rows(report.seed, stream, i, i + 1, params["depth"], lead=lead)
+                _sample_rows(report.seed, stream, [i], params["depth"], lead=lead)
                 for stream, lead in record.streams
             ]
             lo = record.slack(*(_synthesize_params(g, params["order"]) for g in draws))[0]
@@ -835,7 +847,8 @@ class TestSettleRule:
     def test_slack_is_the_settle_formula(self, kind):
         bound, enclose, leads = self.kinds()[kind]
         r = self.R
-        params = [_sample_rows(3, stream, 0, 200, 12, lead=lead) for stream, lead in enumerate(leads)]
+        trials = np.arange(200)
+        params = [_sample_rows(3, stream, trials, 12, lead=lead) for stream, lead in enumerate(leads)]
         sides = set()
         # one rung above its rung and a ladder's rungs 16 below 64: both
         # sides of the min win on some rows; at N = full T wins on some
@@ -1045,6 +1058,6 @@ class TestOrderLadder:
             flat = flat_slacks(loop)
             for n in (4, 8, 16, 32, 64):
                 if n < full:
-                    params = [draw(0, trials, width=n + 1) for draw in streams]
+                    params = [draw(np.arange(trials), width=n + 1) for draw in streams]
                     lo = slack(*(_synthesize_params(g, n) for g in params))[0]
                     assert (lo <= flat).all(), (n, full)
