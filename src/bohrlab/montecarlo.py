@@ -42,6 +42,7 @@ from .majorant import _harmonic_rows, _lp_combination_rows, _powered_rows, _quad
 from .radii import maximize_envelope, mp_theorem1
 from .series import (
     SchurFunction,
+    _BLOCK_FROM_ORDER,  # from it on, a trial loop stacks only streams of one width
     _coanalytic_rows,
     _synthesize_params,
     mobius_automorphism_coeffs,
@@ -214,9 +215,16 @@ def _collect_slacks(
     The loop scores arrays of trial numbers: all of them first, then the rows
     each step leaves.  score(index, order) cuts its rows into blocks of at
     most _BLOCK_COEFFS coefficients; each block draws the parameters of its
-    own rows, so no draw outlives its block, synthesizes each stream in one
-    call, and slack maps the coefficients to each row's [lo, hi]: bound minus
-    the upper and the lower side of its enclosure.
+    own rows, so no draw outlives its block, synthesizes all of a record's
+    streams in one call, apart only where widths differ from
+    _BLOCK_FROM_ORDER on, and slack maps the coefficients to each row's
+    [lo, hi]: bound minus the upper and the lower side of its enclosure.
+    The narrower stream (be's omega beside its h = z g) is padded on the
+    right with zero parameters.  A trailing zero leaves P and Q as they are
+    but for a zero top coefficient of Q, whose products the recurrence
+    subtracts as exact zeros, so below _BLOCK_FROM_ORDER every row keeps its
+    bits; from it on the block division's map W is a matmul, whose sums
+    that zero moves, so streams of different widths go apart there.
 
     Where 0 < r < 1 (at R = 1 lemma21's fold is exact, so no rung settles a
     row), the loop is screened first, by a stage at each order N of
@@ -260,7 +268,9 @@ def _collect_slacks(
 
     def score(index: np.ndarray, order: int) -> tuple:
         """Score rows index at order and enter the lo of those it settles (of
-        all of them at full); return the others with their tails and margins."""
+        all of them at full); return the others with their tails and margins.
+        A block's streams are synthesized as one stack, stream 0's rows
+        first, apart where widths differ from _BLOCK_FROM_ORDER on."""
         nonlocal least_hi
         if not len(index):  # a rung no row was sent to
             return index, index, index
@@ -269,8 +279,17 @@ def _collect_slacks(
         lo, hi = np.empty(len(index)), np.empty(len(index))
         for start in range(0, len(index), step):
             block = slice(start, start + step)
-            params = (draw(index[block], width=width) for draw in streams)
-            lo[block], hi[block] = slack(*(_synthesize_params(g, order) for g in params))
+            params = [draw(index[block], width=width) for draw in streams]
+            widths = {g.shape[1] for g in params}
+            if len(params) == 1 or (order >= _BLOCK_FROM_ORDER and len(widths) > 1):
+                rows = [_synthesize_params(g, order) for g in params]
+            else:  # one stack, the narrower stream padded with zero parameters
+                stack = np.zeros((len(params), len(params[0]), max(widths)), dtype=complex)
+                for part, g in zip(stack, params):
+                    part[:, : g.shape[1]] = g
+                rows = _synthesize_params(stack.reshape(-1, stack.shape[2]), order)
+                rows = rows.reshape(*stack.shape[:2], order + 1)
+            lo[block], hi[block] = slack(*rows)
         least_hi = min(least_hi, hi.min())
         threshold = max(least_hi, -SLACK_TOL) + SLACK_TOL
         settled = (lo > threshold) | (order == full)

@@ -102,13 +102,20 @@ def _parabolic_polish(f: Callable[[float], float], x: float, h: float, lo: float
     return v if lo < v < hi else x
 
 
+def _sorted_points(pts) -> np.ndarray:
+    # np.unique's rule for finite floats, sort and drop each repeat, without
+    # the numpy.ma import (~9 ms, ~0.5 MB of peak RSS) of its first call
+    pts = np.sort(pts)
+    return pts[np.concatenate(([True], pts[1:] != pts[:-1]))]
+
+
 @functools.cache
 def _grid(stop: float, n: int, k_lo: int, k_hi: int) -> np.ndarray:
     # n uniform points on [0, stop] plus the geometric cluster 1 - 10^(-k/2),
     # k_lo <= k < k_hi, near a = 1, where the radius-defining behaviour lives.
-    # Read-only and built on first use: built at import, np.unique's first
-    # sort raised every importing process's peak RSS by ~0.4 MB.
-    pts = np.unique(np.concatenate([np.linspace(0.0, stop, n), 1.0 - 10.0 ** -(np.arange(k_lo, k_hi) / 2.0)]))
+    # Read-only and built on first use: built at import, it raised every
+    # importing process's peak RSS by ~0.5 MB.
+    pts = _sorted_points(np.concatenate([np.linspace(0.0, stop, n), 1.0 - 10.0 ** -(np.arange(k_lo, k_hi) / 2.0)]))
     pts.flags.writeable = False
     return pts
 
@@ -127,7 +134,7 @@ def _candidate_grid(p: float, r: float) -> np.ndarray:
         eps = t / (1.0 + t)
         if 0.0 < eps < 1.0:
             seeds.append(1.0 - eps)
-    return np.unique(np.concatenate([grid, seeds]))
+    return _sorted_points(np.concatenate([grid, seeds]))
 
 
 def maximize_envelope(p: float, r: float, doubled: bool = False) -> EnvelopeResult:

@@ -298,7 +298,7 @@ def _synthesize_groups(actives: list, order: int) -> np.ndarray:
     """Coefficient rows for a list of active parameter arrays, grouped by length."""
     lengths = np.array([len(a) for a in actives], dtype=int)
     out = np.empty((len(actives), order + 1), dtype=complex)
-    for length in np.unique(lengths):
+    for length in sorted(set(lengths.tolist())):
         rows = np.flatnonzero(lengths == length)
         out[rows] = _synthesize(np.array([actives[i] for i in rows]), order)
     return out

@@ -8,8 +8,9 @@ points without a ranged parameter are not listed: be_radius,
 harmonic_radius_p1, and psymmetric_root_equation, which evaluates its
 polynomial anywhere.  The last tests pin the set of public names, check
 that importing the package and its CLI loads none of the heavy optional
-modules, that sampling and a verify run load no numpy.random, and that no
-module keeps an unread import or private name.
+modules, that sampling and a verify run load no numpy.random, that the CLI's
+commands load no numpy.ma, and that no module keeps an unread import or
+private name.
 """
 
 import ast
@@ -187,39 +188,54 @@ def test_public_names_are_pinned():
 SRC = Path(__file__).resolve().parents[1] / "src" / "bohrlab"
 
 
+def loaded_after(code):
+    """Modules loaded by a fresh interpreter that imports bohrlab and its CLI
+    and runs code."""
+    code = f"import sys, bohrlab, bohrlab.cli\n{code}\nprint(*sorted(sys.modules), file=sys.stderr)"
+    env = dict(os.environ, PYTHONPATH=str(SRC.parent))
+    return subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    ).stderr.split()
+
+
 def test_import_loads_no_heavy_module():
     # scipy, mpmath and hypothesis are test or reference dependencies; any of
     # them on the import path of bohrlab would add to every run's start-up
     # time and memory
-    code = "import sys, bohrlab, bohrlab.cli; print(*sorted(sys.modules))"
-    env = dict(os.environ, PYTHONPATH=str(SRC.parent))
-    loaded = subprocess.run(
-        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
-    ).stdout.split()
+    loaded = loaded_after("")
     heavy = [m for m in loaded if m.split(".")[0] in ("scipy", "mpmath", "hypothesis")]
     assert "bohrlab.cli" in loaded and heavy == []
+
+
+VERIFY_RUNS = [
+    ["verify", claim, "--p", "1", "--r", "0.5", "--trials", "3", "--seed", "1"]
+    for claim in ("theorem2", "be")
+]
 
 
 def test_sampling_and_verify_load_no_numpy_random():
     # trials are splitmix64 counter streams on uint64 arrays; numpy loads
     # numpy.random lazily, so drawing a sample or running a verify command
     # must not pay for its import
-    runs = [
-        ["verify", claim, "--p", "1", "--r", "0.5", "--trials", "3", "--seed", "1"]
-        for claim in ("theorem2", "be")
-    ]
-    code = (
-        "import sys, bohrlab, bohrlab.cli\n"
-        "bohrlab.sample_schur(1, 2, 3)\n"
-        f"for argv in {runs!r}: bohrlab.cli.main(argv)\n"
-        "print(*sorted(sys.modules), file=sys.stderr)"
-    )
-    env = dict(os.environ, PYTHONPATH=str(SRC.parent))
-    loaded = subprocess.run(
-        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
-    ).stderr.split()
+    loaded = loaded_after(f"bohrlab.sample_schur(1, 2, 3)\nfor argv in {VERIFY_RUNS!r}: bohrlab.cli.main(argv)")
     assert "bohrlab.cli" in loaded
     assert [m for m in loaded if m.startswith("numpy.random")] == []
+
+
+def test_cli_commands_load_no_numpy_ma():
+    # np.unique's first call imports numpy.ma (~9 ms); the envelope grids
+    # (p < 1 seeds its own, as theoremB at p = 0.5 does) and the witnesses'
+    # synthesis groups are sorted without it
+    runs = [
+        ["table"],
+        ["radius", "--kind", "rp", "--p", "1.5"],
+        ["envelope", "--p", "1", "--r-start", "0.1", "--r-end", "0.5", "--steps", "3"],
+        ["verify", "theoremB", "--p", "0.5", "--seed", "1"],
+        *VERIFY_RUNS,
+    ]
+    loaded = loaded_after(f"for argv in {runs!r}: bohrlab.cli.main(argv)")
+    assert "bohrlab.cli" in loaded
+    assert [m for m in loaded if m.split(".")[:2] == ["numpy", "ma"]] == []
 
 
 def test_no_unused_import_or_private_name():

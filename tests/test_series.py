@@ -25,8 +25,8 @@ from bohrlab import (
     schur_synthesis_rows,
 )
 from bohrlab import cli, series
-from bohrlab.montecarlo import sample_schur
-from bohrlab.series import _BLOCK_FROM_ORDER, _divide_trunc
+from bohrlab.montecarlo import _sample_rows, sample_schur
+from bohrlab.series import _BLOCK_FROM_ORDER, _divide_trunc, _synthesize_params
 from pair_rows import pair_rows
 
 
@@ -335,6 +335,25 @@ class TestCoefficientMajorKernel:
             got = _divide_trunc(num.T, den.T, order)
             assert got.strides[1] == got.itemsize  # contiguous rows, as np.vecdot reads them
             assert (bits(got) == bits(rowwise_divide(num, den, order))).all(), (rows, dlen, order)
+
+    @pytest.mark.parametrize("rows", [1, 7, 130])
+    def test_zero_padded_stack_matches_each_stream(self, rows):
+        # a trial loop synthesizes a block's streams as one stack, the
+        # narrower one padded on the right with zero parameters: be's
+        # harmonic h (a leading zero, 14 parameters) and omega (13) below
+        # _BLOCK_FROM_ORDER, whose block division would move the padded rows'
+        # bits, and theorem2's h and omega (13 each) at every order; bits
+        # compare as float.hex does and tell the sign of each zero
+        trials = np.arange(rows, dtype=np.uint64) * 977
+        below = (0, 1, 4, 16, 64, _BLOCK_FROM_ORDER - 1)
+        for lead, orders in ((1, below), (0, (*below, _BLOCK_FROM_ORDER, 894))):
+            h = _sample_rows(rows, 2, trials, 12, lead=lead)
+            w = _sample_rows(rows, 3, trials, 12)
+            stack = np.zeros((2 * rows, h.shape[1]), dtype=complex)
+            stack[:rows], stack[rows:, : w.shape[1]] = h, w
+            for order in orders:
+                alone = np.concatenate([_synthesize_params(g, order) for g in (h, w)])
+                assert (bits(_synthesize_params(stack, order)) == bits(alone)).all(), (lead, order)
 
     @pytest.mark.parametrize("order", [0, 1, 16, 64, _BLOCK_FROM_ORDER, 1000])
     def test_exact_zeros_keep_their_signs(self, order):
