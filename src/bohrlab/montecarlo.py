@@ -42,7 +42,6 @@ from .majorant import _harmonic_rows, _lp_combination_rows, _powered_rows, _quad
 from .radii import maximize_envelope, mp_theorem1
 from .series import (
     SchurFunction,
-    _BLOCK_FROM_ORDER,  # from it on, a trial loop stacks only streams of one width
     _coanalytic_rows,
     _synthesize_params,
     mobius_automorphism_coeffs,
@@ -216,15 +215,10 @@ def _collect_slacks(
     each step leaves.  score(index, order) cuts its rows into blocks of at
     most _BLOCK_COEFFS coefficients; each block draws the parameters of its
     own rows, so no draw outlives its block, synthesizes all of a record's
-    streams in one call, apart only where widths differ from
-    _BLOCK_FROM_ORDER on, and slack maps the coefficients to each row's
-    [lo, hi]: bound minus the upper and the lower side of its enclosure.
-    The narrower stream (be's omega beside its h = z g) is padded on the
-    right with zero parameters.  A trailing zero leaves P and Q as they are
-    but for a zero top coefficient of Q, whose products the recurrence
-    subtracts as exact zeros, so below _BLOCK_FROM_ORDER every row keeps its
-    bits; from it on the block division's map W is a matmul, whose sums
-    that zero moves, so streams of different widths go apart there.
+    streams in one `_synthesize_params` call, the narrower stream (be's
+    omega beside its h = z g) padded with zero parameters, and slack maps
+    the coefficients to each row's [lo, hi]: bound minus the upper and the
+    lower side of its enclosure.
 
     Where 0 < r < 1 (at R = 1 lemma21's fold is exact, so no rung settles a
     row), the loop is screened first, by a stage at each order N of
@@ -270,7 +264,7 @@ def _collect_slacks(
         """Score rows index at order and enter the lo of those it settles (of
         all of them at full); return the others with their tails and margins.
         A block's streams are synthesized as one stack, stream 0's rows
-        first, apart where widths differ from _BLOCK_FROM_ORDER on."""
+        first; one stream goes as it is drawn."""
         nonlocal least_hi
         if not len(index):  # a rung no row was sent to
             return index, index, index
@@ -280,11 +274,10 @@ def _collect_slacks(
         for start in range(0, len(index), step):
             block = slice(start, start + step)
             params = [draw(index[block], width=width) for draw in streams]
-            widths = {g.shape[1] for g in params}
-            if len(params) == 1 or (order >= _BLOCK_FROM_ORDER and len(widths) > 1):
-                rows = [_synthesize_params(g, order) for g in params]
+            if len(params) == 1:
+                rows = [_synthesize_params(params[0], order)]
             else:  # one stack, the narrower stream padded with zero parameters
-                stack = np.zeros((len(params), len(params[0]), max(widths)), dtype=complex)
+                stack = np.zeros((len(params), len(params[0]), max(g.shape[1] for g in params)), dtype=complex)
                 for part, g in zip(stack, params):
                     part[:, : g.shape[1]] = g
                 rows = _synthesize_params(stack.reshape(-1, stack.shape[2]), order)
@@ -447,7 +440,11 @@ def verify_lemma_quadratic(
     """Quadratic coefficient inequality over random samples plus equality witnesses.
 
     The automorphism witnesses at a in {0.2, 0.5, 0.8} attain equality, so
-    their |slack| must stay below 1e-8; violations count as failures.  At
+    their |slack| must stay below 1e-8; violations count as failures.  For
+    R < 1 only degree-1 Blaschke products do: over 300 rows a degree at
+    order 4,000 and R in {0.5, 0.9, 0.99}, |slack| is at most 7.8e-16 at
+    degree 1, and the median slack 9.1e-3 to 6.9e-2 at degrees 2 to 4.  At
+    R = 1 the lemma is Parseval's identity, which every inner row attains.  At
     R = 1 the order is not raised: the Parseval remainder fold is exact there,
     so every slack is 0 up to rounding (within 6e-16) and worst_trial is a
     rounding tie-break: another summation order in the synthesis moves it in

@@ -245,18 +245,6 @@ def be_extremal_coeffs(a: float, order: int) -> CoefficientSeries:
     return CoefficientSeries(np.concatenate(([0.0], c[:-1])), certified=True)
 
 
-def _active_params(params: np.ndarray) -> np.ndarray:
-    """Parameters up to and including the first (effectively) unimodular one."""
-    mods = np.abs(params)
-    hit = np.flatnonzero(mods >= 1.0 - UNIMODULAR_TOL)
-    if hit.size:
-        j = hit[0]
-        active = params[: j + 1].copy()
-        active[j] = active[j] / mods[j]  # snap to the unit circle
-        return active
-    return np.array(params)
-
-
 def schur_synthesis_rows(schurs, order: int) -> np.ndarray:
     """Taylor coefficients through the given order of an iterable of Schur
     functions, one row each: an array of shape (number of functions, order + 1).
@@ -264,9 +252,8 @@ def schur_synthesis_rows(schurs, order: int) -> np.ndarray:
     Runs the backward recursion f_j = (g_j + z f_{j+1}) / (1 + conj(g_j) z f_{j+1})
     in accumulated linear-fractional form: f_0 = P/Q with polynomials P, Q
     built one parameter index at a time across the block, then one truncated
-    division.  Rows are grouped by the length of their active parameters (a
-    unimodular parameter cuts a row short), and each step acts on every row
-    alone, so every row comes out bit for bit as alone.
+    division.  The rows go to `_synthesize_params` as one array, padded with
+    zero parameters, and come out bit for bit as alone.
 
     The coefficients are float results, and their rounding is not bounded by
     any enclosure downstream: the verifiers' SLACK_TOL = 1e-9 margin is what
@@ -281,26 +268,36 @@ def schur_synthesis_rows(schurs, order: int) -> np.ndarray:
     block division and the one-step recurrence differ by 1.6e-15, 7.5e-14
     and 3.7e-13.
     """
-    order = _check_count(order, "order")
-    return _synthesize_groups([_active_params(s.params) for s in schurs], order)
+    params = [s.params for s in schurs]
+    g = np.zeros((len(params), max(map(len, params), default=1)), dtype=complex)
+    for row, values in zip(g, params):
+        row[: len(values)] = values
+    return _synthesize_params(g, _check_count(order, "order"))
 
 
 def _synthesize_params(g: np.ndarray, order: int) -> np.ndarray:
-    """Coefficient rows for a (rows, length) array of Schur parameters, as
-    `schur_synthesis_rows` gives them; only a block with a parameter within
-    UNIMODULAR_TOL of the circle goes through `_active_params`."""
-    if (np.abs(g) >= 1.0 - UNIMODULAR_TOL).any():
-        return _synthesize_groups([_active_params(row) for row in g], order)
-    return _synthesize(g, order)
-
-
-def _synthesize_groups(actives: list, order: int) -> np.ndarray:
-    """Coefficient rows for a list of active parameter arrays, grouped by length."""
-    lengths = np.array([len(a) for a in actives], dtype=int)
-    out = np.empty((len(actives), order + 1), dtype=complex)
-    for length in sorted(set(lengths.tolist())):
-        rows = np.flatnonzero(lengths == length)
-        out[rows] = _synthesize(np.array([actives[i] for i in rows]), order)
+    """Coefficient rows for a (rows, width) array of Schur parameters, each
+    row as alone.  A row's active parameters end at its first parameter
+    within UNIMODULAR_TOL of the circle, snapped onto it and followed by
+    zeros, or else at its last nonzero one.  A trailing zero leaves P and Q
+    as they are but for a zero top coefficient of Q, whose products the
+    recurrence subtracts as exact zeros, so below _BLOCK_FROM_ORDER the block
+    goes in one call; from there on the block division's matmul W would move
+    the bits of a row ending in zeros, so then the rows go by active length."""
+    cut = np.abs(g) >= 1.0 - UNIMODULAR_TOL
+    if cut.any():
+        rows = np.flatnonzero(cut.any(axis=1))
+        j = cut[rows].argmax(axis=1)
+        g = g.copy()
+        g[rows, j] = g[rows, j] / np.abs(g[rows, j])  # snap to the unit circle
+        g[rows] = np.where(np.arange(g.shape[1]) > j[:, None], 0.0, g[rows])
+    if order < _BLOCK_FROM_ORDER or g[:, -1].all():
+        return _synthesize(g, order)
+    lengths = (np.arange(1, g.shape[1] + 1) * (g != 0)).max(axis=1)
+    out = np.empty((len(g), order + 1), dtype=complex)
+    for length in set(lengths.tolist()):
+        rows = lengths == length
+        out[rows] = _synthesize(g[rows, :length], order)
     return out
 
 

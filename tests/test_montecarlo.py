@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 
 from bohrlab import (
     DomainError,
+    SchurFunction,
     be_bound,
     be_harmonic_bound,
     envelope_value,
@@ -27,6 +28,7 @@ from bohrlab import (
     paulsen_majorant,
     powered_sum,
     sample_schur,
+    schur_synthesis_rows,
     verify_be,
     verify_lemma_quadratic,
     verify_theorem1,
@@ -35,10 +37,11 @@ from bohrlab import (
 )
 from bohrlab import cli, montecarlo
 from bohrlab.errors import _check_r
-from bohrlab.majorant import _harmonic_rows, _lp_combination_rows, _powered_rows
+from bohrlab.majorant import _harmonic_rows, _lp_combination_rows, _powered_rows, _quadratic_rows
 from bohrlab.montecarlo import (
     DEFAULT_ORDER,
     SLACK_TOL,
+    WITNESS_TOL,
     _sample_rows,
     _splitmix64,
 )
@@ -312,6 +315,24 @@ class TestLemmaQuadratic:
     def test_r_below_one(self):
         report = verify_lemma_quadratic(200, 0.8, seed=13, order=400)
         assert report.failures == 0
+
+    def test_finite_blaschke_products(self):
+        # a row cut at a unimodular gamma_d synthesizes a Blaschke product of
+        # degree d; for R < 1 only degree 1 (an automorphism, rotated) attains
+        # equality, and at R = 1, where the lemma is Parseval's identity,
+        # every degree does
+        g = _sample_rows(11, 0, np.arange(300), 12)
+        for d in (1, 2, 3, 4):
+            cut = g.copy()
+            cut[:, d] /= np.abs(cut[:, d])
+            c = schur_synthesis_rows([SchurFunction(row) for row in cut], 4000)
+            for big_r in (0.5, 0.9, 0.99, 1.0):
+                partial, tail, rhs = _quadratic_rows(c, big_r)
+                lo = rhs - (partial + tail)
+                if d == 1 or big_r == 1.0:
+                    assert np.abs(lo).max() <= WITNESS_TOL, (d, big_r)
+                else:
+                    assert np.median(lo) > 1e-3, (d, big_r)
 
 
 class TestTheorem2:
@@ -674,8 +695,8 @@ class TestReplay:
         pytest.param(lambda: verify_theorem1(2.0, 0.999, 100, seed=1), id="theorem1-2-0.999"),
         pytest.param(lambda: verify_theorem1(1.5, 0.999, 300, seed=1), id="theorem1-1.5-0.999"),
         pytest.param(lambda: verify_theorem1(1.0, 0.999, 300, seed=5), id="theorem1-1-0.999"),
-        # N* = 2,819, where be's harmonic h and omega, of different widths,
-        # are synthesized apart: padding omega there moves worst_margin 2 ulps
+        # N* = 2,819, where be's omega, padded to h's width in the block's
+        # stack, goes by its own width, as this replay synthesizes it alone
         pytest.param(lambda: verify_be(0.99, 1.0, 300, seed=3), id="be-0.99-1"),
     ]
 

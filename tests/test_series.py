@@ -263,10 +263,23 @@ def rowwise_divide(num, den, order):
     return out
 
 
+def cut_params(params):
+    """Reference: parameters up to and including the first one within
+    UNIMODULAR_TOL of the circle, snapped onto it; trailing zeros are kept."""
+    mods = np.abs(params)
+    hit = np.flatnonzero(mods >= 1.0 - series.UNIMODULAR_TOL)
+    if hit.size:
+        j = hit[0]
+        active = params[: j + 1].copy()
+        active[j] = active[j] / mods[j]
+        return active
+    return np.array(params)
+
+
 def rowwise_rows(schurs, order):
     """Reference: schur_synthesis_rows with P and Q built on rows and divided
-    by rowwise_divide, one block per active length."""
-    actives = [series._active_params(s.params) for s in schurs]
+    by rowwise_divide, one block per cut length."""
+    actives = [cut_params(s.params) for s in schurs]
     out = np.empty((len(actives), order + 1), dtype=complex)
     for length in {len(a) for a in actives}:
         rows = [i for i, a in enumerate(actives) if len(a) == length]
@@ -340,13 +353,13 @@ class TestCoefficientMajorKernel:
     def test_zero_padded_stack_matches_each_stream(self, rows):
         # a trial loop synthesizes a block's streams as one stack, the
         # narrower one padded on the right with zero parameters: be's
-        # harmonic h (a leading zero, 14 parameters) and omega (13) below
-        # _BLOCK_FROM_ORDER, whose block division would move the padded rows'
-        # bits, and theorem2's h and omega (13 each) at every order; bits
-        # compare as float.hex does and tell the sign of each zero
+        # harmonic h (a leading zero, 14 parameters) and omega (13), and
+        # theorem2's h and omega (13 each), at orders on both sides of
+        # _BLOCK_FROM_ORDER, from which the padded rows go by active length;
+        # bits compare as float.hex does and tell the sign of each zero
         trials = np.arange(rows, dtype=np.uint64) * 977
-        below = (0, 1, 4, 16, 64, _BLOCK_FROM_ORDER - 1)
-        for lead, orders in ((1, below), (0, (*below, _BLOCK_FROM_ORDER, 894))):
+        orders = (0, 1, 4, 16, 64, _BLOCK_FROM_ORDER - 1, _BLOCK_FROM_ORDER, 894)
+        for lead in (1, 0):
             h = _sample_rows(rows, 2, trials, 12, lead=lead)
             w = _sample_rows(rows, 3, trials, 12)
             stack = np.zeros((2 * rows, h.shape[1]), dtype=complex)
@@ -354,6 +367,15 @@ class TestCoefficientMajorKernel:
             for order in orders:
                 alone = np.concatenate([_synthesize_params(g, order) for g in (h, w)])
                 assert (bits(_synthesize_params(stack, order)) == bits(alone)).all(), (lead, order)
+
+    @pytest.mark.parametrize("order", [0, 16, _BLOCK_FROM_ORDER - 1, _BLOCK_FROM_ORDER, 894, 2000])
+    def test_appended_zero_parameters_keep_the_bits(self, order):
+        # trailing zero parameters are inactive: two more on each row, cut
+        # (unimodular) rows among them, move no coefficient's bits
+        rng = np.random.default_rng(order)
+        schurs = self.schurs(rng, 40, 12, cut=True)
+        padded = [SchurFunction(np.concatenate((s.params, [0.0, 0.0]))) for s in schurs]
+        assert (bits(schur_synthesis_rows(padded, order)) == bits(schur_synthesis_rows(schurs, order))).all()
 
     @pytest.mark.parametrize("order", [0, 1, 16, 64, _BLOCK_FROM_ORDER, 1000])
     def test_exact_zeros_keep_their_signs(self, order):
